@@ -29,6 +29,7 @@ from .designs import (
     block_orbit_count,
     find_isomorphism,
     flag_orbit_count,
+    is_point_primitive,
     parse_incidence,
     point_block_systems,
     render_incidence,
@@ -184,9 +185,8 @@ def cmd_classify(args) -> Report:
     report.results["automorphism_order"] = group.order
     report.results["block_orbits"] = block_orbit_count(design, group)
     report.results["flag_orbits"] = flag_orbit_count(design, group)
-    systems = point_block_systems(group)
-    report.results["point_primitive"] = not systems
-    report.results["point_block_systems"] = len(systems)
+    report.results["point_primitive"] = is_point_primitive(group)
+    report.results["point_block_systems"] = len(point_block_systems(group))
     report.timing = time.perf_counter() - started
     return report
 

@@ -8,10 +8,13 @@ matrix, so the 0/1 rendering of the matrix reproduces the incidence rows
 bit for bit inside a border of zeros.
 """
 
+import logging
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cliques import Clique
+from .cliques import Clique, _lowest_bits
 from .errors import InternalCheckError, InvariantError, ParseError
 from .subsets import ElementSet, Permutation, apply
 
@@ -199,20 +202,18 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # the candidate sets, then a backtracking search with bitmask propagation
 # over the bipartite incidence structure assigns point images.
 
-
-_LABEL_TABLE: dict = {}
-
-
-def _intern(obj) -> int:
-    code = _LABEL_TABLE.get(obj)
-    if code is None:
-        code = len(_LABEL_TABLE)
-        _LABEL_TABLE[obj] = code
-    return code
+logger = logging.getLogger(__name__)
 
 
 class _DesignContext:
-    def __init__(self, d: Design):
+    """Incidence bitmasks and refined point/block classes of one design.
+
+    Class labels are codes in ``labels``, a table owned by the caller:
+    contexts that share it give equal codes to equal signature structures,
+    so their classes can be compared.
+    """
+
+    def __init__(self, d: Design, labels: dict):
         self.design = d
         v = d.v
         self.v = v
@@ -221,7 +222,7 @@ class _DesignContext:
             sum(1 << i for i, b in enumerate(d.blocks) if b.bits >> x & 1)
             for x in range(v)
         ]
-        self.point_classes, self.block_classes = self._refine()
+        self.point_classes, self.block_classes = self._refine(labels)
 
     def _triple(self, x: int, y: int, z: int) -> int:
         return (
@@ -235,7 +236,7 @@ class _DesignContext:
             self.block_bits[a] & self.block_bits[b] & self.block_bits[c]
         ).bit_count()
 
-    def _refine(self):
+    def _refine(self, labels: dict):
         v = self.v
         point_pair = [[()] * v for _ in range(v)]
         for x, y in combinations(range(v), 2):
@@ -250,22 +251,24 @@ class _DesignContext:
             )
             block_pair[a][b] = block_pair[b][a] = sig
 
-        # labels are interned in a process-wide table so equal signature
-        # structures receive equal codes across different designs
+        def intern(obj) -> int:
+            return labels.setdefault(obj, len(labels))
+
         def classes_from(pair):
-            labels = [_intern(("seed",))] * v
+            pair_codes = [[intern(sig) for sig in row] for row in pair]
+            codes = [intern(("seed",))] * v
             for _ in range(3):
-                labels = [
-                    _intern((
-                        labels[i],
+                codes = [
+                    intern((
+                        codes[i],
                         tuple(sorted(
-                            (labels[j], _intern(pair[i][j]))
+                            (codes[j], pair_codes[i][j])
                             for j in range(v) if j != i
                         )),
                     ))
                     for i in range(v)
                 ]
-            return labels
+            return codes
 
         return classes_from(point_pair), classes_from(block_pair)
 
@@ -276,30 +279,85 @@ class _DesignContext:
         )
 
 
-def _search(ctx1: _DesignContext, ctx2: _DesignContext, find_all: bool):
-    """Backtracking point-image search; yields image tuples (0-based)."""
-    v = ctx1.v
+class _Search:
+    """Bitmask propagation and first-hit backtracking from ctx1 onto ctx2.
 
-    pclass2 = {}
-    for y in range(v):
-        pclass2.setdefault(ctx2.point_classes[y], 0)
-        pclass2[ctx2.point_classes[y]] |= 1 << y
-    bclass2 = {}
-    for b in range(v):
-        bclass2.setdefault(ctx2.block_classes[b], 0)
-        bclass2[ctx2.block_classes[b]] |= 1 << b
+    A state is a pair of lists (pcand, bcand): pcand[x] is the bitmask of
+    the points of ctx2 that point x of ctx1 may still map to, and bcand[a]
+    the same for blocks. ``propagations`` and ``leaves`` count the work.
+    """
 
-    pcand0 = [pclass2.get(ctx1.point_classes[x], 0) for x in range(v)]
-    bcand0 = [bclass2.get(ctx1.block_classes[a], 0) for a in range(v)]
-    if any(c == 0 for c in pcand0) or any(c == 0 for c in bcand0):
-        return
+    def __init__(self, ctx1: _DesignContext, ctx2: _DesignContext):
+        self.ctx1 = ctx1
+        self.ctx2 = ctx2
+        self.v = ctx1.v
+        self.propagations = 0
+        self.leaves = 0
 
-    block_bits1 = ctx1.block_bits
-    block_bits2 = ctx2.block_bits
-    pib1 = ctx1.point_in_blocks
-    pib2 = ctx2.point_in_blocks
+    def root(self):
+        """The propagated state the refined classes allow; None if it is empty."""
+        ctx1, ctx2, v = self.ctx1, self.ctx2, self.v
+        pclass2 = {}
+        for y in range(v):
+            pclass2.setdefault(ctx2.point_classes[y], 0)
+            pclass2[ctx2.point_classes[y]] |= 1 << y
+        bclass2 = {}
+        for b in range(v):
+            bclass2.setdefault(ctx2.block_classes[b], 0)
+            bclass2[ctx2.block_classes[b]] |= 1 << b
 
-    def propagate(pcand, bcand, queue_p, queue_b):
+        pcand = [pclass2.get(ctx1.point_classes[x], 0) for x in range(v)]
+        bcand = [bclass2.get(ctx1.block_classes[a], 0) for a in range(v)]
+        if any(c == 0 for c in pcand) or any(c == 0 for c in bcand):
+            return None
+        seed_p = [x for x in range(v) if pcand[x].bit_count() == 1]
+        seed_b = [a for a in range(v) if bcand[a].bit_count() == 1]
+        if self.propagate(pcand, bcand, seed_p, seed_b):
+            return pcand, bcand
+        return None
+
+    def fix(self, state, x: int, y: int):
+        """A copy of state with point x sent to y, propagated; None on a wipe-out."""
+        pcand = list(state[0])
+        bcand = list(state[1])
+        pcand[x] = 1 << y
+        if self.propagate(pcand, bcand, [x], []):
+            return pcand, bcand
+        return None
+
+    def branch_point(self, state) -> int | None:
+        """The undecided point with fewest candidates, lowest first; None at a leaf."""
+        pcand = state[0]
+        undecided = [x for x in range(self.v) if pcand[x].bit_count() > 1]
+        if not undecided:
+            return None
+        return min(undecided, key=lambda u: (pcand[u].bit_count(), u))
+
+    def first_hit(self, state) -> tuple[int, ...] | None:
+        """Point images (0-based) of the first isomorphism below state."""
+        x = self.branch_point(state)
+        if x is None:
+            self.leaves += 1
+            images = tuple(c.bit_length() - 1 for c in state[0])
+            if len(set(images)) == self.v and _is_isomorphism(self.ctx1, self.ctx2, images):
+                return images
+            return None
+        for y in _lowest_bits(state[0][x]):
+            child = self.fix(state, x, y)
+            if child is not None:
+                images = self.first_hit(child)
+                if images is not None:
+                    return images
+        return None
+
+    def propagate(self, pcand, bcand, queue_p, queue_b) -> bool:
+        """Narrow the state in place; False when some candidate set empties."""
+        self.propagations += 1
+        v = self.v
+        block_bits1 = self.ctx1.block_bits
+        block_bits2 = self.ctx2.block_bits
+        pib1 = self.ctx1.point_in_blocks
+        pib2 = self.ctx2.point_in_blocks
         while queue_p or queue_b:
             while queue_p:
                 x = queue_p.pop()
@@ -357,37 +415,6 @@ def _search(ctx1: _DesignContext, ctx2: _DesignContext, find_all: bool):
                             queue_p.append(x)
         return True
 
-    results = []
-
-    def dfs(pcand, bcand):
-        undecided = [x for x in range(v) if pcand[x].bit_count() > 1]
-        if not undecided:
-            images = tuple(pcand[x].bit_length() - 1 for x in range(v))
-            if len(set(images)) == v and _is_isomorphism(ctx1, ctx2, images):
-                results.append(images)
-                return not find_all
-            return False
-        x = min(undecided, key=lambda u: (pcand[u].bit_count(), u))
-        cand = pcand[x]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            np = list(pcand)
-            nb = list(bcand)
-            np[x] = low
-            if propagate(np, nb, [x], []):
-                if dfs(np, nb):
-                    return True
-        return False
-
-    seed_p = [x for x in range(v) if pcand0[x].bit_count() == 1]
-    seed_b = [a for a in range(v) if bcand0[a].bit_count() == 1]
-    pc = list(pcand0)
-    bc = list(bcand0)
-    if propagate(pc, bc, seed_p, seed_b):
-        dfs(pc, bc)
-    yield from results
-
 
 def _is_isomorphism(ctx1, ctx2, images) -> bool:
     target = {b for b in ctx2.block_bits}
@@ -407,124 +434,247 @@ def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
     """A point permutation carrying the blocks of d1 onto those of d2."""
     if d1.v != d2.v:
         raise InvariantError("designs have different point counts")
-    ctx1, ctx2 = _DesignContext(d1), _DesignContext(d2)
+    labels: dict = {}
+    ctx1, ctx2 = _DesignContext(d1, labels), _DesignContext(d2, labels)
     if ctx1.class_profile() != ctx2.class_profile():
         return None
-    for images in _search(ctx1, ctx2, find_all=False):
-        p = Permutation(tuple(i + 1 for i in images))
-        if {apply(p, b).bits for b in d1.blocks} != d2.block_set():
-            raise InternalCheckError("search returned a non-isomorphism")
-        return p
-    return None
+    search = _Search(ctx1, ctx2)
+    state = search.root()
+    images = None if state is None else search.first_hit(state)
+    if images is None:
+        return None
+    p = Permutation(tuple(i + 1 for i in images))
+    if {apply(p, b).bits for b in d1.blocks} != d2.block_set():
+        raise InternalCheckError("search returned a non-isomorphism")
+    return p
+
+
+# ---------------------------------------------------------------------------
+# permutation groups
+
+
+def _orbit(point: int, generators) -> set[int]:
+    """Orbit of a 0-based point under generators given as 0-based images."""
+    orbit = {point}
+    frontier = [point]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _sift(g: Permutation, base, transversals, level: int = 0):
+    """Strip coset representatives off g from ``level`` down the chain.
+
+    Returns the residue and the level where it dropped out, len(base) when
+    it passed every level.
+    """
+    while level < len(base):
+        entry = transversals[level].get(g(base[level]))
+        if entry is None:
+            break
+        g = g * entry[1]
+        level += 1
+    return g, level
+
+
+def _schreier_sims(generators, degree: int):
+    """Base and transversals of a stabilizer chain of <generators>.
+
+    Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
+    2003, section 4.2): it stops only when every Schreier generator of every
+    level sifts to the identity through the levels below, so the product of
+    the transversal sizes is the group order. Its base is its own: each new
+    base point is the lowest point moved by a residue that fixes the base
+    so far. transversals[i] maps each point of the orbit of base[i] under the
+    stabilizer of base[:i] to (u, u^-1), where u carries base[i] there.
+    """
+    identity = Permutation.identity(degree)
+    base: list[int] = []
+    strong: list[list[Permutation]] = []
+    transversals: list[dict] = []
+
+    def add_level(g):
+        base.append(next(x for x in range(1, degree + 1) if g(x) != x))
+        strong.append([])
+        transversals.append({})
+
+    def rebuild(level):
+        b = base[level]
+        table = {b: (identity, identity)}
+        frontier = [b]
+        while frontier:
+            x = frontier.pop()
+            u = table[x][0]
+            for s in strong[level]:
+                y = s(x)
+                if y not in table:
+                    w = u * s
+                    table[y] = (w, w.inverse())
+                    frontier.append(y)
+        transversals[level] = table
+
+    for g in generators:
+        if g != identity and all(g(b) == b for b in base):
+            add_level(g)
+    for level in range(len(base)):
+        strong[level] = [
+            g for g in generators if all(g(b) == b for b in base[:level])
+        ]
+        rebuild(level)
+
+    def first_residue(level):
+        # the first Schreier generator of the level that does not sift
+        table = transversals[level]
+        for x, (u, _) in table.items():
+            for s in strong[level]:
+                h = u * s * table[s(x)][1]
+                residue, drop = _sift(h, base, transversals, level + 1)
+                if residue != identity:
+                    return residue, drop
+        return None, level
+
+    level = len(base) - 1
+    while level >= 0:
+        residue, drop = first_residue(level)
+        if residue is None:
+            level -= 1
+            continue
+        if drop == len(base):
+            add_level(residue)
+        for deeper in range(level + 1, drop + 1):
+            strong[deeper].append(residue)
+            rebuild(deeper)
+        level = drop
+    return base, transversals
+
+
+class _ChainElements(Sequence):
+    """The elements of a permutation group, read off a stabilizer chain.
+
+    Element i is h_{r-1} * ... * h_0, where h_j is the coset representative
+    at level j picked by digit j of i in the mixed radix of the transversal
+    sizes; element 0 is the identity. Membership sifts down the chain.
+    Nothing is stored beyond the chain itself.
+    """
+
+    def __init__(self, degree: int, base, transversals):
+        self._identity = Permutation.identity(degree)
+        self._base = tuple(base)
+        self._transversals = tuple(transversals)
+        self._reps = [[u for u, _ in table.values()] for table in transversals]
+        self._len = math.prod(len(reps) for reps in self._reps)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> Permutation:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("group element index out of range")
+        picked = []
+        for reps in self._reps:
+            index, digit = divmod(index, len(reps))
+            picked.append(reps[digit])
+        element = self._identity
+        for u in reversed(picked):
+            element = element * u
+        return element
+
+    def __contains__(self, p) -> bool:
+        if not isinstance(p, Permutation) or p.degree != self._identity.degree:
+            return False
+        residue, level = _sift(p, self._base, self._transversals)
+        return level == len(self._base) and residue == self._identity
 
 
 @dataclass(frozen=True)
 class PermGroup:
+    """A permutation group of the given degree: generators and order.
+
+    ``elements``, when set, is a sequence of all group elements. For groups
+    from ``automorphism_group`` it is a lazy view of the verified stabilizer
+    chain: ``len`` is the order, and indexing or membership costs one pass
+    down the chain, so no element list is ever built.
+    """
+
     degree: int
     generators: tuple[Permutation, ...]
     order: int
-    elements: tuple[Permutation, ...] | None = None
+    elements: Sequence[Permutation] | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (), 1, (Permutation.identity(degree),))
+        return cls(degree, (), 1, _ChainElements(degree, (), ()))
 
 
 def automorphism_group(d: Design) -> PermGroup:
-    """Full automorphism group, materialized by backtracking enumeration.
+    """Automorphism group of d, found one coset of a point stabilizer at a time.
 
-    The order is recomputed by a stabilizer-chain sift over the found
-    elements; disagreement with the enumeration count aborts.
+    The identity path of the search gives a base b_0, ..., b_{r-1}: b_i is
+    the branch point once b_0, ..., b_{i-1} are fixed and propagated, and
+    fixing them all decides every point. From the deepest level up, every
+    candidate image y of b_i outside the orbit of b_i under the generators
+    found so far gets one first-hit search with b_i -> y. A hit is an
+    automorphism fixing b_0, ..., b_{i-1}, checked block by block, and
+    becomes a generator. The order is the product of the orbit sizes (the
+    individualisation scheme of McKay & Piperno, "Practical graph
+    isomorphism II", 2014). An independent Schreier-Sims closure of the
+    generators, with its own base, must give the same order; its chain
+    backs the lazy ``elements`` sequence.
     """
-    ctx = _DesignContext(d)
-    found = list(_search(ctx, ctx, find_all=True))
-    elements = tuple(
-        Permutation(tuple(i + 1 for i in images)) for images in sorted(found)
-    )
-    if not elements:
+    v = d.v
+    ctx = _DesignContext(d, {})
+    search = _Search(ctx, ctx)
+    state = search.root()
+    path = []
+    while state is not None and (x := search.branch_point(state)) is not None:
+        path.append((x, state))
+        state = search.fix(state, x, x)
+    if state is None:
         raise InternalCheckError("automorphism search lost the identity")
-    order, strong = _stabilizer_chain_order(elements, d.v)
-    if order != len(elements):
+
+    generators: list[tuple[int, ...]] = []
+    orbit_sizes = []
+    for x, state in reversed(path):
+        deeper = tuple(generators)
+        orbit = _orbit(x, generators)
+        rejected: set[int] = set()
+        for y in _lowest_bits(state[0][x]):
+            if y in orbit or y in rejected:
+                continue
+            child = search.fix(state, x, y)
+            images = None if child is None else search.first_hit(child)
+            if images is None:
+                # the deeper generators fix x, so no image of y under them
+                # is in the orbit of x either
+                rejected |= _orbit(y, deeper)
+            else:
+                generators.append(images)
+                orbit = _orbit(x, generators)
+        orbit_sizes.append(len(orbit))
+    orbit_sizes.reverse()
+    order = math.prod(orbit_sizes)
+
+    perms = tuple(Permutation(tuple(i + 1 for i in g)) for g in generators)
+    elements = _ChainElements(v, *_schreier_sims(perms, v))
+    if len(elements) != order:
         raise InternalCheckError(
-            f"stabilizer chain gives order {order}, enumeration {len(elements)}"
+            f"Schreier-Sims gives order {len(elements)}, the search {order}"
         )
-    generators = tuple(strong) if strong else ()
-    return PermGroup(d.v, generators, order, elements)
-
-
-def _stabilizer_chain_order(elements, degree: int):
-    """Independent order count for a fully materialized group.
-
-    Sifts every element through an incremental base/transversal chain,
-    growing the chain whenever a residue will not sift. The product of
-    transversal sizes counts distinct representative products, so with the
-    whole group supplied it equals the group order; feeding a bare
-    generating set would only bound it from below.
-    """
-    base: list[int] = []
-    transversals: list[dict[int, tuple[int, ...]]] = []
-    strong: list[Permutation] = []
-    identity = tuple(range(1, degree + 1))
-
-    def sift(images):
-        for level, b in enumerate(base):
-            target = images[b - 1]
-            trans = transversals[level]
-            if target not in trans:
-                return images, level
-            rep_inv = _inverse(trans[target])
-            images = _mul(images, rep_inv)
-        return images, len(base)
-
-    def rebuild(level):
-        b = base[level]
-        gens = [g.images for g in strong if all(
-            g.images[base[l] - 1] == base[l] for l in range(level)
-        )]
-        trans = {b: identity}
-        frontier = [b]
-        while frontier:
-            point = frontier.pop()
-            word = trans[point]
-            for g in gens:
-                image = g[point - 1]
-                if image not in trans:
-                    trans[image] = _mul(word, g)
-                    frontier.append(image)
-        transversals[level] = trans
-
-    def add_generator(images, level):
-        strong.append(Permutation(images))
-        if level == len(base):
-            moved = next(i + 1 for i in range(degree) if images[i] != i + 1)
-            base.append(moved)
-            transversals.append({})
-        for l in range(level, len(base)):
-            rebuild(l)
-
-    for g in elements:
-        images = g.images
-        residue, level = sift(images)
-        while residue != identity:
-            add_generator(residue, level)
-            residue, level = sift(residue)
-
-    order = 1
-    for trans in transversals:
-        order *= len(trans)
-    return order, strong
-
-
-def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # left-to-right, matching Permutation.__mul__
-    return tuple(q[i - 1] for i in p)
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p, start=1):
-        inv[j - 1] = i
-    return tuple(inv)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "automorphism_group v=%d base=%s orbits=%s generators=%d"
+            " leaves=%d propagations=%d",
+            v, [x + 1 for x, _ in path], orbit_sizes, len(generators),
+            search.leaves, search.propagations,
+        )
+    return PermGroup(v, perms, order, elements)
 
 
 def _check_preserves(d: Design, g: PermGroup):
@@ -579,7 +729,12 @@ def point_block_systems(g: PermGroup) -> list[tuple[frozenset[int], ...]]:
     """Nontrivial block systems of the point action (descriptive only).
 
     For every pair (1, b) the finest invariant partition gluing the pair is
-    computed by closure; the distinct nontrivial results are returned.
+    computed by closure; the distinct nontrivial results are returned. For
+    a transitive group these are the minimal block systems. For an
+    intransitive group the result depends on the labeling, because only
+    partitions that glue point 1 to another point are found: relabel the
+    design and the count may change. ``is_point_primitive`` does not rest
+    on it alone.
     """
     n = g.degree
     if not g.generators:
@@ -621,4 +776,8 @@ def point_block_systems(g: PermGroup) -> list[tuple[frozenset[int], ...]]:
 
 
 def is_point_primitive(g: PermGroup) -> bool:
-    return not point_block_systems(g)
+    """True when the point action is transitive and has no nontrivial block system."""
+    transitive = _orbit_count(
+        range(1, g.degree + 1), lambda x, p: p(x), g.generators
+    ) == 1
+    return transitive and not point_block_systems(g)
