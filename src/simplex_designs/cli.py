@@ -19,6 +19,7 @@ from .cliques import Clique, INDEX_BY_TAG, TAG_BY_INDEX, classify_clique
 from .constructions import (
     canonical_centered_blocks,
     canonical_center,
+    default_z,
     hyperplane_complement_blocks,
     non_centered_blocks,
     product_clique,
@@ -211,10 +212,7 @@ def cmd_census(args) -> Report:
     started = time.perf_counter()
     n = 15
     O = parse_set(args.center, n) if args.center else canonical_center()
-    if args.z:
-        Z = parse_set(args.z, n)
-    else:
-        Z = ElementSet(O.bits & ~(1 << (max(O.elements()) - 1)), n)
+    Z = parse_set(args.z, n) if args.z else default_z(O)
     if not Z <= O or len(Z) != 7:
         raise InvariantError("z must be a 7-element subset of the center")
     o_complement = ElementSet(((1 << n) - 1) & ~O.bits, n)

@@ -4,8 +4,14 @@ The graph stores one adjacency bitset per vertex (bit j of adjacency[u] is
 set when vertex j is collinear to vertex u). Enumeration is Bron-Kerbosch
 with pivoting over these bitsets; the pivot rule is fixed so the emitted
 stream is deterministic.
+
+A clique's centers, lines and Fano planes come from one pass over its point
+bitmasks (_structure). classify_clique works on those ints directly;
+center_points, lines_inside and planes_inside wrap them as ElementSet, Line
+and frozenset values.
 """
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -208,77 +214,95 @@ def enumerate_maximal_cliques(
 
 
 def _degeneracy_order(adj: list[int]) -> list[int]:
-    n = len(adj)
-    remaining = (1 << n) - 1
-    degs = [adj[v].bit_count() for v in range(n)]
+    """Repeatedly remove the vertex of least remaining degree, ties to the smallest.
+
+    A heap of (degree, vertex) entries keeps this O((V + E) log V), so
+    isolated vertices cost almost nothing. A vertex's current entry is its
+    smallest, so it pops before any stale one, which then finds it removed.
+    """
+    degs = [a.bit_count() for a in adj]
+    heap = [(d, v) for v, d in enumerate(degs)]
+    heapq.heapify(heap)
+    remaining = (1 << len(adj)) - 1
     order = []
-    for _ in range(n):
-        v = min(
-            _lowest_bits(remaining),
-            key=lambda u: (degs[u], u),
-        )
+    while heap:
+        _, v = heapq.heappop(heap)
+        if not remaining >> v & 1:
+            continue
         order.append(v)
         remaining ^= 1 << v
         for u in _lowest_bits(adj[v] & remaining):
             degs[u] -= 1
+            heapq.heappush(heap, (degs[u], u))
     return order
+
+
+def _structure(c: Clique):
+    """Centers, lines and planes of a clique in one pass over its point bitmasks.
+
+    Returns plain ints: the center bitmasks ascending, the lines as ascending
+    triples (a, b, a ^ b) in lexicographic order, and the planes as ascending
+    7-tuples in lexicographic order. Every pair of clique points is
+    collinear, so a line is a pair whose sum is inside, a center is a point
+    whose sum with every other point is inside (it lies on (|c| - 1) / 2
+    lines), and a plane is a line plus one more point d whose three sums
+    with the line points are inside. Each plane is built once, from the line
+    through its two smallest points and the smallest point off that line.
+    """
+    bits = sorted(c.point_bits())
+    inside = set(bits)
+    on_lines = dict.fromkeys(bits, 0)
+    lines = []
+    planes = []
+    for i, a in enumerate(bits):
+        for j in range(i + 1, len(bits)):
+            b = bits[j]
+            third = a ^ b
+            if third < b or third not in inside:
+                continue
+            lines.append((a, b, third))
+            on_lines[a] += 1
+            on_lines[b] += 1
+            on_lines[third] += 1
+            for d in bits[j + 1:]:
+                if d == third:
+                    continue
+                # third > b puts the top bit of b above that of a, so
+                # ad > d and bd > d already give third ^ d > d
+                ad, bd, td = a ^ d, b ^ d, third ^ d
+                if ad > d and bd > d and ad in inside and bd in inside and td in inside:
+                    planes.append(tuple(sorted((a, b, third, d, ad, bd, td))))
+    centers = tuple(o for o in bits if 2 * on_lines[o] == len(bits) - 1)
+    planes.sort()
+    return centers, tuple(lines), tuple(planes)
 
 
 def center_points(c: Clique) -> tuple[ElementSet, ...]:
     """All points O of the clique whose line to every other point stays inside."""
-    bits = sorted(c.point_bits())
-    inside = set(bits)
-    centers = []
-    for o in bits:
-        if all(o ^ b in inside for b in bits if b != o):
-            centers.append(o)
     n = c.geometry.params.n
-    return tuple(ElementSet(b, n) for b in centers)
+    return tuple(ElementSet(b, n) for b in _structure(c)[0])
 
 
 def lines_inside(c: Clique) -> tuple[Line, ...]:
-    """All lines of the geometry with all three points in the clique."""
-    bits = sorted(c.point_bits())
-    inside = set(bits)
+    """All lines of the geometry with all three points in the clique.
+
+    Ordered by their two smallest points; each line lists its points ascending.
+    """
     n = c.geometry.params.n
-    lines = []
-    for i, a in enumerate(bits):
-        for b in bits[i + 1:]:
-            third = a ^ b
-            if third > b and third in inside:
-                lines.append(
-                    Line.through(ElementSet(a, n), ElementSet(b, n))
-                )
-    return tuple(lines)
+    return tuple(
+        Line(tuple(ElementSet(b, n) for b in line)) for line in _structure(c)[1]
+    )
 
 
 def planes_inside(c: Clique) -> tuple[frozenset[ElementSet], ...]:
-    """All 7-point singular subspaces (Fano-plane copies) inside the clique."""
-    inside = c.point_bits()
+    """All 7-point singular subspaces (Fano-plane copies) inside the clique.
+
+    Ordered by their sorted point bitmasks, i.e. sorted(planes, key=sorted)
+    on the bitmask sets.
+    """
     n = c.geometry.params.n
-    lines = [frozenset(p.bits for p in line.points) for line in lines_inside(c)]
-    planes = set()
-    for l1, l2 in combinations(lines, 2):
-        if len(l1 & l2) != 1:
-            continue
-        closure = set(l1 | l2)
-        grew = True
-        ok = True
-        while grew and ok:
-            grew = False
-            for a, b in combinations(sorted(closure), 2):
-                third = a ^ b
-                if third not in closure:
-                    if third not in inside:
-                        ok = False
-                        break
-                    closure.add(third)
-                    grew = True
-        if ok and len(closure) == 7:
-            planes.add(frozenset(closure))
     return tuple(
-        frozenset(ElementSet(b, n) for b in p)
-        for p in sorted(planes, key=sorted)
+        frozenset(ElementSet(b, n) for b in plane) for plane in _structure(c)[2]
     )
 
 
@@ -288,7 +312,8 @@ def classify_clique(c: Clique) -> CliqueClass:
     The bijection index of a decomposition at the smallest center point is
     the primary route; the structural description (singularity, Fano planes
     and lines inside) is recomputed independently and any disagreement is a
-    hard failure.
+    hard failure. Both routes start from the center, line and plane bitmasks
+    of one _structure pass; only the verdict's centers become ElementSets.
     """
     from .constructions import decompose
     from .fano import bijection_index
@@ -299,9 +324,8 @@ def classify_clique(c: Clique) -> CliqueClass:
     if len(c) != g.params.n:
         raise InvariantError(f"clique has {len(c)} points, expected {g.params.n}")
 
-    centers = center_points(c)
-    lines = lines_inside(c)
-    planes = planes_inside(c)
+    center_bits, lines, planes = _structure(c)
+    centers = tuple(ElementSet(b, g.params.n) for b in center_bits)
 
     if not centers:
         tag_structural = CliqueTag.NON_CENTERED
@@ -311,7 +335,7 @@ def classify_clique(c: Clique) -> CliqueClass:
         index = bijection_index(dec.fano_bijection())
         if index not in TAG_BY_INDEX:
             raise InternalCheckError(f"impossible bijection index {index}")
-        tag_structural = _structural_tag(c, centers, lines, planes)
+        tag_structural = _structural_tag(c, center_bits, lines, planes)
         if TAG_BY_INDEX[index] is not tag_structural:
             raise InternalCheckError(
                 f"index route gives {TAG_BY_INDEX[index].value} but structure"
@@ -327,9 +351,10 @@ def classify_clique(c: Clique) -> CliqueClass:
 
 
 def _structural_tag(c, centers, lines, planes) -> CliqueTag:
-    center_bits = {o.bits for o in centers}
-    line_sets = [frozenset(p.bits for p in line.points) for line in lines]
-    plane_sets = [frozenset(p.bits for p in plane) for plane in planes]
+    """Type from the center, line and plane bitmasks that _structure returns."""
+    center_bits = set(centers)
+    line_sets = [frozenset(line) for line in lines]
+    plane_sets = [frozenset(plane) for plane in planes]
 
     if is_singular_subspace(c.geometry, c.points):
         if len(centers) != len(c):
@@ -348,9 +373,9 @@ def _structural_tag(c, centers, lines, planes) -> CliqueTag:
         return CliqueTag.C2
 
     if len(plane_sets) == 1:
-        if len(centers) != 1 or centers[0].bits not in plane_sets[0]:
+        if len(centers) != 1 or centers[0] not in plane_sets[0]:
             raise InternalCheckError("expected one center inside the unique plane")
-        o = centers[0].bits
+        o = centers[0]
         for ls in line_sets:
             if not (ls <= plane_sets[0] or o in ls):
                 raise InternalCheckError("line outside plane misses the center")
@@ -359,7 +384,7 @@ def _structural_tag(c, centers, lines, planes) -> CliqueTag:
     if len(plane_sets) == 0:
         if len(centers) != 1:
             raise InternalCheckError("plane-free clique must have a unique center")
-        o = centers[0].bits
+        o = centers[0]
         if any(o not in ls for ls in line_sets):
             raise InternalCheckError("line inside does not pass through the center")
         return CliqueTag.C4

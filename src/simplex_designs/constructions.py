@@ -78,6 +78,13 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     return Clique.from_points(g, members)
 
 
+def default_z(O: ElementSet) -> ElementSet:
+    """The default (2m-1)-subset of a center: O minus its largest element."""
+    if not O.bits:
+        raise InvariantError("the empty set has no largest element")
+    return ElementSet(O.bits & ~(1 << (O.bits.bit_length() - 1)), O.ground_size)
+
+
 @dataclass(frozen=True)
 class CenteredDecomposition:
     """The unique (X, Y, delta) splitting of a centered clique at O and Z.
@@ -106,7 +113,7 @@ class CenteredDecomposition:
 def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> CenteredDecomposition:
     """Split a centered maximal n-clique at center O with respect to Z.
 
-    Z defaults to O minus its largest element. X collects the intersections
+    Z defaults to default_z(O). X collects the intersections
     with the complement of O; Y the O-parts contained in Z; delta pairs them
     block by block.
     """
@@ -120,7 +127,7 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
     if any(O.bits ^ b not in inside for b in inside if b != O.bits):
         raise InvariantError(f"{O} is not a center point of the clique")
     if Z is None:
-        Z = ElementSet(O.bits & ~(1 << (max(O.elements()) - 1)), n)
+        Z = default_z(O)
     if not Z <= O or len(Z) != 2 * m - 1:
         raise InvariantError(f"Z must be a {2 * m - 1}-element subset of the center")
 
@@ -306,10 +313,7 @@ def canonical_centered_blocks(index: int) -> tuple[ElementSet, ...]:
     if index not in (0, 1, 3, 7):
         raise InvariantError("index must be one of 0, 1, 3, 7")
     O = canonical_center()
-    x_ordered = [
-        ElementSet.of([j for j in range(1, 8) if (a & j).bit_count() % 2 == 1], 15)
-        for a in range(1, 8)
-    ]
+    x_ordered = [ElementSet(x.bits, 15) for x in hyperplane_complement_blocks(3)]
     shift = {x.bits: ElementSet(x.bits << 8, 15) for x in x_ordered}
 
     src = FanoPlane.from_points(x_ordered)

@@ -64,10 +64,24 @@ class Line:
         return point in self.points
 
 
+# The roster holds C(2^k - 1, 2^(k-1)) points: 6435 at k = 4, 300,540,195 at k = 5.
+MAX_ROSTER_DIMENSION = 4
+
+
 class Geometry:
-    """Point roster of one geometry instance, in ascending bitmask order."""
+    """Point roster of one geometry instance, in ascending bitmask order.
+
+    Only dimensions up to MAX_ROSTER_DIMENSION are built; a larger k raises
+    InvariantError before anything is allocated.
+    """
 
     def __init__(self, params: GeometryParams):
+        if params.k > MAX_ROSTER_DIMENSION:
+            raise InvariantError(
+                f"the k = {params.k} point roster would hold"
+                f" {comb(params.n, params.point_size)} points; rosters are built"
+                f" for k <= {MAX_ROSTER_DIMENSION} only"
+            )
         self.params = params
         masks = sorted(
             sum(1 << (e - 1) for e in combo)

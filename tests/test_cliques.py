@@ -2,10 +2,13 @@ import random
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplex_designs.cliques import (
+    _degeneracy_order,
     Clique,
     CliqueTag,
+    CollinearityGraph,
     build_graph,
     center_points,
     classify_clique,
@@ -13,6 +16,7 @@ from simplex_designs.cliques import (
     lines_inside,
     planes_inside,
 )
+from simplex_designs.designs import automorphism_group
 from simplex_designs.errors import InvariantError
 from simplex_designs.geometry import is_collinear, is_singular_subspace
 from simplex_designs.subsets import ElementSet, Permutation, apply
@@ -220,3 +224,235 @@ class TestClassification:
                 dec = decompose(c, center)
                 indices.add(bijection_index(dec.fano_bijection()))
             assert len(indices) == 1
+
+
+# Brute-force oracles for the clique structure, each by its definition.
+
+
+def oracle_centers(bits):
+    inside = set(bits)
+    return [o for o in sorted(bits) if all(o ^ b in inside for b in bits if b != o)]
+
+
+def oracle_lines(bits):
+    return [t for t in combinations(sorted(bits), 3) if t[0] ^ t[1] == t[2]]
+
+
+def oracle_planes(bits):
+    """Planes by closing every pair of lines that meet in one point."""
+    inside = set(bits)
+    lines = [frozenset(t) for t in oracle_lines(bits)]
+    planes = set()
+    for l1, l2 in combinations(lines, 2):
+        if len(l1 & l2) != 1:
+            continue
+        closure = set(l1 | l2)
+        grew = True
+        ok = True
+        while grew and ok:
+            grew = False
+            for a, b in combinations(sorted(closure), 2):
+                third = a ^ b
+                if third not in closure:
+                    if third not in inside:
+                        ok = False
+                        break
+                    closure.add(third)
+                    grew = True
+        if ok and len(closure) == 7:
+            planes.add(frozenset(closure))
+    return sorted(sorted(p) for p in planes)
+
+
+def assert_structure_matches_oracles(c):
+    bits = sorted(c.point_bits())
+    assert [o.bits for o in center_points(c)] == oracle_centers(bits)
+    assert [tuple(p.bits for p in line.points) for line in lines_inside(c)] == oracle_lines(bits)
+    # the oracle list is sorted, so this also pins the order of planes_inside
+    assert [sorted(p.bits for p in plane) for plane in planes_inside(c)] == oracle_planes(bits)
+
+
+def relabeled_clique(g, c, images):
+    p = Permutation(tuple(images))
+    return Clique.from_points(g, [apply(p, q) for q in c.points])
+
+
+class TestStructureAgainstOracles:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name, fixture_cliques):
+        c = fixture_cliques[name]
+        assert_structure_matches_oracles(c)
+        verdict = classify_clique(c)
+        bits = sorted(c.point_bits())
+        assert [o.bits for o in verdict.centers] == oracle_centers(bits)
+        assert verdict.line_count == len(oracle_lines(bits))
+        assert verdict.plane_count == len(oracle_planes(bits))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(FIXTURE_NAMES),
+        st.permutations(list(range(1, 16))),
+        st.integers(min_value=1, max_value=2**15 - 1),
+    )
+    def test_relabelings_and_their_subcliques(
+        self, g15, fixture_cliques, name, images, keep
+    ):
+        c = relabeled_clique(g15, fixture_cliques[name], images)
+        assert_structure_matches_oracles(c)
+        assert classify_clique(c).tag is classify_clique(fixture_cliques[name]).tag
+        # every subset of a clique is a clique, with its own (smaller) structure
+        sub = Clique(g15, tuple(v for i, v in enumerate(c.vertices) if keep >> i & 1))
+        assert_structure_matches_oracles(sub)
+
+    def test_k3_maximal_cliques(self, gr7):
+        cliques = list(enumerate_maximal_cliques(gr7))
+        assert len(cliques) == 30
+        for c in cliques:
+            assert_structure_matches_oracles(c)
+            assert (len(center_points(c)), len(lines_inside(c)), len(planes_inside(c))) == (7, 7, 1)
+
+    def test_planes_inside_order(self, fixture_cliques):
+        planes = planes_inside(fixture_cliques["c1"])
+        keys = [sorted(p.bits for p in plane) for plane in planes]
+        assert len(planes) == 15
+        assert keys == sorted(keys)
+
+
+def _bits_of(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def induced_graph(graph, vertices):
+    """The graph induced on a vertex set, keeping the roster numbering."""
+    members = sum(1 << v for v in vertices)
+    return CollinearityGraph(
+        graph.geometry,
+        [adj & members if members >> u & 1 else 0 for u, adj in enumerate(graph.adjacency)],
+    )
+
+
+class TestPlaneSlice:
+    """Every maximal 15-clique through one plane, counted by orbit-stabilizer.
+
+    Read the seven points of a plane as 0/1 rows over [15]: each element gets
+    a column in GF(2)^3 (its membership in three spanning points). Points of
+    size 8 that meet pairwise in 4 force every nonzero column to occur twice
+    and the zero column once, in every plane. So S_15 is transitive on
+    planes, and the stabilizer of one is GL(3,2) on the columns times the
+    swaps inside the seven pairs: 168 * 2^7 = 21,504. The cliques of type i
+    through a fixed plane then number 21,504 * planes_i / |Aut_i|.
+    """
+
+    STABILIZER_ORDER = 168 * 2**7
+    EXPECTED = {
+        CliqueTag.C1: 16,
+        CliqueTag.C2: 112,
+        CliqueTag.C3: 224,
+        CliqueTag.C4: 0,
+        CliqueTag.NON_CENTERED: 128,
+    }
+    TAGS = {
+        "c1": CliqueTag.C1,
+        "c2": CliqueTag.C2,
+        "c3": CliqueTag.C3,
+        "c4": CliqueTag.C4,
+        "non_centered": CliqueTag.NON_CENTERED,
+    }
+
+    def test_prediction(self, fixture_cliques, fixture_designs):
+        predicted = {}
+        for name, tag in self.TAGS.items():
+            planes = len(planes_inside(fixture_cliques[name]))
+            count, rest = divmod(
+                self.STABILIZER_ORDER * planes,
+                automorphism_group(fixture_designs[name]).order,
+            )
+            assert rest == 0
+            predicted[tag] = count
+        assert predicted == self.EXPECTED
+
+    def test_plane_columns(self, fixture_cliques):
+        for c in fixture_cliques.values():
+            for plane in planes_inside(c):
+                a, b, *rest = sorted(p.bits for p in plane)
+                d = next(p for p in rest if p != a ^ b)
+                columns = [
+                    (a >> e & 1) | (b >> e & 1) << 1 | (d >> e & 1) << 2 for e in range(15)
+                ]
+                assert sorted(columns.count(col) for col in range(8)) == [1] + [2] * 7
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_slice_tally(self, g15, gr15, fixture_cliques, seed):
+        plane = planes_inside(fixture_cliques["c1"])[0]
+        if seed is not None:
+            p = Permutation.random(15, random.Random(seed))
+            plane = frozenset(apply(p, q) for q in plane)
+        vertices = sorted(g15.index_of(q) for q in plane)
+        common = -1
+        for v in vertices:
+            common &= gr15.adjacency[v]
+        assert common.bit_count() == 128
+        graph = induced_graph(gr15, [*vertices, *_bits_of(common)])
+        cliques = list(
+            enumerate_maximal_cliques(graph, containing=vertices[0], min_size=15)
+        )
+        assert len(cliques) == 480
+        assert len({c.vertices for c in cliques}) == 480
+        assert all(len(c) == 15 and set(vertices) <= set(c.vertices) for c in cliques)
+        tally = dict.fromkeys(self.EXPECTED, 0)
+        for c in cliques:
+            tally[classify_clique(c).tag] += 1
+        assert tally == self.EXPECTED
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def assert_matches_networkx(nx, graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(graph)))
+    g.add_edges_from(
+        (u, v) for u, adj in enumerate(graph.adjacency) for v in _bits_of(adj) if u < v
+    )
+    ours = [c.vertices for c in enumerate_maximal_cliques(graph)]
+    assert len(ours) == len(set(ours))
+    assert {frozenset(c) for c in ours} == {frozenset(c) for c in nx.find_cliques(g)}
+
+
+def oracle_degeneracy_order(adj):
+    remaining = set(range(len(adj)))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (sum(adj[u] >> w & 1 for w in remaining), u))
+        order.append(v)
+        remaining.remove(v)
+    return order
+
+
+class TestDegeneracyOrder:
+    def test_k3_graph(self, gr7):
+        assert _degeneracy_order(gr7.adjacency) == oracle_degeneracy_order(gr7.adjacency)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_graphs(self, seed):
+        rng = random.Random(seed)
+        n = 30
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.3:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        assert _degeneracy_order(adj) == oracle_degeneracy_order(adj)
+
+
+class TestEnumerationAgainstNetworkx:
+    def test_full_k3_graph(self, nx, gr7):
+        assert_matches_networkx(nx, gr7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_induced_k4_subgraphs(self, nx, gr15, seed):
+        rng = random.Random(seed)
+        vertices = rng.sample(range(len(gr15)), 60)
+        assert_matches_networkx(nx, induced_graph(gr15, vertices))

@@ -14,6 +14,7 @@ from simplex_designs.constructions import (
     canonical_centered_blocks,
     canonical_center,
     decompose,
+    default_z,
     hyperplane_complement_blocks,
     hyperplane_complement_clique,
     non_centered_blocks,
@@ -171,6 +172,22 @@ class TestDecompose:
         O = center_points(c)[0]
         with pytest.raises(InvariantError):
             decompose(c, O, ElementSet.of([1, 2, 3, 4, 5, 6, 7], 15))
+
+
+class TestDefaultZ:
+    def test_drops_largest_element(self):
+        O = canonical_center()
+        assert default_z(O) == ElementSet.of(range(8, 15), 15)
+        assert default_z(ElementSet.of([2, 5, 9], 15)) == ElementSet.of([2, 5], 15)
+
+    def test_decompose_uses_it(self, fixture_designs, g15):
+        c = Clique.from_points(g15, fixture_designs["c2"].blocks)
+        for O in center_points(c):
+            assert decompose(c, O).z == default_z(O)
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(InvariantError):
+            default_z(ElementSet.empty(15))
 
 
 class TestHyperplaneComplements:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -57,6 +58,14 @@ class TestDesignType:
         d = fixture_designs["c3"]
         c = clique_from_design(d, g15)
         assert design_from_clique(c).block_set() == d.block_set()
+
+    def test_clique_from_v31_design_fails_fast(self):
+        # the k = 5 roster would hold C(31, 16) = 300,540,195 points
+        d = Design.from_blocks(hyperplane_complement_blocks(5))
+        started = time.perf_counter()
+        with pytest.raises(InvariantError, match="k = 5"):
+            clique_from_design(d)
+        assert time.perf_counter() - started < 1.0
 
     def test_validation_reports_failing_pair(self, fixture_designs):
         blocks = list(fixture_designs["c1"].blocks)

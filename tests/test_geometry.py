@@ -6,9 +6,11 @@ import pytest
 
 from simplex_designs.errors import InvariantError
 from simplex_designs.geometry import (
+    Geometry,
     GeometryParams,
     Line,
     build_geometry,
+    geometry_for_dimension,
     is_collinear,
     is_singular_subspace,
     is_subspace,
@@ -42,6 +44,13 @@ class TestParams:
 
 
 class TestRoster:
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_large_dimensions_fail_fast(self, k):
+        with pytest.raises(InvariantError, match=f"k = {k}"):
+            geometry_for_dimension(k)
+        with pytest.raises(InvariantError):
+            Geometry(GeometryParams.for_dimension(k))
+
     def test_sizes(self, g7, g15):
         assert len(g7) == 35
         assert len(g15) == 6435
