@@ -219,9 +219,8 @@ def cmd_census(args) -> Report:
     xs = fano_planes_on(o_complement)[: args.x_limit]
     ys = fano_planes_on(Z)[: args.y_limit]
     deltas = list(permutations(range(7)))
-    delta_limit = args.delta_limit if args.delta_limit is not None else args.limit
-    if delta_limit is not None:
-        deltas = deltas[:delta_limit]
+    if args.delta_limit is not None:
+        deltas = deltas[: args.delta_limit]
 
     tallies = {0: 0, 1: 0, 3: 0, 7: 0}
     seen = set()
@@ -275,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "kv"), default="text")
     parser.add_argument("--sorted", action="store_true", help="reproducible output (omits timing)")
     parser.add_argument("--fixture-dir", help="directory overriding the packaged fixtures")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="bound on iteration counts (census bijections)")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
     parser.add_argument("--out-dir", help="write matrices as standalone files here")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,8 +316,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    if args.seed:
-        report.parameters["seed"] = args.seed
     print(report.emit(args.format, args.sorted))
     return 0
 

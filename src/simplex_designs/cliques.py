@@ -1,9 +1,12 @@
 """Collinearity graph, maximal-clique enumeration and clique classification.
 
 The graph stores one adjacency bitset per vertex (bit j of adjacency[u] is
-set when vertex j is collinear to vertex u). Enumeration is Bron-Kerbosch
-with pivoting over these bitsets; the pivot rule is fixed so the emitted
-stream is deterministic.
+set when vertex j is collinear to vertex u). maximal_cliques is the
+package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
+yields sorted vertex tuples under a fixed pivot rule, so the stream is
+deterministic; fano_planes_on runs it on its 35-vertex graph too.
+enumerate_maximal_cliques is the wrapper for a collinearity graph: it
+applies the limit and the optional sort and wraps each tuple in a Clique.
 
 A clique's centers, lines and Fano planes come from one pass over its point
 bitmasks (_structure). classify_clique works on those ints directly;
@@ -14,13 +17,13 @@ and frozenset values.
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import InternalCheckError, InvariantError
 from .geometry import Geometry, Line, is_singular_subspace
-from .subsets import ElementSet
+from .subsets import ElementSet, set_bits
 
 
 class CollinearityGraph:
@@ -134,11 +137,53 @@ class CliqueClass:
                 )
 
 
-def _lowest_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = None):
+    """Stream the maximal cliques of a graph given by adjacency bitsets.
+
+    Bit j of adj[u] is set when u and j are adjacent. Each clique is a
+    tuple of vertices, ascending. Bron-Kerbosch with pivoting (Tomita,
+    Tanaka & Takahashi 2006) under a fixed rule: the pivot maximizes
+    |P & N(u)|, ties to the smallest vertex, and candidates are scanned in
+    ascending order, so the stream is deterministic. Subtrees that cannot
+    reach min_size are pruned. With containing=v only cliques through v are
+    emitted; otherwise the top level runs in degeneracy order, which keeps
+    the subproblems small.
+    """
+
+    def expand(r: list[int], p: int, x: int):
+        if p == 0 and x == 0:
+            if len(r) >= min_size:
+                yield tuple(sorted(r))
+            return
+        if len(r) + p.bit_count() < min_size:
+            return
+        pivot = -1
+        best = -1
+        for u in set_bits(p | x):
+            score = (p & adj[u]).bit_count()
+            if score > best:
+                best = score
+                pivot = u
+        for v in set_bits(p & ~adj[pivot]):
+            mask = 1 << v
+            yield from expand(r + [v], p & adj[v], x & adj[v])
+            p &= ~mask
+            x |= mask
+
+    if containing is not None:
+        yield from expand([containing], adj[containing], 0)
+        return
+    order = _degeneracy_order(adj)
+    position = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = 0
+        earlier = 0
+        for u in set_bits(adj[v]):
+            if position[u] > position[v]:
+                later |= 1 << u
+            else:
+                earlier |= 1 << u
+        yield from expand([v], later, earlier)
 
 
 def enumerate_maximal_cliques(
@@ -148,69 +193,20 @@ def enumerate_maximal_cliques(
     containing: int | None = None,
     sorted_output: bool = False,
 ):
-    """Stream maximal cliques of the collinearity graph.
+    """Stream maximal cliques of the collinearity graph as Clique values.
 
-    Deterministic under the fixed pivot rule (pivot maximizes |P & N(u)|,
-    ties to the smallest vertex; candidates scanned in ascending order).
-    min_size prunes subtrees that cannot reach the requested size; the
-    n-element bound caps every clique, so min_size = n searches exactly the
-    design-sized ones. With containing=v only cliques through v are emitted.
-    sorted_output materializes the stream and yields in sorted order, so it
-    requires a finite search (use limit or a restricted scope).
+    The stream of maximal_cliques on the graph's adjacency, cut after limit
+    cliques. min_size prunes subtrees that cannot reach the requested size;
+    the n-element bound caps every clique, so min_size = n searches exactly
+    the design-sized ones. With containing=v only cliques through v are
+    emitted. sorted_output materializes the stream and yields in sorted
+    order, so it requires a finite search (use limit or a restricted scope).
     """
-    adj = graph.adjacency
-    out_count = 0
-
-    def expand(r: list[int], p: int, x: int):
-        nonlocal out_count
-        if limit is not None and out_count >= limit:
-            return
-        if p == 0 and x == 0:
-            if len(r) >= min_size:
-                out_count += 1
-                yield Clique(graph.geometry, tuple(sorted(r)))
-            return
-        if len(r) + p.bit_count() < min_size:
-            return
-        pivot = -1
-        best = -1
-        for u in _lowest_bits(p | x):
-            score = (p & adj[u]).bit_count()
-            if score > best:
-                best = score
-                pivot = u
-        for v in _lowest_bits(p & ~adj[pivot]):
-            mask = 1 << v
-            yield from expand(r + [v], p & adj[v], x & adj[v])
-            if limit is not None and out_count >= limit:
-                return
-            p &= ~mask
-            x |= mask
-
-    def run():
-        if containing is not None:
-            yield from expand([containing], adj[containing], 0)
-            return
-        # degeneracy order at the top level keeps subproblems small
-        order = _degeneracy_order(adj)
-        position = {v: i for i, v in enumerate(order)}
-        for v in order:
-            later = 0
-            earlier = 0
-            for u in _lowest_bits(adj[v]):
-                if position[u] > position[v]:
-                    later |= 1 << u
-                else:
-                    earlier |= 1 << u
-            yield from expand([v], later, earlier)
-            if limit is not None and out_count >= limit:
-                return
-
+    found = islice(maximal_cliques(graph.adjacency, min_size, containing), limit)
     if sorted_output:
-        found = sorted(run(), key=lambda c: c.vertices)
-        yield from found
-    else:
-        yield from run()
+        found = sorted(found)
+    for vertices in found:
+        yield Clique(graph.geometry, vertices)
 
 
 def _degeneracy_order(adj: list[int]) -> list[int]:
@@ -231,7 +227,7 @@ def _degeneracy_order(adj: list[int]) -> list[int]:
             continue
         order.append(v)
         remaining ^= 1 << v
-        for u in _lowest_bits(adj[v] & remaining):
+        for u in set_bits(adj[v] & remaining):
             degs[u] -= 1
             heapq.heappush(heap, (degs[u], u))
     return order

@@ -14,9 +14,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cliques import Clique, _lowest_bits
+import numpy as np
+
+from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
-from .subsets import ElementSet, Permutation, apply
+from .subsets import ElementSet, Permutation, apply, map_bits, set_bits
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,15 @@ class HadamardMatrix:
 
     def validate(self):
         n = self.order
-        for row in self.entries:
-            if len(row) != n or any(e not in (1, -1) for e in row):
-                raise InvariantError("entries must form a square +-1 matrix")
-        for i, j in combinations(range(n), 2):
-            dot = sum(a * b for a, b in zip(self.entries[i], self.entries[j]))
-            if dot != 0:
-                raise InvariantError(f"rows {i} and {j} are not orthogonal")
+        if any(len(row) != n for row in self.entries):
+            raise InvariantError("entries must form a square +-1 matrix")
+        h = np.array(self.entries).reshape(n, n)
+        if not (abs(h) == 1).all():
+            raise InvariantError("entries must form a square +-1 matrix")
+        off = h @ h.T - n * np.eye(n, dtype=h.dtype)
+        if off.any():
+            i, j = np.argwhere(off)[0]
+            raise InvariantError(f"rows {i} and {j} are not orthogonal")
 
     def is_normalized(self) -> bool:
         return all(e == 1 for e in self.entries[0]) and all(
@@ -342,7 +346,7 @@ class _Search:
             if len(set(images)) == self.v and _is_isomorphism(self.ctx1, self.ctx2, images):
                 return images
             return None
-        for y in _lowest_bits(state[0][x]):
+        for y in set_bits(state[0][x]):
             child = self.fix(state, x, y)
             if child is not None:
                 images = self.first_hit(child)
@@ -417,17 +421,8 @@ class _Search:
 
 
 def _is_isomorphism(ctx1, ctx2, images) -> bool:
-    target = {b for b in ctx2.block_bits}
-    for bits in ctx1.block_bits:
-        mapped = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            mapped |= 1 << images[low.bit_length() - 1]
-        if mapped not in target:
-            return False
-    return True
+    target = set(ctx2.block_bits)
+    return all(map_bits(bits, images) in target for bits in ctx1.block_bits)
 
 
 def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
@@ -645,7 +640,7 @@ def automorphism_group(d: Design) -> PermGroup:
         deeper = tuple(generators)
         orbit = _orbit(x, generators)
         rejected: set[int] = set()
-        for y in _lowest_bits(state[0][x]):
+        for y in set_bits(state[0][x]):
             if y in orbit or y in rejected:
                 continue
             child = search.fix(state, x, y)

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from .cliques import maximal_cliques
 from .errors import InternalCheckError, InvariantError
-from .subsets import ElementSet
+from .subsets import ElementSet, subsets_of
 
 INDEX_VALUES = (0, 1, 3, 7)
 
@@ -69,9 +70,11 @@ class FanoPlane:
 
 
 def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
-    """All Fano planes whose points are 4-subsets of the given 7-element set."""
-    from .subsets import subsets_of
+    """All Fano planes whose points are 4-subsets of the given 7-element set.
 
+    They are the maximal cliques of the graph on the 35 4-subsets in which
+    two subsets are adjacent when they meet in 2 elements.
+    """
     if len(ground) != 7:
         raise InvariantError("ground set must have exactly 7 elements")
     vertices = subsets_of(ground, 4)
@@ -81,35 +84,10 @@ def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
             if (a.bits & vertices[j].bits).bit_count() == 2:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-
-    planes = []
-
-    def expand(r: list[int], p: int, x: int):
-        if p == 0 and x == 0:
-            planes.append(r)
-            return
-        pivot = -1
-        best = -1
-        probe = p | x
-        while probe:
-            low = probe & -probe
-            u = low.bit_length() - 1
-            probe ^= low
-            score = (p & adj[u]).bit_count()
-            if score > best:
-                best = score
-                pivot = u
-        cand = p & ~adj[pivot]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            expand(r + [v], p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-
-    expand([], (1 << len(vertices)) - 1, 0)
-    out = [FanoPlane.from_points([vertices[i] for i in plane]) for plane in planes]
+    out = [
+        FanoPlane.from_points([vertices[i] for i in plane])
+        for plane in maximal_cliques(adj)
+    ]
     return tuple(sorted(out, key=lambda f: tuple(p.bits for p in f.points)))
 
 

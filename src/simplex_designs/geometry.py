@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvariantError
-from .subsets import ElementSet, intersection_size
+from .subsets import ElementSet, intersection_size, subsets_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,11 +83,7 @@ class Geometry:
                 f" for k <= {MAX_ROSTER_DIMENSION} only"
             )
         self.params = params
-        masks = sorted(
-            sum(1 << (e - 1) for e in combo)
-            for combo in combinations(range(1, params.n + 1), params.point_size)
-        )
-        self.points = tuple(ElementSet(m, params.n) for m in masks)
+        self.points = subsets_of(ElementSet.full(params.n), params.point_size)
         self._index = {p.bits: i for i, p in enumerate(self.points)}
 
     def __len__(self) -> int:

@@ -8,7 +8,7 @@ sets (e.g. signed labels) are handled by explicit label maps at the caller.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import GroundMismatchError
+from .errors import GroundMismatchError, ParseError
 
 MAX_GROUND_SIZE = 63
 
@@ -186,30 +186,46 @@ class Permutation:
         return "".join(parts) if parts else "()"
 
 
+def set_bits(mask: int):
+    """The 0-based positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def map_bits(mask: int, images) -> int:
+    """The mask with each set bit i moved to bit images[i] (a 0-based point map)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def apply(p: Permutation, a: ElementSet) -> ElementSet:
     """Image of a set under a permutation of its ground set."""
     if p.degree != a.ground_size:
         raise GroundMismatchError(
             f"permutation degree {p.degree} != ground size {a.ground_size}"
         )
-    bits = 0
-    rest = a.bits
-    while rest:
-        low = rest & -rest
-        bits |= 1 << (p.images[low.bit_length() - 1] - 1)
-        rest ^= low
-    return ElementSet(bits, a.ground_size)
+    # images are 1-based, so every mapped bit lands one place too high
+    return ElementSet(map_bits(a.bits, p.images) >> 1, a.ground_size)
 
 
 def parse_set(text: str, ground_size: int) -> ElementSet:
-    """Parse textual set notation such as ``{1,3,5}`` or ``1,3,5``."""
+    """Parse textual set notation such as ``{1,3,5}`` or ``1,3,5``.
+
+    A token that is not an integer, or an element outside 1..ground_size,
+    raises ParseError.
+    """
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
     if not body.strip():
         return ElementSet.empty(ground_size)
     try:
-        elements = [int(tok) for tok in body.split(",")]
+        return ElementSet.of([int(tok) for tok in body.split(",")], ground_size)
     except ValueError as exc:
-        raise ValueError(f"cannot parse set notation: {text!r}") from exc
-    return ElementSet.of(elements, ground_size)
+        raise ParseError(f"cannot parse set notation {text!r}: {exc}") from exc

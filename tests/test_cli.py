@@ -226,19 +226,25 @@ class TestCensus:
         assert code == 1
         assert "invariant" in err
 
+    @pytest.mark.parametrize("option,value", [("--center", "a,b"), ("--z", "{99}")])
+    def test_census_unparsable_set_is_a_parse_error(self, capsys, option, value):
+        code, _, err = run_cli(capsys, "census", option, value)
+        assert code == 2
+        assert err.startswith("parse error:")
+
     def test_global_limit_bounds_census(self, capsys):
         code, out, _ = run_cli(
-            capsys, "--format", "kv", "--sorted", "--limit", "120", "census"
+            capsys, "--format", "kv", "--sorted", "census", "--delta-limit", "120"
         )
         assert code == 0
         assert kv_dict(out)["products"] == "120"
 
     def test_census_deterministic_under_sorted(self, capsys):
         _, first, _ = run_cli(
-            capsys, "--format", "kv", "--sorted", "--limit", "120", "census"
+            capsys, "--format", "kv", "--sorted", "census", "--delta-limit", "120"
         )
         _, second, _ = run_cli(
-            capsys, "--format", "kv", "--sorted", "--limit", "120", "census"
+            capsys, "--format", "kv", "--sorted", "census", "--delta-limit", "120"
         )
         assert first == second
 
@@ -254,11 +260,6 @@ class TestTextFormat:
         code, out, _ = run_cli(capsys, "construct", "c3")
         assert code == 0
         assert "elapsed" in out
-
-    def test_seed_echoed(self, capsys):
-        code, out, _ = run_cli(capsys, "--seed", "9", "--format", "kv", "construct", "c3")
-        assert code == 0
-        assert kv_dict(out)["param.seed"] == "9"
 
 
 class TestClassifyAfterConstruct:

@@ -14,12 +14,13 @@ from simplex_designs.cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     lines_inside,
+    maximal_cliques,
     planes_inside,
 )
 from simplex_designs.designs import automorphism_group
 from simplex_designs.errors import InvariantError
 from simplex_designs.geometry import is_collinear, is_singular_subspace
-from simplex_designs.subsets import ElementSet, Permutation, apply
+from simplex_designs.subsets import ElementSet, Permutation, apply, subsets_of
 
 from conftest import FIXTURE_NAMES
 
@@ -456,3 +457,17 @@ class TestEnumerationAgainstNetworkx:
         rng = random.Random(seed)
         vertices = rng.sample(range(len(gr15)), 60)
         assert_matches_networkx(nx, induced_graph(gr15, vertices))
+
+    def test_core_on_the_fano_plane_graph(self, nx):
+        # 4-subsets of [7] meeting in 2 elements: the graph fano_planes_on searches
+        bits = [s.bits for s in subsets_of(ElementSet.full(7), 4)]
+        adj = [
+            sum(1 << j for j, b in enumerate(bits) if (a & b).bit_count() == 2)
+            for a in bits
+        ]
+        g = nx.Graph()
+        g.add_edges_from((u, v) for u in range(35) for v in _bits_of(adj[u]) if u < v)
+        ours = list(maximal_cliques(adj))
+        assert len(ours) == 30
+        assert all(list(c) == sorted(c) for c in ours)
+        assert {frozenset(c) for c in ours} == {frozenset(c) for c in nx.find_cliques(g)}

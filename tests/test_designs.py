@@ -122,6 +122,20 @@ class TestHadamard:
         with pytest.raises(InvariantError):
             bad.validate()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((1, 1), (1,)),
+            ((1, 1, 1), (1, -1, 1)),
+            ((1, 1), (1, 0)),
+            ((1, 1), (1, -2)),
+        ],
+        ids=["ragged", "not-square", "zero-entry", "non-unit-entry"],
+    )
+    def test_rejects_malformed_entries(self, entries):
+        with pytest.raises(InvariantError, match="square"):
+            HadamardMatrix(entries).validate()
+
 
 class TestSerialization:
     def test_incidence_round_trip(self, fixture_designs):

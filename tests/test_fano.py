@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.errors import InvariantError
 from simplex_designs.fano import (
     FanoBijection,
@@ -23,6 +24,26 @@ from simplex_designs.subsets import ElementSet
 # spectrum of bijection indices over all 7! maps between two planes,
 # frozen from the exhaustive scan
 SPECTRUM = {0: 1344, 1: 2352, 3: 1176, 7: 168}
+
+
+def lifted_plane_images(support):
+    """Oracle: the planes on a 7-set as the images of one plane under all of S7.
+
+    The plane is the k = 3 hyperplane-complement design lifted onto the
+    support; each plane is its ascending tuple of point bitmasks.
+    """
+    elements = support.elements()
+    base = [
+        [elements[e - 1] for e in block.elements()]
+        for block in hyperplane_complement_blocks(3)
+    ]
+    images = set()
+    for perm in permutations(elements):
+        relabel = dict(zip(elements, perm))
+        images.add(
+            tuple(sorted(sum(1 << (relabel[e] - 1) for e in block) for block in base))
+        )
+    return sorted(images)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +85,17 @@ class TestPlaneEnumeration:
             for f in transferred
         }
         assert images == found
+
+    @pytest.mark.parametrize(
+        "support",
+        [ElementSet.full(7), ElementSet.of([2, 3, 5, 7, 11, 13, 14], 15)],
+        ids=str,
+    )
+    def test_matches_images_of_one_plane(self, support):
+        oracle = lifted_plane_images(support)
+        assert len(oracle) == 30
+        found = [tuple(p.bits for p in f.points) for f in fano_planes_on(support)]
+        assert found == oracle
 
     def test_wrong_ground_size(self):
         with pytest.raises(InvariantError):

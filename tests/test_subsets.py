@@ -4,14 +4,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from simplex_designs.errors import GroundMismatchError
+from simplex_designs.errors import GroundMismatchError, ParseError
 from simplex_designs.subsets import (
     ElementSet,
     Permutation,
     apply,
     complement_in,
     intersection_size,
+    map_bits,
     parse_set,
+    set_bits,
     subsets_of,
     symdiff,
 )
@@ -46,6 +48,11 @@ class TestElementSet:
         assert parse_set("{}", 7) == ElementSet.empty(7)
         with pytest.raises(ValueError):
             parse_set("{1,x}", 15)
+
+    @pytest.mark.parametrize("text", ["{1,x}", "a,b", "{16}", "0,3"])
+    def test_parse_set_rejects_with_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_set(text, 15)
 
 
 class TestSymdiff:
@@ -146,7 +153,31 @@ class TestPermutation:
         p = Permutation(tuple(images))
         assert apply(p, a ^ b) == apply(p, a) ^ apply(p, b)
 
+    @given(sets15, st.permutations(list(range(1, 16))))
+    def test_apply_maps_each_element(self, a, images):
+        p = Permutation(tuple(images))
+        assert apply(p, a) == elem([p(e) for e in a.elements()])
+
     def test_cycle_string(self):
         p = Permutation.from_cycles(5, [(1, 2, 3)])
         assert p.cycle_string() == "(1 2 3)"
         assert Permutation.identity(4).cycle_string() == "()"
+
+
+class TestBitIteration:
+    @given(st.integers(0, 2**130))
+    def test_set_bits_ascending(self, mask):
+        assert list(set_bits(mask)) == [
+            i for i in range(mask.bit_length()) if mask >> i & 1
+        ]
+
+    @given(
+        st.integers(0, 2**15 - 1),
+        st.lists(st.integers(0, 20), min_size=15, max_size=15),
+    )
+    def test_map_bits_is_the_union_of_the_images(self, mask, images):
+        expected = 0
+        for i in range(15):
+            if mask >> i & 1:
+                expected |= 1 << images[i]
+        assert map_bits(mask, images) == expected
