@@ -172,6 +172,8 @@ def cmd_construct(args) -> Report:
 def cmd_classify(args) -> Report:
     started = time.perf_counter()
     design = _read_design(args.file, args)
+    if design.v != 15:
+        raise InvariantError(f"classify needs a 15-point design, got {design.v} points")
     clique = Clique.from_points(geometry_for_dimension(4), design.blocks)
     verdict = classify_clique(clique)
     group = automorphism_group(design)

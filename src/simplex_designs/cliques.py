@@ -4,7 +4,7 @@ The graph stores one adjacency bitset per vertex (bit j of adjacency[u] is
 set when vertex j is collinear to vertex u). maximal_cliques is the
 package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
-deterministic; fano_planes_on runs it on its 35-vertex graph too.
+deterministic.
 enumerate_maximal_cliques is the wrapper for a collinearity graph: it
 applies the limit and the optional sort and wraps each tuple in a Clique.
 

@@ -228,32 +228,19 @@ class _DesignContext:
         ]
         self.point_classes, self.block_classes = self._refine(labels)
 
-    def _triple(self, x: int, y: int, z: int) -> int:
-        return (
-            self.point_in_blocks[x]
-            & self.point_in_blocks[y]
-            & self.point_in_blocks[z]
-        ).bit_count()
-
-    def _block_triple(self, a: int, b: int, c: int) -> int:
-        return (
-            self.block_bits[a] & self.block_bits[b] & self.block_bits[c]
-        ).bit_count()
-
     def _refine(self, labels: dict):
         v = self.v
-        point_pair = [[()] * v for _ in range(v)]
-        for x, y in combinations(range(v), 2):
-            sig = tuple(
-                sorted(self._triple(x, y, z) for z in range(v) if z not in (x, y))
-            )
-            point_pair[x][y] = point_pair[y][x] = sig
-        block_pair = [[()] * v for _ in range(v)]
-        for a, b in combinations(range(v), 2):
-            sig = tuple(
-                sorted(self._block_triple(a, b, c) for c in range(v) if c not in (a, b))
-            )
-            block_pair[a][b] = block_pair[b][a] = sig
+
+        def pair_signatures(masks):
+            # z runs over all v, so x and y add lambda twice to every
+            # signature: the same constant everywhere, the same partition
+            pair = [[()] * v for _ in range(v)]
+            for x, y in combinations(range(v), 2):
+                m = masks[x] & masks[y]
+                pair[x][y] = pair[y][x] = tuple(
+                    sorted([(m & mz).bit_count() for mz in masks])
+                )
+            return pair
 
         def intern(obj) -> int:
             return labels.setdefault(obj, len(labels))
@@ -265,16 +252,19 @@ class _DesignContext:
                 codes = [
                     intern((
                         codes[i],
-                        tuple(sorted(
+                        tuple(sorted([
                             (codes[j], pair_codes[i][j])
                             for j in range(v) if j != i
-                        )),
+                        ])),
                     ))
                     for i in range(v)
                 ]
             return codes
 
-        return classes_from(point_pair), classes_from(block_pair)
+        return (
+            classes_from(pair_signatures(self.point_in_blocks)),
+            classes_from(pair_signatures(self.block_bits)),
+        )
 
     def class_profile(self):
         return (
@@ -355,68 +345,47 @@ class _Search:
         return None
 
     def propagate(self, pcand, bcand, queue_p, queue_b) -> bool:
-        """Narrow the state in place; False when some candidate set empties."""
+        """Narrow the state in place; False when some candidate set empties.
+
+        A decided point x -> y drops y from every other point and keeps
+        each block's candidates inside or outside the blocks through y, as
+        x lies in that block or not; a decided block does the same with
+        the roles of points and blocks swapped.
+        """
         self.propagations += 1
         v = self.v
-        block_bits1 = self.ctx1.block_bits
-        block_bits2 = self.ctx2.block_bits
-        pib1 = self.ctx1.point_in_blocks
-        pib2 = self.ctx2.point_in_blocks
+        sides = (
+            (pcand, queue_p, self.ctx1.point_in_blocks, self.ctx2.point_in_blocks,
+             bcand, queue_b),
+            (bcand, queue_b, self.ctx1.block_bits, self.ctx2.block_bits,
+             pcand, queue_p),
+        )
         while queue_p or queue_b:
-            while queue_p:
-                x = queue_p.pop()
-                y = pcand[x]
-                for x2 in range(v):
-                    if x2 != x:
-                        before = pcand[x2]
-                        after = before & ~y
-                        if before != after:
+            for cand, queue, incidence1, incidence2, other, other_queue in sides:
+                while queue:
+                    x = queue.pop()
+                    y = cand[x]
+                    for x2 in range(v):
+                        before = cand[x2]
+                        if before & y and x2 != x:
+                            after = before ^ y
                             if after == 0:
                                 return False
-                            pcand[x2] = after
+                            cand[x2] = after
                             if after.bit_count() == 1:
-                                queue_p.append(x2)
-                member = pib1[x]
-                image_blocks = pib2[y.bit_length() - 1]
-                for a in range(v):
-                    before = bcand[a]
-                    if member >> a & 1:
-                        after = before & image_blocks
-                    else:
-                        after = before & ~image_blocks
-                    if after != before:
-                        if after == 0:
-                            return False
-                        bcand[a] = after
-                        if after.bit_count() == 1:
-                            queue_b.append(a)
-            while queue_b:
-                a = queue_b.pop()
-                img = bcand[a]
-                for a2 in range(v):
-                    if a2 != a:
-                        before = bcand[a2]
-                        after = before & ~img
-                        if before != after:
+                                queue.append(x2)
+                    member = incidence1[x]
+                    image = incidence2[y.bit_length() - 1]
+                    outside = ~image
+                    for a in range(v):
+                        before = other[a]
+                        after = before & (image if member >> a & 1 else outside)
+                        if after != before:
                             if after == 0:
                                 return False
-                            bcand[a2] = after
+                            other[a] = after
                             if after.bit_count() == 1:
-                                queue_b.append(a2)
-                target = block_bits2[img.bit_length() - 1]
-                source = block_bits1[a]
-                for x in range(v):
-                    before = pcand[x]
-                    if source >> x & 1:
-                        after = before & target
-                    else:
-                        after = before & ~target
-                    if after != before:
-                        if after == 0:
-                            return False
-                        pcand[x] = after
-                        if after.bit_count() == 1:
-                            queue_p.append(x)
+                                other_queue.append(a)
         return True
 
 
@@ -438,7 +407,7 @@ def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
     images = None if state is None else search.first_hit(state)
     if images is None:
         return None
-    p = Permutation(tuple(i + 1 for i in images))
+    p = _permutation(images)
     if {apply(p, b).bits for b in d1.blocks} != d2.block_set():
         raise InternalCheckError("search returned a non-isomorphism")
     return p
@@ -448,10 +417,13 @@ def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
 # permutation groups
 
 
-def _orbit(point: int, generators) -> set[int]:
-    """Orbit of a 0-based point under generators given as 0-based images."""
-    orbit = {point}
-    frontier = [point]
+def _orbit(item: int, generators) -> set[int]:
+    """Orbit of an item under generators given as image tuples indexed by item.
+
+    Items are 0-based ints: points, block indices or flag codes.
+    """
+    orbit = {item}
+    frontier = [item]
     while frontier:
         x = frontier.pop()
         for g in generators:
@@ -462,17 +434,39 @@ def _orbit(point: int, generators) -> set[int]:
     return orbit
 
 
-def _sift(g: Permutation, base, transversals, level: int = 0):
+def _images(p: Permutation) -> tuple[int, ...]:
+    """The 0-based image tuple the group layer works on."""
+    return tuple(i - 1 for i in p.images)
+
+
+def _permutation(images) -> Permutation:
+    """The ``Permutation`` of a 0-based image tuple."""
+    return Permutation(tuple(i + 1 for i in images))
+
+
+def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p then q on 0-based image tuples, as ``Permutation.__mul__``."""
+    return tuple([q[i] for i in p])
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(p)
+    for i, j in enumerate(p):
+        inverse[j] = i
+    return tuple(inverse)
+
+
+def _sift(g: tuple[int, ...], base, transversals, level: int = 0):
     """Strip coset representatives off g from ``level`` down the chain.
 
     Returns the residue and the level where it dropped out, len(base) when
     it passed every level.
     """
     while level < len(base):
-        entry = transversals[level].get(g(base[level]))
+        entry = transversals[level].get(g[base[level]])
         if entry is None:
             break
-        g = g * entry[1]
+        g = _mul(g, entry[1])
         level += 1
     return g, level
 
@@ -485,16 +479,19 @@ def _schreier_sims(generators, degree: int):
     level sifts to the identity through the levels below, so the product of
     the transversal sizes is the group order. Its base is its own: each new
     base point is the lowest point moved by a residue that fixes the base
-    so far. transversals[i] maps each point of the orbit of base[i] under the
-    stabilizer of base[:i] to (u, u^-1), where u carries base[i] there.
+    so far. The generators are ``Permutation``s; the chain holds 0-based
+    points and image tuples. transversals[i] maps each point of the orbit of
+    base[i] under the stabilizer of base[:i] to (u, u^-1), where u carries
+    base[i] there.
     """
-    identity = Permutation.identity(degree)
+    identity = tuple(range(degree))
+    generators = [_images(g) for g in generators]
     base: list[int] = []
-    strong: list[list[Permutation]] = []
+    strong: list[list[tuple[int, ...]]] = []
     transversals: list[dict] = []
 
     def add_level(g):
-        base.append(next(x for x in range(1, degree + 1) if g(x) != x))
+        base.append(next(x for x in range(degree) if g[x] != x))
         strong.append([])
         transversals.append({})
 
@@ -506,19 +503,19 @@ def _schreier_sims(generators, degree: int):
             x = frontier.pop()
             u = table[x][0]
             for s in strong[level]:
-                y = s(x)
+                y = s[x]
                 if y not in table:
-                    w = u * s
-                    table[y] = (w, w.inverse())
+                    w = _mul(u, s)
+                    table[y] = (w, _inverse(w))
                     frontier.append(y)
         transversals[level] = table
 
     for g in generators:
-        if g != identity and all(g(b) == b for b in base):
+        if g != identity and all(g[b] == b for b in base):
             add_level(g)
     for level in range(len(base)):
         strong[level] = [
-            g for g in generators if all(g(b) == b for b in base[:level])
+            g for g in generators if all(g[b] == b for b in base[:level])
         ]
         rebuild(level)
 
@@ -527,7 +524,7 @@ def _schreier_sims(generators, degree: int):
         table = transversals[level]
         for x, (u, _) in table.items():
             for s in strong[level]:
-                h = u * s * table[s(x)][1]
+                h = _mul(_mul(u, s), table[s[x]][1])
                 residue, drop = _sift(h, base, transversals, level + 1)
                 if residue != identity:
                     return residue, drop
@@ -554,11 +551,13 @@ class _ChainElements(Sequence):
     Element i is h_{r-1} * ... * h_0, where h_j is the coset representative
     at level j picked by digit j of i in the mixed radix of the transversal
     sizes; element 0 is the identity. Membership sifts down the chain.
-    Nothing is stored beyond the chain itself.
+    Nothing is stored beyond the chain itself, whose image tuples become
+    ``Permutation``s only on the way out.
     """
 
     def __init__(self, degree: int, base, transversals):
-        self._identity = Permutation.identity(degree)
+        self._degree = degree
+        self._identity = tuple(range(degree))
         self._base = tuple(base)
         self._transversals = tuple(transversals)
         self._reps = [[u for u, _ in table.values()] for table in transversals]
@@ -578,13 +577,13 @@ class _ChainElements(Sequence):
             picked.append(reps[digit])
         element = self._identity
         for u in reversed(picked):
-            element = element * u
-        return element
+            element = _mul(element, u)
+        return _permutation(element)
 
     def __contains__(self, p) -> bool:
-        if not isinstance(p, Permutation) or p.degree != self._identity.degree:
+        if not isinstance(p, Permutation) or p.degree != self._degree:
             return False
-        residue, level = _sift(p, self._base, self._transversals)
+        residue, level = _sift(_images(p), self._base, self._transversals)
         return level == len(self._base) and residue == self._identity
 
 
@@ -656,7 +655,7 @@ def automorphism_group(d: Design) -> PermGroup:
     orbit_sizes.reverse()
     order = math.prod(orbit_sizes)
 
-    perms = tuple(Permutation(tuple(i + 1 for i in g)) for g in generators)
+    perms = tuple(_permutation(g) for g in generators)
     elements = _ChainElements(v, *_schreier_sims(perms, v))
     if len(elements) != order:
         raise InternalCheckError(
@@ -672,51 +671,50 @@ def automorphism_group(d: Design) -> PermGroup:
     return PermGroup(v, perms, order, elements)
 
 
-def _check_preserves(d: Design, g: PermGroup):
-    blocks = d.block_set()
+def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each generator of g as 0-based (point images, block-index images).
+
+    Raises InvariantError when g does not act on the design's points or a
+    generator does not map the blocks onto blocks.
+    """
+    for degree in (g.degree, *(p.degree for p in g.generators)):
+        if degree != d.v:
+            raise InvariantError(f"degree {degree} does not act on {d.v} points")
+    index = {b.bits: i for i, b in enumerate(d.blocks)}
+    actions = []
     for p in g.generators:
-        if {apply(p, b).bits for b in d.blocks} != blocks:
+        points = _images(p)
+        blocks = tuple(index.get(map_bits(b.bits, points)) for b in d.blocks)
+        if None in blocks:
             raise InvariantError("group does not preserve the design")
+        actions.append((points, blocks))
+    return actions
 
 
 def block_orbit_count(d: Design, g: PermGroup) -> int:
     """Number of orbits of the group on the block list; 1 = block-transitive."""
-    _check_preserves(d, g)
-    return _orbit_count(
-        [b.bits for b in d.blocks],
-        lambda bits, p: apply(p, ElementSet(bits, d.v)).bits,
-        g.generators,
-    )
+    return _orbit_count(range(d.v), [blocks for _, blocks in _actions(d, g)])
 
 
 def flag_orbit_count(d: Design, g: PermGroup) -> int:
     """Orbits on incident (point, block) pairs; 1 = flag-transitive."""
-    _check_preserves(d, g)
-    flags = [
-        (x, b.bits) for b in d.blocks for x in b.elements()
+    v = d.v
+    # the flag (x, a) of point x and block index a is the int x * v + a
+    flags = [x * v + a for a, b in enumerate(d.blocks) for x in set_bits(b.bits)]
+    actions = [
+        tuple(points[x] * v + blocks[a] for x in range(v) for a in range(v))
+        for points, blocks in _actions(d, g)
     ]
-
-    def act(flag, p):
-        x, bits = flag
-        return (p(x), apply(p, ElementSet(bits, d.v)).bits)
-
-    return _orbit_count(flags, act, g.generators)
+    return _orbit_count(flags, actions)
 
 
-def _orbit_count(items, act, generators) -> int:
+def _orbit_count(items, generators) -> int:
+    """Number of orbits on items, with generators as in ``_orbit``."""
     remaining = set(items)
     count = 0
     while remaining:
-        seed = remaining.pop()
+        remaining -= _orbit(remaining.pop(), generators)
         count += 1
-        frontier = [seed]
-        while frontier:
-            item = frontier.pop()
-            for p in generators:
-                image = act(item, p)
-                if image in remaining:
-                    remaining.remove(image)
-                    frontier.append(image)
     return count
 
 
@@ -773,6 +771,6 @@ def point_block_systems(g: PermGroup) -> list[tuple[frozenset[int], ...]]:
 def is_point_primitive(g: PermGroup) -> bool:
     """True when the point action is transitive and has no nontrivial block system."""
     transitive = _orbit_count(
-        range(1, g.degree + 1), lambda x, p: p(x), g.generators
+        range(g.degree), [_images(p) for p in g.generators]
     ) == 1
     return transitive and not point_block_systems(g)

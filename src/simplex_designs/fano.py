@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .cliques import maximal_cliques
+from .constructions import hyperplane_complement_blocks
 from .errors import InternalCheckError, InvariantError
-from .subsets import ElementSet, subsets_of
+from .subsets import ElementSet, map_bits
 
 INDEX_VALUES = (0, 1, 3, 7)
 
@@ -72,23 +72,37 @@ class FanoPlane:
 def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
     """All Fano planes whose points are 4-subsets of the given 7-element set.
 
-    They are the maximal cliques of the graph on the 35 4-subsets in which
-    two subsets are adjacent when they meet in 2 elements.
+    S7 on the support is transitive on them, so they are the orbit of one
+    plane, the k = 3 hyperplane-complement design lifted onto the support,
+    under the transposition (s1 s2) and the 7-cycle (s1 s2 ... s7) of the
+    ascending support elements, which generate S7. The planes come sorted
+    by their ascending point bitmasks.
     """
     if len(ground) != 7:
         raise InvariantError("ground set must have exactly 7 elements")
-    vertices = subsets_of(ground, 4)
-    adj = [0] * len(vertices)
-    for i, a in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if (a.bits & vertices[j].bits).bit_count() == 2:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    out = [
-        FanoPlane.from_points([vertices[i] for i in plane])
-        for plane in maximal_cliques(adj)
-    ]
-    return tuple(sorted(out, key=lambda f: tuple(p.bits for p in f.points)))
+    n = ground.ground_size
+    support = [e - 1 for e in ground.elements()]
+    swap = list(range(n))
+    swap[support[0]], swap[support[1]] = support[1], support[0]
+    cycle = list(range(n))
+    for i, e in enumerate(support):
+        cycle[e] = support[(i + 1) % 7]
+    first = tuple(sorted(
+        map_bits(b.bits, support) for b in hyperplane_complement_blocks(3)
+    ))
+    planes = {first}
+    frontier = [first]
+    while frontier:
+        plane = frontier.pop()
+        for images in (swap, cycle):
+            image = tuple(sorted(map_bits(bits, images) for bits in plane))
+            if image not in planes:
+                planes.add(image)
+                frontier.append(image)
+    return tuple(
+        FanoPlane.from_points([ElementSet(bits, n) for bits in plane])
+        for plane in sorted(planes)
+    )
 
 
 def is_simplex(f: FanoPlane, s) -> bool:

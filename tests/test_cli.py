@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from simplex_designs.cli import main
+from simplex_designs.constructions import hyperplane_complement_blocks
+from simplex_designs.designs import Design, render_incidence
 
 from conftest import fixture_text
 
@@ -117,6 +119,19 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", str(path))
         assert code == 1
         assert "invariant" in err
+
+    @pytest.mark.parametrize("k, v", [(3, 7), (5, 31)])
+    def test_other_point_counts_are_named(self, capsys, tmp_path, k, v):
+        path = tmp_path / f"pg{k - 1}2.txt"
+        path.write_text(
+            render_incidence(Design.from_blocks(hyperplane_complement_blocks(k)))
+        )
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"invariant violation: classify needs a 15-point design, got {v} points\n"
+        )
 
     def test_garbage_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -406,6 +406,63 @@ class TestPlaneSlice:
         assert tally == self.EXPECTED
 
 
+class TestLineSlice:
+    """Every maximal 15-clique through one line, counted by orbit-stabilizer.
+
+    The three points a, b, a ^ b of a line meet pairwise in 4 elements, so
+    the columns (a_e, b_e) over [15] take the values 11, 10 and 01 four
+    times each and 00 three times. S_15 is therefore transitive on lines,
+    with stabilizer S_4 wr S_3 x S_3 of order 24^3 * 6 * 6 = 497,664, and the
+    cliques of type i through a fixed line number 497,664 * lines_i / |Aut_i|.
+    """
+
+    STABILIZER_ORDER = 24**3 * 6 * 6
+    EXPECTED = {
+        CliqueTag.C1: 864,
+        CliqueTag.C2: 16416,
+        CliqueTag.C3: 57024,
+        CliqueTag.C4: 20736,
+        CliqueTag.NON_CENTERED: 20736,
+    }
+
+    def test_prediction(self, fixture_cliques, fixture_designs):
+        predicted = {}
+        for name, tag in TestPlaneSlice.TAGS.items():
+            lines = len(lines_inside(fixture_cliques[name]))
+            count, rest = divmod(
+                self.STABILIZER_ORDER * lines,
+                automorphism_group(fixture_designs[name]).order,
+            )
+            assert rest == 0
+            predicted[tag] = count
+        assert predicted == self.EXPECTED
+        assert sum(predicted.values()) == 115776
+
+    def test_line_columns(self, fixture_cliques):
+        for c in fixture_cliques.values():
+            for line in lines_inside(c):
+                a, b, _ = (p.bits for p in line.points)
+                columns = [(a >> e & 1) | (b >> e & 1) << 1 for e in range(15)]
+                assert sorted(columns.count(col) for col in range(4)) == [3, 4, 4, 4]
+
+    @pytest.mark.slow
+    def test_slice_tally(self, g15, gr15, fixture_cliques):
+        line = lines_inside(fixture_cliques["c1"])[0]
+        vertices = sorted(g15.index_of(q) for q in line.points)
+        common = -1
+        for v in vertices:
+            common &= gr15.adjacency[v]
+        graph = induced_graph(gr15, [*vertices, *_bits_of(common)])
+        tally = dict.fromkeys(self.EXPECTED, 0)
+        seen = set()
+        for c in enumerate_maximal_cliques(graph, containing=vertices[0], min_size=15):
+            assert len(c) == 15 and set(vertices) <= set(c.vertices)
+            seen.add(c.vertices)
+            tally[classify_clique(c).tag] += 1
+        assert len(seen) == sum(tally.values())
+        assert tally == self.EXPECTED
+
+
 @pytest.fixture(scope="module")
 def nx():
     return pytest.importorskip("networkx")

@@ -14,11 +14,13 @@ from simplex_designs.designs import (
     Design,
     PermGroup,
     automorphism_group,
+    block_orbit_count,
     find_isomorphism,
+    flag_orbit_count,
     is_point_primitive,
     render_incidence,
 )
-from simplex_designs.errors import InternalCheckError
+from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.subsets import Permutation, apply
 
 from conftest import FIXTURE_NAMES
@@ -145,6 +147,64 @@ class TestLazyElements:
         assert Permutation.from_cycles(15, [(1, 2)]) not in trivial.elements
 
 
+def explicit_orbit_counts(d: Design, g: PermGroup) -> tuple[int, int]:
+    """Block and flag orbits, each orbit listed over every group element."""
+    images = [(p, {b.bits: apply(p, b).bits for b in d.blocks}) for p in g.elements]
+    block_orbits = {frozenset(moved[b.bits] for _, moved in images) for b in d.blocks}
+    flag_orbits = {
+        frozenset((p(x), moved[b.bits]) for p, moved in images)
+        for b in d.blocks
+        for x in b.elements()
+    }
+    return len(block_orbits), len(flag_orbits)
+
+
+class TestGroupLayer:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.sampled_from(("c2", "c3", "c4", "non_centered")),
+        st.permutations(list(range(1, 16))),
+    )
+    def test_orbit_counts_against_element_lists(self, fixture_designs, name, images):
+        d = fixture_designs[name].relabeled(Permutation(tuple(images)))
+        g = automorphism_group(d)
+        assert explicit_orbit_counts(d, g) == (
+            block_orbit_count(d, g),
+            flag_orbit_count(d, g),
+        )
+
+    def test_elements_are_products_of_coset_representatives(self, groups):
+        rng = random.Random(61)
+        for g in groups.values():
+            levels = [
+                [Permutation(tuple(i + 1 for i in u)) for u, _ in table.values()]
+                for table in g.elements._transversals
+            ]
+            for _ in range(10):
+                index = rng.randrange(g.order)
+                picked = []
+                rest = index
+                for reps in levels:
+                    rest, digit = divmod(rest, len(reps))
+                    picked.append(reps[digit])
+                product = Permutation.identity(15)
+                for u in reversed(picked):
+                    product = product * u
+                assert g.elements[index] == product
+
+    def test_wrong_degree_is_an_invariant_error(self, fixture_designs):
+        three_cycle = Permutation.from_cycles(7, [(1, 2, 3)])
+        wrong = (
+            PermGroup(7, (three_cycle,), 3, None),
+            PermGroup(15, (three_cycle,), 3, None),
+            PermGroup.trivial(7),
+        )
+        for g in wrong:
+            for count in (block_orbit_count, flag_orbit_count):
+                with pytest.raises(InvariantError, match="does not act on 15 points"):
+                    count(fixture_designs["c1"], g)
+
+
 class TestDimensionFive:
     def test_pg42_group(self, pg42):
         d, g = pg42
@@ -225,6 +285,36 @@ class TestLogging:
         message = record.getMessage()
         for field in ("base=", "orbits=", "generators=", "leaves=", "propagations="):
             assert field in message
+
+    # The whole record pins the search tree: base, orbit sizes and the work
+    # counts (generators, leaves, propagations) of the packaged fixtures and
+    # of the v = 31 PG(4,2) hyperplane complements.
+    SEARCH_RECORDS = {
+        "c1": "v=15 base=[1, 2, 3, 4, 5, 6, 8] orbits=[15, 14, 1, 12, 1, 1, 8]"
+              " generators=9 leaves=9 propagations=53",
+        "c2": "v=15 base=[1, 8, 2, 3, 10, 4] orbits=[3, 2, 12, 1, 1, 8]"
+              " generators=7 leaves=7 propagations=35",
+        "c3": "v=15 base=[1, 2, 3, 9, 10, 4] orbits=[6, 2, 1, 1, 1, 8]"
+              " generators=5 leaves=5 propagations=89",
+        "c4": "v=15 base=[1, 2, 3, 4, 5, 6, 8] orbits=[7, 3, 1, 1, 1, 1, 8]"
+              " generators=5 leaves=5 propagations=371",
+        "non_centered": "v=15 base=[1, 2, 3] orbits=[14, 6, 2]"
+                        " generators=3 leaves=3 propagations=38",
+        "pg42": "v=31 base=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16]"
+                " orbits=[31, 30, 1, 28, 1, 1, 1, 24, 1, 1, 1, 1, 1, 1, 16]"
+                " generators=14 leaves=14 propagations=297",
+    }
+
+    def test_search_work_is_pinned(self, fixture_designs, pg42, caplog):
+        designs_by_name = {**fixture_designs, "pg42": pg42[0]}
+        found = {}
+        for name, d in designs_by_name.items():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="simplex_designs.designs"):
+                automorphism_group(d)
+            (record,) = caplog.records
+            found[name] = record.getMessage().removeprefix("automorphism_group ")
+        assert found == self.SEARCH_RECORDS
 
     def test_silent_when_disabled(self, fixture_designs, caplog):
         with caplog.at_level(logging.INFO, logger="simplex_designs.designs"):
