@@ -6,7 +6,7 @@ package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
 deterministic.
 enumerate_maximal_cliques is the wrapper for a collinearity graph: it
-applies the limit and the optional sort and wraps each tuple in a Clique.
+wraps each tuple in a Clique.
 
 A clique's centers, lines and Fano planes come from one pass over its point
 bitmasks (_structure). classify_clique works on those ints directly;
@@ -17,9 +17,7 @@ and frozenset values.
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
-
-import numpy as np
+from itertools import combinations
 
 from .errors import InternalCheckError, InvariantError
 from .geometry import Geometry, Line, is_singular_subspace
@@ -45,6 +43,8 @@ def build_graph(g: Geometry) -> CollinearityGraph:
     the inner product of their rows is exactly m. The slow predicate
     is_collinear remains the semantic source of truth; tests compare both.
     """
+    import numpy as np  # imported here: at module level it is most of the CLI's start-up
+
     n = g.params.n
     m = g.params.m
     rows = np.zeros((len(g), n), dtype=np.int16)
@@ -188,24 +188,17 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
 
 def enumerate_maximal_cliques(
     graph: CollinearityGraph,
-    limit: int | None = None,
     min_size: int = 0,
     containing: int | None = None,
-    sorted_output: bool = False,
 ):
     """Stream maximal cliques of the collinearity graph as Clique values.
 
-    The stream of maximal_cliques on the graph's adjacency, cut after limit
-    cliques. min_size prunes subtrees that cannot reach the requested size;
-    the n-element bound caps every clique, so min_size = n searches exactly
-    the design-sized ones. With containing=v only cliques through v are
-    emitted. sorted_output materializes the stream and yields in sorted
-    order, so it requires a finite search (use limit or a restricted scope).
+    The stream of maximal_cliques on the graph's adjacency. min_size prunes
+    subtrees that cannot reach the requested size; the n-element bound caps
+    every clique, so min_size = n searches exactly the design-sized ones.
+    With containing=v only cliques through v are emitted.
     """
-    found = islice(maximal_cliques(graph.adjacency, min_size, containing), limit)
-    if sorted_output:
-        found = sorted(found)
-    for vertices in found:
+    for vertices in maximal_cliques(graph.adjacency, min_size, containing):
         yield Clique(graph.geometry, vertices)
 
 

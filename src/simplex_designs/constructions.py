@@ -241,10 +241,9 @@ def non_centered_blocks() -> tuple[ElementSet, ...]:
     return tuple(plane + [y] + cross)
 
 
-def non_centered_clique(geometry: Geometry | None = None) -> Clique:
+def non_centered_clique() -> Clique:
     """A maximal 15-element clique without any center point."""
-    g = geometry if geometry is not None else geometry_for_dimension(4)
-    c = Clique.from_points(g, non_centered_blocks())
+    c = Clique.from_points(geometry_for_dimension(4), non_centered_blocks())
     if center_points(c):
         raise InternalCheckError("non-centered construction produced a center")
     return c

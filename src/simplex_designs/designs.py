@@ -14,8 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
 from .subsets import ElementSet, Permutation, apply, map_bits, set_bits
@@ -77,13 +75,10 @@ def design_from_clique(c: Clique) -> Design:
     return Design.from_blocks(c.points)
 
 
-def clique_from_design(d: Design, geometry=None) -> Clique:
+def clique_from_design(d: Design) -> Clique:
     from .geometry import geometry_for_dimension
 
-    g = geometry if geometry is not None else geometry_for_dimension(
-        d.v.bit_length()
-    )
-    return Clique.from_points(g, d.blocks)
+    return Clique.from_points(geometry_for_dimension(d.v.bit_length()), d.blocks)
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,8 @@ class HadamardMatrix:
         return len(self.entries)
 
     def validate(self):
+        import numpy as np  # imported here: at module level it is most of the CLI's start-up
+
         n = self.order
         if any(len(row) != n for row in self.entries):
             raise InvariantError("entries must form a square +-1 matrix")
@@ -479,13 +476,11 @@ def _schreier_sims(generators, degree: int):
     level sifts to the identity through the levels below, so the product of
     the transversal sizes is the group order. Its base is its own: each new
     base point is the lowest point moved by a residue that fixes the base
-    so far. The generators are ``Permutation``s; the chain holds 0-based
-    points and image tuples. transversals[i] maps each point of the orbit of
-    base[i] under the stabilizer of base[:i] to (u, u^-1), where u carries
-    base[i] there.
+    so far. The generators and the chain are 0-based image tuples.
+    transversals[i] maps each point of the orbit of base[i] under the
+    stabilizer of base[:i] to (u, u^-1), where u carries base[i] there.
     """
     identity = tuple(range(degree))
-    generators = [_images(g) for g in generators]
     base: list[int] = []
     strong: list[list[tuple[int, ...]]] = []
     transversals: list[dict] = []
@@ -655,8 +650,7 @@ def automorphism_group(d: Design) -> PermGroup:
     orbit_sizes.reverse()
     order = math.prod(orbit_sizes)
 
-    perms = tuple(_permutation(g) for g in generators)
-    elements = _ChainElements(v, *_schreier_sims(perms, v))
+    elements = _ChainElements(v, *_schreier_sims(generators, v))
     if len(elements) != order:
         raise InternalCheckError(
             f"Schreier-Sims gives order {len(elements)}, the search {order}"
@@ -668,7 +662,7 @@ def automorphism_group(d: Design) -> PermGroup:
             v, [x + 1 for x, _ in path], orbit_sizes, len(generators),
             search.leaves, search.propagations,
         )
-    return PermGroup(v, perms, order, elements)
+    return PermGroup(v, tuple(map(_permutation, generators)), order, elements)
 
 
 def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -719,53 +713,62 @@ def _orbit_count(items, generators) -> int:
 
 
 def point_block_systems(g: PermGroup) -> list[tuple[frozenset[int], ...]]:
-    """Nontrivial block systems of the point action (descriptive only).
+    """Nontrivial block systems of the point action, as partitions of 1..n.
 
-    For every pair (1, b) the finest invariant partition gluing the pair is
-    computed by closure; the distinct nontrivial results are returned. For
-    a transitive group these are the minimal block systems. For an
-    intransitive group the result depends on the labeling, because only
-    partitions that glue point 1 to another point are found: relabel the
-    design and the count may change. ``is_point_primitive`` does not rest
-    on it alone.
+    A block system here is the finest generator-invariant partition joining
+    some pair of points, when it is neither discrete nor one class. It is
+    invariant under the group, so a pair and its images give the same one:
+    one point of each orbit, paired with every point, finds them all, and
+    the count does not depend on the labeling. For a transitive group these
+    are the minimal block systems; the trivial group gives the n(n-1)/2
+    pair partitions.
     """
     n = g.degree
-    if not g.generators:
-        return []
+    generators = [_images(p) for p in g.generators]
     systems = set()
-    for b in range(2, n + 1):
-        parent = list(range(n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-                return True
-            return False
-
-        union(1, b)
-        changed = True
-        while changed:
-            changed = False
-            for p in g.generators:
-                for x in range(1, n + 1):
-                    for y in range(x + 1, n + 1):
-                        if find(x) == find(y) and union(p(x), p(y)):
-                            changed = True
-        classes: dict[int, set[int]] = {}
-        for x in range(1, n + 1):
-            classes.setdefault(find(x), set()).add(x)
-        if 1 < len(classes) < n:
-            systems.add(tuple(sorted(
-                (frozenset(c) for c in classes.values()), key=sorted
-            )))
+    remaining = set(range(n))
+    while remaining:
+        a = min(remaining)
+        remaining -= _orbit(a, generators)
+        for b in range(n):
+            partition = _finest_invariant_partition(a, b, generators, n)
+            if 1 < len(partition) < n:
+                systems.add(partition)
     return sorted(systems, key=lambda s: (len(s), [sorted(b) for b in s]))
+
+
+def _finest_invariant_partition(
+    a: int, b: int, generators, n: int
+) -> tuple[frozenset[int], ...]:
+    """Classes of 1..n, by least point, of the finest invariant partition
+    joining the 0-based points a and b.
+
+    Atkinson's union-find (Math. Comp. 29, 1975): each merge is queued as
+    the pair of roots it joined, the queued pairs generate the partition,
+    so it is invariant once every generator maps every queued pair into one
+    class.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parent[max(a, b)] = min(a, b)
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        for s in generators:
+            u, w = sorted((find(s[x]), find(s[y])))
+            if u != w:
+                parent[w] = u
+                pairs.append((u, w))
+    classes: dict[int, set[int]] = {}
+    for x in range(n):
+        classes.setdefault(find(x), set()).add(x + 1)
+    return tuple(frozenset(c) for c in classes.values())
 
 
 def is_point_primitive(g: PermGroup) -> bool:

@@ -104,7 +104,7 @@ class TestClassify:
         assert got["block_orbits"] == "2"
         assert got["flag_orbits"] == "4"
         assert got["point_primitive"] == "false"
-        assert got["point_block_systems"] == "1"
+        assert got["point_block_systems"] == "2"
 
     def test_classify_file_path(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
@@ -306,3 +306,16 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "class: C1" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, simplex_designs.cli; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -56,7 +56,8 @@ class TestDesignType:
 
     def test_clique_round_trip(self, g15, fixture_designs):
         d = fixture_designs["c3"]
-        c = clique_from_design(d, g15)
+        c = clique_from_design(d)
+        assert c.geometry is g15
         assert design_from_clique(c).block_set() == d.block_set()
 
     def test_clique_from_v31_design_fails_fast(self):

@@ -1,8 +1,10 @@
 """The generators-only automorphism search, its Schreier-Sims cross-check,
-the lazy element sequence, point primitivity and search-local state."""
+the lazy element sequence, point block systems and primitivity, and
+search-local state."""
 
 import logging
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from simplex_designs.designs import (
     find_isomorphism,
     flag_orbit_count,
     is_point_primitive,
+    point_block_systems,
     render_incidence,
 )
 from simplex_designs.errors import InternalCheckError, InvariantError
@@ -36,6 +39,7 @@ POINT_ORBITS = {
     "non_centered": [1, 14],
 }
 GL52_ORDER = 31 * 30 * 28 * 24 * 16
+BLOCK_SYSTEMS = {"c1": 0, "c2": 3, "c3": 7, "c4": 2, "non_centered": 2}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,10 @@ def sympy_order(degree, generators) -> int:
         for g in generators
     ] or [sympy_combinatorics.Permutation(list(range(degree)))]
     return sympy_combinatorics.PermutationGroup(perms).order()
+
+
+def zero_based(p: Permutation) -> tuple[int, ...]:
+    return tuple(i - 1 for i in p.images)
 
 
 def preserves(d: Design, p: Permutation) -> bool:
@@ -99,10 +107,12 @@ class TestOrderOracle:
     def test_schreier_sims_on_symmetric_and_alternating_groups(self):
         transposition = Permutation.from_cycles(5, [(1, 2)])
         five_cycle = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
-        base, transversals = designs._schreier_sims([transposition, five_cycle], 5)
+        base, transversals = designs._schreier_sims(
+            [zero_based(transposition), zero_based(five_cycle)], 5
+        )
         assert len(designs._ChainElements(5, base, transversals)) == 120
         three_cycles = [
-            Permutation.from_cycles(5, [cycle])
+            zero_based(Permutation.from_cycles(5, [cycle]))
             for cycle in ((1, 2, 3), (2, 3, 4), (3, 4, 5))
         ]
         base, transversals = designs._schreier_sims(three_cycles, 5)
@@ -218,6 +228,96 @@ class TestDimensionFive:
         assert not preserves(d, swap)
         assert swap not in g.elements
         assert is_point_primitive(g)
+
+
+def closure_partition(g: PermGroup, a: int, b: int) -> frozenset[frozenset[int]]:
+    """The finest invariant partition joining points a and b, found by
+    rescanning every pair under every generator until nothing changes."""
+    n = g.degree
+    label = list(range(n + 1))
+
+    def merge(x, y):
+        old, new = label[y], label[x]
+        if old == new:
+            return False
+        for z in range(1, n + 1):
+            if label[z] == old:
+                label[z] = new
+        return True
+
+    merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for p in g.generators:
+            for x, y in combinations(range(1, n + 1), 2):
+                if label[x] == label[y] and merge(p(x), p(y)):
+                    changed = True
+    classes: dict[int, set[int]] = {}
+    for x in range(1, n + 1):
+        classes.setdefault(label[x], set()).add(x)
+    return frozenset(frozenset(c) for c in classes.values())
+
+
+def as_sets(systems) -> set[frozenset[frozenset[int]]]:
+    return {frozenset(s) for s in systems}
+
+
+class TestPointBlockSystems:
+    def test_counts_on_fixtures(self, groups):
+        assert {
+            name: len(point_block_systems(g)) for name, g in groups.items()
+        } == BLOCK_SYSTEMS
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(FIXTURE_NAMES), st.permutations(list(range(1, 16))))
+    def test_relabeled_systems_are_the_relabeled_systems(
+        self, fixture_designs, groups, name, images
+    ):
+        p = Permutation(tuple(images))
+        g = automorphism_group(fixture_designs[name].relabeled(p))
+        systems = point_block_systems(g)
+        assert len(systems) == BLOCK_SYSTEMS[name]
+        assert as_sets(systems) == {
+            frozenset(frozenset(p(x) for x in block) for block in s)
+            for s in point_block_systems(groups[name])
+        }
+
+    def test_every_generator_maps_each_system_onto_itself(self, groups):
+        for g in groups.values():
+            for s in point_block_systems(g):
+                assert 1 < len(s) < g.degree
+                for p in g.generators:
+                    assert {frozenset(p(x) for x in block) for block in s} == set(s)
+
+    def test_agrees_with_the_closure_oracle(self, groups):
+        for g in groups.values():
+            closures = {
+                closure_partition(g, a, b)
+                for a, b in combinations(range(1, 16), 2)
+            }
+            nontrivial = {s for s in closures if 1 < len(s) < 15}
+            systems = point_block_systems(g)
+            assert len(systems) == len(nontrivial)
+            assert as_sets(systems) == nontrivial
+
+    def test_pg42_has_none(self, pg42):
+        _, g = pg42
+        assert point_block_systems(g) == []
+        assert is_point_primitive(g)
+
+    def test_trivial_group_gives_the_pair_partitions(self):
+        systems = point_block_systems(PermGroup.trivial(15))
+        assert len(systems) == 105
+        assert systems == sorted(
+            systems, key=lambda s: (len(s), [sorted(b) for b in s])
+        )
+        pairs = set()
+        for s in systems:
+            (pair,) = [block for block in s if len(block) == 2]
+            assert sorted(len(block) for block in s) == [1] * 13 + [2]
+            pairs.add(pair)
+        assert pairs == {frozenset(q) for q in combinations(range(1, 16), 2)}
 
 
 class TestPointPrimitivity:

@@ -2,7 +2,9 @@
 
 Modules share code through public names only, and the lowest-set-bit
 idiom ``x & -x`` lives in subsets.py alone (set_bits and map_bits), so
-there is one set-bit iterator in the package.
+there is one set-bit iterator in the package. numpy is imported inside the
+functions that use it, never at module level, so importing the CLI does not
+load it.
 """
 
 import ast
@@ -46,6 +48,30 @@ def lowest_bit_idioms(tree):
     return found
 
 
+def module_level_numpy_imports(tree):
+    """Imports of numpy that run when the module is imported.
+
+    Function bodies are skipped; class bodies and compound statements at
+    module level run on import, so they are searched.
+    """
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append((node.lineno, f"line {node.lineno}: {ast.unparse(node)}"))
+        pending.extend(ast.iter_child_nodes(node))
+    return [text for _, text in sorted(found)]
+
+
 def test_package_modules_found():
     assert PACKAGE / "subsets.py" in MODULES
 
@@ -62,6 +88,11 @@ def test_lowest_set_bit_idiom_only_in_subsets(path):
     assert lowest_bit_idioms(parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_numpy_import(path):
+    assert module_level_numpy_imports(parse(path)) == []
+
+
 def test_rules_catch_the_patterns():
     tree = ast.parse(
         "from .cliques import _lowest_bits, Clique\n"
@@ -72,3 +103,15 @@ def test_rules_catch_the_patterns():
     assert private_sibling_imports(tree) == ["line 1: _lowest_bits"]
     assert lowest_bit_idioms(tree) == ["line 2: rest & -rest", "line 3: -mask & mask"]
     assert lowest_bit_idioms(parse(PACKAGE / "subsets.py"))
+    numpy_tree = ast.parse(
+        "import numpy as np\n"
+        "class Matrix:\n"
+        "    from numpy.linalg import det\n"
+        "def build():\n"
+        "    import numpy\n"
+        "import numpyro\n"
+    )
+    assert module_level_numpy_imports(numpy_tree) == [
+        "line 1: import numpy as np",
+        "line 3: from numpy.linalg import det",
+    ]
