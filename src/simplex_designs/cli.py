@@ -15,7 +15,7 @@ from importlib import resources
 from itertools import permutations
 from pathlib import Path
 
-from .cliques import Clique, INDEX_BY_TAG, TAG_BY_INDEX, classify_clique
+from .cliques import INDEX_BY_TAG, TAG_BY_INDEX, classify_clique
 from .constructions import (
     canonical_centered_blocks,
     canonical_center,
@@ -28,6 +28,7 @@ from .designs import (
     Design,
     automorphism_group,
     block_orbit_count,
+    clique_from_design,
     find_isomorphism,
     flag_orbit_count,
     is_point_primitive,
@@ -38,7 +39,6 @@ from .designs import (
 )
 from .errors import InternalCheckError, InvariantError, ParseError
 from .fano import FanoBijection, bijection_index, fano_planes_on
-from .geometry import geometry_for_dimension
 from .subsets import ElementSet, parse_set
 
 CONSTRUCT_KINDS = ("c1", "c2", "c3", "c4", "non-centered", "hyperplane-complement")
@@ -135,6 +135,17 @@ def _write_out(args, stem: str, incidence: str, hadamard: str, style: str):
     (out / f"{stem}.{suffix}.txt").write_text(hadamard + "\n")
 
 
+def _write_verdict(results: dict, verdict, centers: bool):
+    """The classification fields of construct and classify; construct also lists centers."""
+    results["class"] = verdict.tag.value
+    results["bijection_index"] = verdict.index if verdict.index is not None else "none"
+    results["center_count"] = len(verdict.centers)
+    if centers:
+        results["centers"] = [str(o) for o in verdict.centers]
+    results["lines_inside"] = verdict.line_count
+    results["planes_inside"] = verdict.plane_count
+
+
 def cmd_construct(args) -> Report:
     kind = args.kind
     started = time.perf_counter()
@@ -144,23 +155,14 @@ def cmd_construct(args) -> Report:
         blocks = non_centered_blocks()
     else:
         blocks = canonical_centered_blocks(KIND_TO_INDEX[kind])
-    g = geometry_for_dimension(4)
-    clique = Clique.from_points(g, blocks)
-    verdict = classify_clique(clique)
     design = Design.from_blocks(blocks)
+    verdict = classify_clique(clique_from_design(design))
     hadamard = to_hadamard(design)
 
     incidence = render_incidence(design)
     rendered = hadamard.render(args.hadamard_style)
     report = Report("construct", {"kind": kind})
-    report.results["class"] = verdict.tag.value
-    report.results["bijection_index"] = (
-        verdict.index if verdict.index is not None else "none"
-    )
-    report.results["center_count"] = len(verdict.centers)
-    report.results["centers"] = [str(o) for o in verdict.centers]
-    report.results["lines_inside"] = verdict.line_count
-    report.results["planes_inside"] = verdict.plane_count
+    _write_verdict(report.results, verdict, centers=True)
     report.results["blocks"] = [str(b) for b in design.blocks]
     report.results["incidence"] = incidence.splitlines()
     report.results["hadamard"] = rendered.splitlines()
@@ -174,17 +176,10 @@ def cmd_classify(args) -> Report:
     design = _read_design(args.file, args)
     if design.v != 15:
         raise InvariantError(f"classify needs a 15-point design, got {design.v} points")
-    clique = Clique.from_points(geometry_for_dimension(4), design.blocks)
-    verdict = classify_clique(clique)
+    verdict = classify_clique(clique_from_design(design))
     group = automorphism_group(design)
     report = Report("classify", {"file": args.file})
-    report.results["class"] = verdict.tag.value
-    report.results["bijection_index"] = (
-        verdict.index if verdict.index is not None else "none"
-    )
-    report.results["center_count"] = len(verdict.centers)
-    report.results["lines_inside"] = verdict.line_count
-    report.results["planes_inside"] = verdict.plane_count
+    _write_verdict(report.results, verdict, centers=False)
     report.results["automorphism_order"] = group.order
     report.results["block_orbits"] = block_orbit_count(design, group)
     report.results["flag_orbits"] = flag_orbit_count(design, group)
@@ -233,7 +228,7 @@ def cmd_census(args) -> Report:
                 d = FanoBijection(X, Y, images)
                 idx = bijection_index(d)
                 clique = product_clique(O, X, Y, d)
-                seen.add(clique.vertices)
+                seen.add(clique.bits)
                 tallies[idx] += 1
                 if idx not in checked:
                     verdict = classify_clique(clique)

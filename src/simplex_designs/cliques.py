@@ -6,7 +6,7 @@ package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
 deterministic.
 enumerate_maximal_cliques is the wrapper for a collinearity graph: it
-wraps each tuple in a Clique.
+maps each tuple through the point roster into a Clique.
 
 A clique's centers, lines and Fano planes come from one pass over its point
 bitmasks (_structure). classify_clique works on those ints directly;
@@ -37,49 +37,44 @@ class CollinearityGraph:
 
 
 def build_graph(g: Geometry) -> CollinearityGraph:
-    """Adjacency bitsets for the whole point roster.
+    """Adjacency bitsets for the whole point roster, numbered as g.points.
 
-    Computed from the 0/1 point-element matrix: vertices are adjacent when
-    the inner product of their rows is exactly m. The slow predicate
-    is_collinear remains the semantic source of truth; tests compare both.
+    Vertices are adjacent when their point bitmasks meet in exactly m
+    elements, counted by numpy popcounts one chunk of rows at a time. The
+    slow predicate is_collinear remains the semantic source of truth.
     """
     import numpy as np  # imported here: at module level it is most of the CLI's start-up
 
-    n = g.params.n
     m = g.params.m
-    rows = np.zeros((len(g), n), dtype=np.int16)
-    for i, p in enumerate(g.points):
-        for e in p.elements():
-            rows[i, e - 1] = 1
+    # the k <= 4 roster guard keeps n <= 15, so every point fits in 16 bits
+    masks = np.array([p.bits for p in g.points], dtype=np.uint16)
     adjacency: list[int] = []
     chunk = 1024
-    for start in range(0, len(g), chunk):
-        counts = rows[start:start + chunk] @ rows.T
-        adjacent = counts == m
-        for local, row in enumerate(adjacent):
-            u = start + local
-            row[u] = False
-            packed = np.packbits(row, bitorder="little").tobytes()
-            adjacency.append(int.from_bytes(packed, "little"))
+    for start in range(0, len(masks), chunk):
+        # a point meets itself in 2m != m elements, so no vertex is its own neighbour
+        adjacent = np.bitwise_count(masks[start:start + chunk, None] & masks) == m
+        packed = np.packbits(adjacent, axis=1, bitorder="little")
+        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return CollinearityGraph(g, adjacency)
 
 
 @dataclass(frozen=True)
 class Clique:
-    """Mutually collinear points, stored as sorted roster indices."""
+    """Mutually collinear points, stored as ascending bitmasks and checked by popcount."""
 
     geometry: Geometry
-    vertices: tuple[int, ...]
+    bits: tuple[int, ...]
 
     def __post_init__(self):
-        g = self.geometry
-        if list(self.vertices) != sorted(set(self.vertices)):
-            raise InvariantError("clique vertices must be sorted and distinct")
-        if len(self.vertices) > g.params.n:
+        n, m = self.geometry.params.n, self.geometry.params.m
+        if list(self.bits) != sorted(set(self.bits)):
+            raise InvariantError("clique points must be sorted and distinct")
+        if len(self.bits) > n:
             raise InvariantError("clique exceeds the n-element bound")
-        pts = [g.points[v].bits for v in self.vertices]
-        m = g.params.m
-        for a, b in combinations(pts, 2):
+        for b in self.bits:
+            if b >> n or b.bit_count() != 2 * m:
+                raise InvariantError(f"{bin(b)} is not a point of this geometry")
+        for a, b in combinations(self.bits, 2):
             if (a & b).bit_count() != m:
                 raise InvariantError(
                     f"points {bin(a)} and {bin(b)} are not collinear"
@@ -87,20 +82,22 @@ class Clique:
 
     @classmethod
     def from_points(cls, g: Geometry, points) -> "Clique":
-        return cls(g, tuple(sorted(g.index_of(p) for p in points)))
+        return cls(g, tuple(sorted(g.bits_of(p) for p in points)))
 
     @property
     def points(self) -> tuple[ElementSet, ...]:
-        return tuple(self.geometry.points[v] for v in self.vertices)
+        return tuple(ElementSet(b, self.geometry.params.n) for b in self.bits)
 
-    def point_bits(self) -> frozenset[int]:
-        return frozenset(self.geometry.points[v].bits for v in self.vertices)
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """Roster indices of the points, ascending; builds the roster on first use."""
+        return self.geometry.indices_of(self.bits)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.bits)
 
     def __contains__(self, p: ElementSet) -> bool:
-        return self.geometry.contains(p) and self.geometry.index_of(p) in set(self.vertices)
+        return p.ground_size == self.geometry.params.n and p.bits in self.bits
 
 
 class CliqueTag(Enum):
@@ -198,8 +195,10 @@ def enumerate_maximal_cliques(
     every clique, so min_size = n searches exactly the design-sized ones.
     With containing=v only cliques through v are emitted.
     """
+    points = graph.geometry.points
     for vertices in maximal_cliques(graph.adjacency, min_size, containing):
-        yield Clique(graph.geometry, vertices)
+        # the roster ascends by bitmask, so ascending vertices give ascending bits
+        yield Clique(graph.geometry, tuple(points[v].bits for v in vertices))
 
 
 def _degeneracy_order(adj: list[int]) -> list[int]:
@@ -238,7 +237,7 @@ def _structure(c: Clique):
     with the line points are inside. Each plane is built once, from the line
     through its two smallest points and the smallest point off that line.
     """
-    bits = sorted(c.point_bits())
+    bits = c.bits
     inside = set(bits)
     on_lines = dict.fromkeys(bits, 0)
     lines = []

@@ -12,15 +12,8 @@ from itertools import combinations
 
 from .cliques import Clique, center_points, planes_inside
 from .errors import InternalCheckError, InvariantError
-from .geometry import Geometry, geometry_for_dimension, singular_span
+from .geometry import Geometry, geometry_for_dimension, geometry_for_ground, singular_span
 from .subsets import ElementSet, complement_in
-
-
-def _geometry_for_ground(n: int) -> Geometry:
-    k = n.bit_length()
-    if 2**k - 1 != n:
-        raise InvariantError(f"ground size {n} is not of the form 2^k - 1")
-    return geometry_for_dimension(k)
 
 
 def _check_half_clique(points, support: ElementSet, m: int, what: str):
@@ -47,7 +40,7 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     The result has n points, is maximal by the n-element bound, and O is a
     center point.
     """
-    g = geometry if geometry is not None else _geometry_for_ground(O.ground_size)
+    g = geometry if geometry is not None else geometry_for_ground(O.ground_size)
     n, m = g.params.n, g.params.m
     if len(O) != 2 * m:
         raise InvariantError(f"center must be a {2 * m}-element set")
@@ -69,13 +62,11 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     if {q.bits for q in images} != {q.bits for q in y_points}:
         raise InvariantError("delta is not a bijection from X onto Y")
 
-    members = [O]
+    # O and both halves share the ground [n]; Clique checks the points themselves
+    members = [O.bits]
     for x, y in zip(x_points, images):
-        members.append(x | y)
-        members.append(x | ElementSet(O.bits & ~y.bits, n))
-    if len({p.bits for p in members}) != n:
-        raise InvariantError("product did not produce n distinct points")
-    return Clique.from_points(g, members)
+        members += (x.bits | y.bits, x.bits | (O.bits & ~y.bits))
+    return Clique(g, tuple(sorted(members)))
 
 
 def default_z(O: ElementSet) -> ElementSet:
@@ -121,7 +112,7 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
     n, m = g.params.n, g.params.m
     if len(c) != n:
         raise InvariantError(f"clique has {len(c)} points, expected {n}")
-    inside = c.point_bits()
+    inside = set(c.bits)
     if O.bits not in inside:
         raise InvariantError(f"{O} is not a point of the clique")
     if any(O.bits ^ b not in inside for b in inside if b != O.bits):
@@ -132,7 +123,7 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
         raise InvariantError(f"Z must be a {2 * m - 1}-element subset of the center")
 
     plus, minus = [], []
-    for b in sorted(inside):
+    for b in c.bits:
         if b == O.bits:
             continue
         member = ElementSet(b, n)
@@ -159,7 +150,7 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
         minus_half=tuple(minus),
     )
     rebuilt = product_clique(O, x_points, y_points, delta, geometry=g)
-    if rebuilt.vertices != c.vertices:
+    if rebuilt.bits != c.bits:
         raise InternalCheckError("decomposition does not rebuild the clique")
     return dec
 

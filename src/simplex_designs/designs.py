@@ -16,6 +16,7 @@ from itertools import combinations
 
 from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
+from .geometry import geometry_for_ground
 from .subsets import ElementSet, Permutation, apply, map_bits, set_bits
 
 
@@ -68,7 +69,7 @@ class Design:
 
 
 def design_from_clique(c: Clique) -> Design:
-    """The design whose blocks are the clique points, in roster order."""
+    """The design whose blocks are the clique points, in ascending bitmask order."""
     n = c.geometry.params.n
     if len(c) != n:
         raise InvariantError(f"clique has {len(c)} points, expected {n}")
@@ -76,9 +77,7 @@ def design_from_clique(c: Clique) -> Design:
 
 
 def clique_from_design(d: Design) -> Clique:
-    from .geometry import geometry_for_dimension
-
-    return Clique.from_points(geometry_for_dimension(d.v.bit_length()), d.blocks)
+    return Clique.from_points(geometry_for_ground(d.v), d.blocks)
 
 
 @dataclass(frozen=True)

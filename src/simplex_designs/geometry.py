@@ -7,12 +7,12 @@ PG(k-1,2) with 2^k - 1 points and correspond to binary simplex codes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
 from .errors import InvariantError
-from .subsets import ElementSet, intersection_size, subsets_of
+from .subsets import ElementSet, subsets_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,39 +69,50 @@ MAX_ROSTER_DIMENSION = 4
 
 
 class Geometry:
-    """Point roster of one geometry instance, in ascending bitmask order.
+    """One geometry: its parameters, and its point roster in ascending bitmask order.
 
-    Only dimensions up to MAX_ROSTER_DIMENSION are built; a larger k raises
-    InvariantError before anything is allocated.
+    The roster is built on the first call to points, index_of or indices_of;
+    for k > MAX_ROSTER_DIMENSION that call raises InvariantError at once.
     """
 
     def __init__(self, params: GeometryParams):
-        if params.k > MAX_ROSTER_DIMENSION:
-            raise InvariantError(
-                f"the k = {params.k} point roster would hold"
-                f" {comb(params.n, params.point_size)} points; rosters are built"
-                f" for k <= {MAX_ROSTER_DIMENSION} only"
-            )
         self.params = params
-        self.points = subsets_of(ElementSet.full(params.n), params.point_size)
-        self._index = {p.bits: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def points(self) -> tuple[ElementSet, ...]:
+        if self.params.k > MAX_ROSTER_DIMENSION:
+            raise InvariantError(
+                f"the k = {self.params.k} point roster would hold {len(self)} points;"
+                f" rosters are built for k <= {MAX_ROSTER_DIMENSION} only"
+            )
+        return subsets_of(ElementSet.full(self.params.n), self.params.point_size)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {p.bits: i for i, p in enumerate(self.points)}
 
     def __len__(self) -> int:
-        return len(self.points)
+        return comb(self.params.n, self.params.point_size)
 
     def contains(self, p: ElementSet) -> bool:
-        return p.ground_size == self.params.n and p.bits in self._index
+        return p.ground_size == self.params.n and p.bits.bit_count() == 2 * self.params.m
 
-    def index_of(self, p: ElementSet) -> int:
+    def bits_of(self, p: ElementSet) -> int:
+        """The bitmask of p; raises InvariantError unless p is a point."""
         if not self.contains(p):
             raise InvariantError(f"{p} is not a point of this geometry")
-        return self._index[p.bits]
+        return p.bits
+
+    def index_of(self, p: ElementSet) -> int:
+        return self._index[self.bits_of(p)]
+
+    def indices_of(self, bits) -> tuple[int, ...]:
+        """Roster indices of the given point bitmasks, which must be points."""
+        return tuple(map(self._index.__getitem__, bits))
 
 
 def build_geometry(params: GeometryParams) -> Geometry:
-    g = Geometry(params)
-    assert len(g) == comb(params.n, params.point_size)
-    return g
+    return Geometry(params)
 
 
 @lru_cache(maxsize=None)
@@ -110,14 +121,20 @@ def geometry_for_dimension(k: int) -> Geometry:
     return build_geometry(GeometryParams.for_dimension(k))
 
 
+def geometry_for_ground(n: int) -> Geometry:
+    """The shared geometry on [n]; n must be 2^k - 1."""
+    k = n.bit_length()
+    if 2**k - 1 != n:
+        raise InvariantError(f"ground size {n} is not of the form 2^k - 1")
+    return geometry_for_dimension(k)
+
+
 def is_collinear(g: Geometry, x: ElementSet, y: ElementSet) -> bool:
     """Whether two distinct points meet in exactly m elements."""
-    for p in (x, y):
-        if not g.contains(p):
-            raise InvariantError(f"{p} is not a point of this geometry")
-    if x == y:
+    a, b = g.bits_of(x), g.bits_of(y)
+    if a == b:
         raise InvariantError("collinearity is defined for distinct points")
-    return intersection_size(x, y) == g.params.m
+    return (a & b).bit_count() == g.params.m
 
 def line_through(g: Geometry, x: ElementSet, y: ElementSet) -> Line:
     if not is_collinear(g, x, y):
@@ -159,10 +176,9 @@ def singular_span(g: Geometry, s) -> frozenset[ElementSet]:
     m = g.params.m
     current: list[int] = []
     for p in s:
-        if not g.contains(p):
-            raise InvariantError(f"{p} is not a point of this geometry")
-        if p.bits not in current:
-            current.append(p.bits)
+        b = g.bits_of(p)
+        if b not in current:
+            current.append(b)
     seen = set(current)
     queue = list(current)
     while queue:

@@ -319,3 +319,37 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+NO_ROSTER_SCRIPT = """
+import contextlib, io
+from simplex_designs import classify_clique, decompose, product_clique
+from simplex_designs.cli import main
+from simplex_designs.constructions import canonical_center, default_z
+from simplex_designs.fano import fano_planes_on, representative_of_index
+from simplex_designs.geometry import geometry_for_dimension
+from simplex_designs.subsets import ElementSet, complement_in
+
+O = canonical_center()
+X = fano_planes_on(complement_in(O, ElementSet.full(15)))[0]
+Y = fano_planes_on(default_z(O))[0]
+c = product_clique(O, X, Y, representative_of_index(X, Y, 3))
+classify_clique(c)
+decompose(c, O)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (["construct", "c3"], ["classify", "c2"],
+                                     ["census", "--delta-limit", "50"])]
+print(codes, sorted(vars(geometry_for_dimension(4))))
+"""
+
+
+def test_cliques_and_cli_build_no_roster():
+    # the shared k = 4 geometry keeps only its params until something numbers its points
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_ROSTER_SCRIPT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] ['params']"
+    control = NO_ROSTER_SCRIPT.replace("decompose(c, O)", "c.vertices")
+    proc = subprocess.run([sys.executable, "-c", control], capture_output=True, text=True)
+    assert proc.stdout.strip() == "[0, 0, 0] ['_index', 'params', 'points']"

@@ -20,7 +20,7 @@ from simplex_designs.cliques import (
 from simplex_designs.designs import automorphism_group
 from simplex_designs.errors import InvariantError
 from simplex_designs.geometry import is_collinear, is_singular_subspace
-from simplex_designs.subsets import ElementSet, Permutation, apply, subsets_of
+from simplex_designs.subsets import ElementSet, Permutation, apply, complement_in, subsets_of
 
 from conftest import FIXTURE_NAMES
 
@@ -128,9 +128,32 @@ class TestCliqueType:
         with pytest.raises(InvariantError):
             Clique(g7, tuple(range(8)))
 
+    def test_from_points_names_a_non_point(self, g15):
+        a = ElementSet.of(range(1, 9), 15)
+        for bad in (ElementSet.of(range(1, 8), 15), ElementSet.of(range(2, 10), 31)):
+            with pytest.raises(InvariantError, match=f"{bad} is not a point"):
+                Clique.from_points(g15, [a, bad])
+
     def test_point_round_trip(self, g15, fixture_cliques):
         c = fixture_cliques["c1"]
         assert Clique.from_points(g15, c.points) == c
+
+    def test_vertices_are_roster_indices(self, g7, gr7, g15, gr15, fixture_cliques):
+        from simplex_designs.constructions import canonical_center, default_z, product_clique
+        from simplex_designs.fano import FanoBijection, fano_planes_on
+
+        O = canonical_center()
+        X = fano_planes_on(complement_in(O, ElementSet.full(15)))[0]
+        Y = fano_planes_on(default_z(O))[0]
+        cliques = [
+            *((g7, c) for c in enumerate_maximal_cliques(gr7)),
+            *((g15, c) for c in islice(enumerate_maximal_cliques(gr15, containing=0), 5)),
+            *((g15, c) for c in fixture_cliques.values()),
+            (g15, product_clique(O, X, Y, FanoBijection(X, Y, (3, 1, 4, 0, 6, 5, 2)))),
+        ]
+        for g, c in cliques:
+            assert c.vertices == tuple(g.index_of(p) for p in c.points)
+            assert list(c.vertices) == sorted(c.vertices)
 
 
 class TestCenters:
@@ -206,7 +229,7 @@ class TestClassification:
 
     def test_rejects_wrong_size(self, g15, fixture_cliques):
         c = fixture_cliques["c1"]
-        small = Clique(g15, c.vertices[:14])
+        small = Clique(g15, c.bits[:14])
         with pytest.raises(InvariantError):
             classify_clique(small)
 
@@ -267,7 +290,7 @@ def oracle_planes(bits):
 
 
 def assert_structure_matches_oracles(c):
-    bits = sorted(c.point_bits())
+    bits = sorted(c.bits)
     assert [o.bits for o in center_points(c)] == oracle_centers(bits)
     assert [tuple(p.bits for p in line.points) for line in lines_inside(c)] == oracle_lines(bits)
     # the oracle list is sorted, so this also pins the order of planes_inside
@@ -285,7 +308,7 @@ class TestStructureAgainstOracles:
         c = fixture_cliques[name]
         assert_structure_matches_oracles(c)
         verdict = classify_clique(c)
-        bits = sorted(c.point_bits())
+        bits = sorted(c.bits)
         assert [o.bits for o in verdict.centers] == oracle_centers(bits)
         assert verdict.line_count == len(oracle_lines(bits))
         assert verdict.plane_count == len(oracle_planes(bits))
@@ -303,7 +326,7 @@ class TestStructureAgainstOracles:
         assert_structure_matches_oracles(c)
         assert classify_clique(c).tag is classify_clique(fixture_cliques[name]).tag
         # every subset of a clique is a clique, with its own (smaller) structure
-        sub = Clique(g15, tuple(v for i, v in enumerate(c.vertices) if keep >> i & 1))
+        sub = Clique(g15, tuple(b for i, b in enumerate(c.bits) if keep >> i & 1))
         assert_structure_matches_oracles(sub)
 
     def test_k3_maximal_cliques(self, gr7):

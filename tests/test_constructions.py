@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from simplex_designs.cliques import (
     Clique,
     CliqueTag,
+    build_graph,
     center_points,
     classify_clique,
     lines_inside,
@@ -23,6 +25,7 @@ from simplex_designs.constructions import (
     signed_set,
     split_non_centered,
 )
+from simplex_designs.designs import Design, design_from_clique, find_isomorphism
 from simplex_designs.errors import InvariantError
 from simplex_designs.fano import (
     FanoBijection,
@@ -60,7 +63,7 @@ class TestProduct:
         rng = random.Random(2)
         O, Z, X, Y, delta = random_parameters(rng)
         c = product_clique(O, X, Y, delta)
-        inside = c.point_bits()
+        inside = c.bits
         for x in X.points:
             plus = x | delta(x)
             minus = x | ElementSet(O.bits & ~delta(x).bits, 15)
@@ -219,6 +222,49 @@ class TestHyperplaneComplements:
     def test_rejects_small_k(self):
         with pytest.raises(InvariantError):
             hyperplane_complement_clique(2)
+
+
+class TestDimensionFive:
+    """The k = 5 centered product, built and split without a point roster."""
+
+    @pytest.fixture(scope="class")
+    def identity_product(self):
+        # O = {1..16}, Z = O - {16}; Y the k = 4 hyperplane complements on Z,
+        # X the same blocks shifted onto {17..31}, delta pairs them in order
+        O = ElementSet.of(range(1, 17), 31)
+        Z = ElementSet.of(range(1, 16), 31)
+        Y = [ElementSet(b.bits, 31) for b in hyperplane_complement_blocks(4)]
+        X = [ElementSet(y.bits << 16, 31) for y in Y]
+        delta = dict(zip(X, Y))
+        return O, Z, X, Y, delta, product_clique(O, X, Y, delta)
+
+    def test_identity_c1_product_is_a_clique(self, identity_product):
+        O, Z, X, Y, delta, c = identity_product
+        assert len(c) == 31 and c.geometry.params.k == 5
+        assert all(len(p) == 16 for p in c.points)
+        assert O in c and O in center_points(c)
+
+    def test_decompose_rebuilds_it(self, identity_product):
+        O, Z, X, Y, delta, c = identity_product
+        dec = decompose(c, O, Z)
+        assert dec.delta == delta
+        assert set(dec.x_points) == set(X) and set(dec.y_points) == set(Y)
+        assert product_clique(O, dec.x_points, dec.y_points, dec.delta) == c
+
+    def test_isomorphic_to_pg42_hyperplane_complements(self, identity_product):
+        c = identity_product[-1]
+        pg42 = Design.from_blocks(hyperplane_complement_blocks(5))
+        assert find_isomorphism(design_from_clique(c), pg42) is not None
+        assert len(hyperplane_complement_clique(5)) == 31
+
+    def test_roster_numbering_is_refused_fast(self, identity_product):
+        c = identity_product[-1]
+        started = time.perf_counter()
+        with pytest.raises(InvariantError, match="k = 5"):
+            c.vertices
+        with pytest.raises(InvariantError, match="k = 5"):
+            build_graph(c.geometry)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestNonCentered:

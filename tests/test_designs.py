@@ -61,12 +61,26 @@ class TestDesignType:
         assert design_from_clique(c).block_set() == d.block_set()
 
     def test_clique_from_v31_design_fails_fast(self):
-        # the k = 5 roster would hold C(31, 16) = 300,540,195 points
+        # a clique needs no roster; its roster numbering, which would hold
+        # C(31, 16) = 300,540,195 points, is refused at once
         d = Design.from_blocks(hyperplane_complement_blocks(5))
+        c = clique_from_design(d)
+        assert len(c) == 31 and c.geometry.params.k == 5
+        assert design_from_clique(c).block_set() == d.block_set()
         started = time.perf_counter()
         with pytest.raises(InvariantError, match="k = 5"):
-            clique_from_design(d)
+            c.vertices
         assert time.perf_counter() - started < 1.0
+
+    def test_clique_from_design_names_a_bad_ground_size(self):
+        # the quadratic-residue (11,6,3) design: 0 and the non-residues mod 11
+        base = (0, 2, 6, 7, 8, 10)
+        d = Design.from_blocks(
+            [ElementSet.of([(x + i) % 11 + 1 for x in base], 11) for i in range(11)]
+        )
+        assert (d.v, d.block_size, d.lambda_) == (11, 6, 3)
+        with pytest.raises(InvariantError, match="ground size 11 is not of the form 2\\^k - 1"):
+            clique_from_design(d)
 
     def test_validation_reports_failing_pair(self, fixture_designs):
         blocks = list(fixture_designs["c1"].blocks)

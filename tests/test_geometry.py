@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -46,10 +47,21 @@ class TestParams:
 class TestRoster:
     @pytest.mark.parametrize("k", [5, 6])
     def test_large_dimensions_fail_fast(self, k):
+        # the geometry itself is only its parameters; the roster is refused on first use
+        params = GeometryParams.for_dimension(k)
+        g = geometry_for_dimension(k)
+        assert vars(g) == {"params": params}
+        assert len(g) == comb(params.n, params.point_size)
+        point = ElementSet((1 << params.point_size) - 1, params.n)
+        assert g.contains(point)
+        started = time.perf_counter()
         with pytest.raises(InvariantError, match=f"k = {k}"):
-            geometry_for_dimension(k)
-        with pytest.raises(InvariantError):
-            Geometry(GeometryParams.for_dimension(k))
+            g.points
+        with pytest.raises(InvariantError, match=f"k = {k}"):
+            g.index_of(point)
+        with pytest.raises(InvariantError, match=f"k = {k}"):
+            Geometry(params).points
+        assert time.perf_counter() - started < 1.0
 
     def test_sizes(self, g7, g15):
         assert len(g7) == 35

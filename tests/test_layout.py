@@ -4,7 +4,9 @@ Modules share code through public names only, and the lowest-set-bit
 idiom ``x & -x`` lives in subsets.py alone (set_bits and map_bits), so
 there is one set-bit iterator in the package. numpy is imported inside the
 functions that use it, never at module level, so importing the CLI does not
-load it.
+load it. The point roster's numbering (index_of, indices_of, Clique.vertices)
+is used in geometry.py and cliques.py alone: everywhere else points are
+bitmasks, so nothing else builds the roster.
 """
 
 import ast
@@ -46,6 +48,18 @@ def lowest_bit_idioms(tree):
             ):
                 found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
+
+
+ROSTER_NAMES = {"index_of", "indices_of", "vertices"}
+
+
+def roster_numbering_uses(tree):
+    """Attribute reads of index_of, indices_of or vertices."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ROSTER_NAMES
+    ]
 
 
 def module_level_numpy_imports(tree):
@@ -93,6 +107,15 @@ def test_no_module_level_numpy_import(path):
     assert module_level_numpy_imports(parse(path)) == []
 
 
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name not in ("geometry.py", "cliques.py")],
+    ids=lambda p: p.name,
+)
+def test_roster_numbering_only_in_geometry_and_cliques(path):
+    assert roster_numbering_uses(parse(path)) == []
+
+
 def test_rules_catch_the_patterns():
     tree = ast.parse(
         "from .cliques import _lowest_bits, Clique\n"
@@ -103,6 +126,16 @@ def test_rules_catch_the_patterns():
     assert private_sibling_imports(tree) == ["line 1: _lowest_bits"]
     assert lowest_bit_idioms(tree) == ["line 2: rest & -rest", "line 3: -mask & mask"]
     assert lowest_bit_idioms(parse(PACKAGE / "subsets.py"))
+    roster_tree = ast.parse(
+        "seen.add(clique.vertices)\n"
+        "i = g.index_of(p)\n"
+        "vertices = [0, 1]\n"
+    )
+    assert roster_numbering_uses(roster_tree) == [
+        "line 1: clique.vertices",
+        "line 2: g.index_of",
+    ]
+    assert roster_numbering_uses(parse(PACKAGE / "cliques.py"))
     numpy_tree = ast.parse(
         "import numpy as np\n"
         "class Matrix:\n"
