@@ -4,7 +4,9 @@ The graph stores one adjacency bitset per vertex (bit j of adjacency[u] is
 set when vertex j is collinear to vertex u). maximal_cliques is the
 package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
-deterministic.
+deterministic. A search through one vertex v runs on N[v] renumbered in
+ascending order (_renumber), so a slice of the 6435-vertex k = 4 graph
+works on bitsets as wide as the slice; the stream is the same.
 enumerate_maximal_cliques is the wrapper for a collinearity graph: it
 maps each tuple through the point roster into a Clique.
 
@@ -15,13 +17,16 @@ and frozenset values.
 """
 
 import heapq
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 from .errors import InternalCheckError, InvariantError
-from .geometry import Geometry, Line, is_singular_subspace
+from .geometry import Geometry, Line, is_singular_bits
 from .subsets import ElementSet, set_bits
+
+logger = logging.getLogger(__name__)
 
 
 class CollinearityGraph:
@@ -142,12 +147,18 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
     Tanaka & Takahashi 2006) under a fixed rule: the pivot maximizes
     |P & N(u)|, ties to the smallest vertex, and candidates are scanned in
     ascending order, so the stream is deterministic. Subtrees that cannot
-    reach min_size are pruned. With containing=v only cliques through v are
-    emitted; otherwise the top level runs in degeneracy order, which keeps
-    the subproblems small.
+    reach min_size are pruned. Without containing, the top level runs in
+    degeneracy order, which keeps the subproblems small.
+
+    With containing=v only cliques through v are emitted. The search then
+    runs on N[v] (v and its neighbours) renumbered 0..|N[v]| - 1 in
+    ascending order, so its bitsets are |N[v]| bits wide instead of
+    len(adj), and each clique is mapped back through that list. The
+    renumbering is monotone, so pivots, scan order and stream are exactly
+    those of the search on adj itself. v must be in range(len(adj)).
     """
 
-    def expand(r: list[int], p: int, x: int):
+    def expand(adj: list[int], r: list[int], p: int, x: int):
         if p == 0 and x == 0:
             if len(r) >= min_size:
                 yield tuple(sorted(r))
@@ -163,12 +174,26 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
                 pivot = u
         for v in set_bits(p & ~adj[pivot]):
             mask = 1 << v
-            yield from expand(r + [v], p & adj[v], x & adj[v])
+            yield from expand(adj, r + [v], p & adj[v], x & adj[v])
             p &= ~mask
             x |= mask
 
     if containing is not None:
-        yield from expand([containing], adj[containing], 0)
+        if not 0 <= containing < len(adj):
+            raise InvariantError(
+                f"containing vertex {containing} is not in range({len(adj)})"
+            )
+        outer, local = _renumber(adj, containing)
+        v = outer.index(containing)
+        emitted = 0
+        for clique in expand(local, [v], local[v], 0):
+            emitted += 1
+            yield tuple([outer[u] for u in clique])
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "maximal_cliques containing=%d closed_neighbourhood=%d cliques=%d",
+                containing, len(outer), emitted,
+            )
         return
     order = _degeneracy_order(adj)
     position = {v: i for i, v in enumerate(order)}
@@ -180,7 +205,26 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
                 later |= 1 << u
             else:
                 earlier |= 1 << u
-        yield from expand([v], later, earlier)
+        yield from expand(adj, [v], later, earlier)
+
+
+def _renumber(adj: list[int], v: int) -> tuple[list[int], list[int]]:
+    """N[v] ascending, and the graph it induces with outer[i] renumbered to i.
+
+    The rows of N[v] are joined as little-endian bytes, unpacked to a 0/1
+    matrix, cut to the columns of N[v] and packed again, as build_graph
+    packs its rows.
+    """
+    import numpy as np  # imported here: at module level it is most of the CLI's start-up
+
+    outer = list(set_bits(adj[v] | 1 << v))
+    width = (len(adj) + 7) // 8
+    rows = np.frombuffer(
+        b"".join([adj[u].to_bytes(width, "little") for u in outer]), dtype=np.uint8
+    ).reshape(len(outer), width)
+    matrix = np.unpackbits(rows, axis=1, bitorder="little")
+    packed = np.packbits(matrix[:, outer], axis=1, bitorder="little")
+    return outer, [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def enumerate_maximal_cliques(
@@ -344,7 +388,7 @@ def _structural_tag(c, centers, lines, planes) -> CliqueTag:
     line_sets = [frozenset(line) for line in lines]
     plane_sets = [frozenset(plane) for plane in planes]
 
-    if is_singular_subspace(c.geometry, c.points):
+    if is_singular_bits(c.geometry.params.m, c.bits):
         if len(centers) != len(c):
             raise InternalCheckError("singular clique without all points central")
         return CliqueTag.C1

@@ -155,13 +155,17 @@ def is_subspace(g: Geometry, s) -> bool:
 
 def is_singular_subspace(g: Geometry, s) -> bool:
     """A subspace whose points are pairwise collinear."""
-    pts = list(s)
-    m = g.params.m
-    bits = {p.bits for p in pts}
-    for a, b in combinations(pts, 2):
-        if (a.bits & b.bits).bit_count() != m:
-            return False
-        if a.bits ^ b.bits not in bits:
+    return is_singular_bits(g.params.m, [p.bits for p in s])
+
+
+def is_singular_bits(m: int, bits) -> bool:
+    """Whether point bitmasks meet pairwise in m elements and hold every pair's sum.
+
+    A repeated bitmask fails: it meets itself in 2m elements.
+    """
+    inside = set(bits)
+    for a, b in combinations(bits, 2):
+        if (a & b).bit_count() != m or a ^ b not in inside:
             return False
     return True
 

@@ -1,11 +1,15 @@
+import hashlib
+import logging
 import random
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_designs.cliques import (
     _degeneracy_order,
+    _renumber,
     Clique,
     CliqueTag,
     CollinearityGraph,
@@ -115,6 +119,91 @@ class TestEnumeration:
         limited = [c.vertices for c in islice(enumerate_maximal_cliques(gr7), 7)]
         assert len(limited) == 7 < len(stream)
         assert limited == stream[:7]
+
+
+def random_adjacency(rng, n, density):
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+class TestContaining:
+    """maximal_cliques(adj, containing=v), which searches N[v] renumbered."""
+
+    @pytest.mark.parametrize("bad", [-2, -1, 4, 6435])
+    def test_rejects_a_vertex_outside_the_graph(self, bad):
+        adj = [0b110, 0b101, 0b011, 0]
+        with pytest.raises(InvariantError, match=rf"containing vertex {bad} .*range\(4\)"):
+            list(maximal_cliques(adj, containing=bad))
+
+    @pytest.mark.parametrize("width", [1, 5, 6435])
+    def test_isolated_vertex(self, width):
+        adj = [0] * width
+        v = width - 1
+        for min_size in (0, 1):
+            assert list(maximal_cliques(adj, min_size, containing=v)) == [(v,)]
+        assert list(maximal_cliques(adj, 2, containing=v)) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_stream_survives_a_monotone_embedding(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+        density = data.draw(st.floats(min_value=0.0, max_value=1.0), label="density")
+        narrow = random_adjacency(data.draw(st.randoms(use_true_random=False)), n, density)
+        # vertex u of the narrow graph becomes phi[u] = phi[u - 1] + 1 + gaps[u]
+        gaps = data.draw(
+            st.lists(st.integers(min_value=0, max_value=300), min_size=n, max_size=n),
+            label="gaps",
+        )
+        phi = list(accumulate((gap + 1 for gap in gaps[1:]), initial=gaps[0]))
+        width = max(6435, phi[-1] + 1) + data.draw(st.integers(min_value=0, max_value=64))
+        # the narrow graph on the vertices phi, every other vertex isolated
+        wide = [0] * width
+        for u, row in enumerate(narrow):
+            wide[phi[u]] = sum(1 << phi[w] for w in _bits_of(row))
+        min_size = data.draw(st.integers(min_value=0, max_value=5), label="min_size")
+        through = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3, unique=True),
+            label="through",
+        )
+        for v in through:
+            expected = [
+                tuple(phi[u] for u in c) for c in maximal_cliques(narrow, min_size, containing=v)
+            ]
+            assert list(maximal_cliques(wide, min_size, containing=phi[v])) == expected
+
+    def test_renumber_matches_a_loop_gather(self, g15, gr15, fixture_cliques):
+        rng = random.Random(7)
+        graphs = [random_adjacency(rng, 30, density) for density in (0.0, 0.2, 0.6, 1.0)]
+        vertices, plane_slice = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
+        cases = [(adj, v) for adj in graphs for v in rng.sample(range(30), 3)]
+        cases += [(plane_slice.adjacency, v) for v in (0, vertices[0], vertices[-1])]
+        for adj, v in cases:
+            outer = [u for u in range(len(adj)) if u == v or adj[v] >> u & 1]
+            local = [sum(1 << i for i, w in enumerate(outer) if adj[u] >> w & 1) for u in outer]
+            assert _renumber(adj, v) == (outer, local)
+
+    def test_one_debug_record_when_exhausted(self, g15, gr15, fixture_cliques, caplog):
+        vertices, graph = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
+        with caplog.at_level(logging.DEBUG, logger="simplex_designs.cliques"):
+            stream = maximal_cliques(graph.adjacency, 15, containing=vertices[0])
+            next(stream)
+            assert caplog.records == []
+            rest = list(stream)
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"maximal_cliques containing={vertices[0]} closed_neighbourhood=135 cliques=480"
+        )
+        assert len(rest) == 479
+
+    def test_silent_when_disabled(self, caplog):
+        adj = [0b110, 0b101, 0b011, 0]
+        with caplog.at_level(logging.INFO, logger="simplex_designs.cliques"):
+            assert list(maximal_cliques(adj, containing=0)) == [(0, 1, 2)]
+        assert caplog.records == []
 
 
 class TestCliqueType:
@@ -356,6 +445,15 @@ def induced_graph(graph, vertices):
     )
 
 
+def slice_graph(g15, gr15, points):
+    """Roster indices of the points, and the graph induced on them and their common neighbours."""
+    vertices = sorted(g15.index_of(q) for q in points)
+    common = -1
+    for v in vertices:
+        common &= gr15.adjacency[v]
+    return vertices, induced_graph(gr15, [*vertices, *_bits_of(common)])
+
+
 class TestPlaneSlice:
     """Every maximal 15-clique through one plane, counted by orbit-stabilizer.
 
@@ -429,6 +527,24 @@ class TestPlaneSlice:
             tally[classify_clique(c).tag] += 1
         assert tally == self.EXPECTED
 
+    # the seedless plane slice's stream as the search on the roster numbering
+    # emitted it: the first five cliques and a sha256 of all 480
+    FIRST_CLIQUES = [
+        (164, 901, 1165, 1742, 1890, 2228, 2326, 3003, 3298, 4355, 4665, 5356, 5530, 5864, 5948),
+        (164, 901, 1165, 1742, 1890, 2228, 2326, 3003, 3298, 4355, 4665, 5401, 5485, 5819, 5993),
+        (164, 901, 1165, 1742, 1890, 2228, 2326, 3003, 3298, 4431, 4605, 5280, 5590, 5864, 5948),
+        (164, 901, 1165, 1742, 1890, 2228, 2326, 3003, 3298, 4431, 4605, 5401, 5485, 5743, 6053),
+        (164, 901, 1165, 1742, 1890, 2228, 2326, 3003, 3298, 4476, 4560, 5280, 5590, 5819, 5993),
+    ]
+    STREAM_SHA256 = "b7af9aa866160b589a914366500e1114ebfb6321b7ea65d42d52435cae07b533"
+
+    def test_stream_is_pinned(self, g15, gr15, fixture_cliques):
+        vertices, graph = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
+        stream = list(maximal_cliques(graph.adjacency, 15, containing=vertices[0]))
+        assert len(stream) == 480
+        assert stream[:5] == self.FIRST_CLIQUES
+        assert hashlib.sha256(repr(stream).encode()).hexdigest() == self.STREAM_SHA256
+
 
 class TestLineSlice:
     """Every maximal 15-clique through one line, counted by orbit-stabilizer.
@@ -487,6 +603,73 @@ class TestLineSlice:
         assert tally == self.EXPECTED
 
 
+class TestPairSlice:
+    """Every maximal 15-clique through one collinear pair, counted by orbit-stabilizer.
+
+    The columns (a_e, b_e) of a collinear pair a, b over [15] take the
+    values 11, 10 and 01 four times each and 00 three times, so S_15 is
+    transitive on collinear pairs, with stabilizer S_4 wr S_3 x S_3 x 2 (the
+    last factor swaps a and b) of order 24^3 * 3! * 2 = 165,888. Any two
+    points of a 15-clique are collinear, so the cliques of type i through a
+    fixed pair number 165,888 * C(15, 2) / |Aut_i|. A sixth type would raise
+    the total above their sum, so the exhaustive slice proves the five types
+    complete.
+    """
+
+    STABILIZER_ORDER = 24**3 * factorial(3) * 2
+    EXPECTED = {
+        CliqueTag.C1: 864,
+        CliqueTag.C2: 30240,
+        CliqueTag.C3: 181440,
+        CliqueTag.C4: 103680,
+        CliqueTag.NON_CENTERED: 103680,
+    }
+
+    def test_prediction(self, fixture_cliques, fixture_designs):
+        assert self.STABILIZER_ORDER == 165888
+        predicted = {}
+        for name, tag in TestPlaneSlice.TAGS.items():
+            count, rest = divmod(
+                self.STABILIZER_ORDER * comb(len(fixture_cliques[name]), 2),
+                automorphism_group(fixture_designs[name]).order,
+            )
+            assert rest == 0
+            predicted[tag] = count
+        assert predicted == self.EXPECTED
+        assert sum(predicted.values()) == 419904
+
+    def test_pair_columns(self, fixture_cliques):
+        for c in fixture_cliques.values():
+            for a, b in combinations(c.bits, 2):
+                columns = [(a >> e & 1) | (b >> e & 1) << 1 for e in range(15)]
+                classes = [columns.count(col) for col in range(4)]
+                # 00 three times; 01, 10 and 11 four times each
+                assert classes == [3, 4, 4, 4]
+                # permuting inside each class fixes a and b; trading the
+                # classes 01 and 10 swaps a and b
+                assert prod(map(factorial, classes)) * 2 == self.STABILIZER_ORDER
+
+    @pytest.mark.slow
+    def test_slice_tally(self, g15, gr15, fixture_cliques):
+        a, b = fixture_cliques["c1"].points[:2]
+        vertices, graph = slice_graph(g15, gr15, (a, b))
+        third = a.bits ^ b.bits
+        tally = dict.fromkeys(self.EXPECTED, 0)
+        line_tally = dict.fromkeys(self.EXPECTED, 0)
+        seen = set()
+        for c in enumerate_maximal_cliques(graph, containing=vertices[0], min_size=15):
+            assert len(c) == 15 and set(vertices) <= set(c.vertices)
+            seen.add(c.vertices)
+            tag = classify_clique(c).tag
+            tally[tag] += 1
+            if third in c.bits:
+                line_tally[tag] += 1
+        assert len(seen) == sum(tally.values())
+        assert tally == self.EXPECTED
+        # the cliques that also hold a ^ b are the slice through the line a, b, a ^ b
+        assert line_tally == TestLineSlice.EXPECTED
+
+
 @pytest.fixture(scope="module")
 def nx():
     return pytest.importorskip("networkx")
@@ -538,6 +721,21 @@ class TestEnumerationAgainstNetworkx:
         rng = random.Random(seed)
         vertices = rng.sample(range(len(gr15)), 60)
         assert_matches_networkx(nx, induced_graph(gr15, vertices))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_containing_on_random_induced_k4_subgraphs(self, nx, gr15, seed):
+        rng = random.Random(seed)
+        vertices = rng.sample(range(len(gr15)), 60)
+        adj = induced_graph(gr15, vertices).adjacency
+        g = nx.Graph()
+        g.add_nodes_from(vertices)
+        g.add_edges_from((u, v) for u in vertices for v in _bits_of(adj[u]) if u < v)
+        theirs = [frozenset(c) for c in nx.find_cliques(g)]
+        for v in vertices:
+            ours = list(maximal_cliques(adj, containing=v))
+            assert all(list(c) == sorted(c) for c in ours)
+            assert len(ours) == len(set(ours))
+            assert {frozenset(c) for c in ours} == {c for c in theirs if v in c}
 
     def test_core_on_the_fano_plane_graph(self, nx):
         # 4-subsets of [7] meeting in 2 elements: the graph fano_planes_on searches

@@ -13,6 +13,7 @@ from simplex_designs.geometry import (
     build_geometry,
     geometry_for_dimension,
     is_collinear,
+    is_singular_bits,
     is_singular_subspace,
     is_subspace,
     line_through,
@@ -178,6 +179,17 @@ class TestSubspaces:
         rows = blocks_of("c4")
         assert not is_singular_subspace(g15, rows)
         assert not is_subspace(g15, rows)
+
+    def test_bitmask_check_agrees_with_the_point_check(self, g15):
+        for name in ("c1", "c2", "c3", "c4", "non_centered"):
+            rows = blocks_of(name)
+            for pts in (rows, rows[:3], [rows[0], rows[1], rows[0] ^ rows[1]]):
+                bits = [p.bits for p in pts]
+                assert is_singular_bits(4, bits) == is_singular_subspace(g15, pts)
+        line = [p.bits for p in line_through(g15, *blocks_of("c1")[:2]).points]
+        assert is_singular_bits(4, line)
+        # a repeated point meets itself in 2m elements
+        assert not is_singular_bits(4, [*line, line[0]])
 
 
 class TestSingularSpan:
