@@ -208,6 +208,11 @@ def cmd_isomorphic(args) -> Report:
 def cmd_census(args) -> Report:
     started = time.perf_counter()
     n = 15
+    # a negative limit would slice from the end of the plane or bijection list
+    for flag, limit in (("--x-limit", args.x_limit), ("--y-limit", args.y_limit),
+                        ("--delta-limit", args.delta_limit)):
+        if limit is not None and limit < 0:
+            raise ParseError(f"{flag} must be non-negative, got {limit}")
     O = parse_set(args.center, n) if args.center else canonical_center()
     Z = parse_set(args.z, n) if args.z else default_z(O)
     if not Z <= O or len(Z) != 7:

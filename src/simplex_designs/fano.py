@@ -1,13 +1,19 @@
 """Fano planes as 7-point cliques of 4-subsets of a 7-element support.
 
+A FanoPlane comes from FanoPlane.from_points or fano_planes_on, which
+validate its points once and store on it the point index (point bitmask ->
+position in points) and the 7 lines that every other function here reads;
+equality and hashing depend on the points alone.
+
 A bijection between two planes carries an index: the number of lines it
 maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
 invariant for equivalence under composition with plane automorphisms.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from operator import attrgetter
 
 from .constructions import hyperplane_complement_blocks
 from .errors import InternalCheckError, InvariantError
@@ -15,32 +21,44 @@ from .subsets import ElementSet, map_bits
 
 INDEX_VALUES = (0, 1, 3, 7)
 
+# the 35 triples of point positions, shared by the lines of every plane
+_TRIPLES = {t: frozenset(t) for t in combinations(range(7), 3)}
+
 
 @dataclass(frozen=True)
 class FanoPlane:
     """Seven mutually collinear 4-subsets, closed under symmetric difference."""
 
     points: tuple[ElementSet, ...]
+    index: dict[int, int] = field(compare=False, repr=False)
+    _lines: tuple[frozenset[int], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_points(cls, points) -> "FanoPlane":
-        pts = tuple(sorted(points, key=lambda p: p.bits))
-        if len(pts) != 7 or len({p.bits for p in pts}) != 7:
+        pts = tuple(sorted(points, key=attrgetter("bits")))
+        bits = [p.bits for p in pts]
+        index = {b: i for i, b in enumerate(bits)}
+        if len(pts) != 7 or len(index) != 7:
             raise InvariantError("a Fano plane needs 7 distinct points")
-        if any(len(p) != 4 for p in pts):
-            raise InvariantError("plane points must be 4-element subsets")
         support = 0
-        for p in pts:
-            support |= p.bits
+        for b in bits:
+            if b.bit_count() != 4:
+                raise InvariantError("plane points must be 4-element subsets")
+            support |= b
         if support.bit_count() != 7:
             raise InvariantError("plane points must cover a 7-element support")
-        bits = {p.bits for p in pts}
-        for a, b in combinations(pts, 2):
-            if (a.bits & b.bits).bit_count() != 2:
-                raise InvariantError(f"{a} and {b} are not collinear in the plane")
-            if a.bits ^ b.bits not in bits:
+        # a ^ b is a 4-subset only if |a & b| = 2, so a closed plane is collinear;
+        # pairs in lexicographic order emit each line once, at its two smallest points
+        lines = []
+        for i, j in combinations(range(7), 2):
+            third = index.get(bits[i] ^ bits[j])
+            if third is None:
+                if (bits[i] & bits[j]).bit_count() != 2:
+                    raise InvariantError(f"{pts[i]} and {pts[j]} are not collinear in the plane")
                 raise InvariantError("plane is not closed under symmetric difference")
-        return cls(pts)
+            if j < third:
+                lines.append(_TRIPLES[i, j, third])
+        return cls(pts, index, tuple(lines))
 
     @property
     def support(self) -> ElementSet:
@@ -50,18 +68,8 @@ class FanoPlane:
         return ElementSet(bits, self.points[0].ground_size)
 
     def lines(self) -> tuple[frozenset[int], ...]:
-        """The 7 lines as frozensets of point indices into .points."""
-        index = {p.bits: i for i, p in enumerate(self.points)}
-        seen = set()
-        for i, j in combinations(range(7), 2):
-            third = index[self.points[i].bits ^ self.points[j].bits]
-            seen.add(frozenset((i, j, third)))
-        return tuple(sorted(seen, key=sorted))
-
-    def line_points(self) -> tuple[tuple[ElementSet, ElementSet, ElementSet], ...]:
-        return tuple(
-            tuple(self.points[i] for i in sorted(line)) for line in self.lines()
-        )
+        """The 7 lines as frozensets of point indices into .points, sorted."""
+        return self._lines
 
     def simplices(self) -> tuple[frozenset[int], ...]:
         """The 7 simplices (4 points, no 3 on a line) = complements of lines."""
@@ -111,12 +119,11 @@ def is_simplex(f: FanoPlane, s) -> bool:
     Equivalent to the complement being a line; the primary check is the
     no-line condition and tests assert the equivalence exhaustively.
     """
-    index = {p.bits: i for i, p in enumerate(f.points)}
     idxs = set()
     for p in s:
-        if p.bits not in index:
+        if p.bits not in f.index:
             raise InvariantError(f"{p} is not a point of the plane")
-        idxs.add(index[p.bits])
+        idxs.add(f.index[p.bits])
     if len(idxs) != 4:
         raise InvariantError("a simplex consists of 4 distinct plane points")
     return not any(line <= idxs for line in f.lines())
@@ -139,12 +146,9 @@ class FanoBijection:
 
     @classmethod
     def from_mapping(cls, source: FanoPlane, target: FanoPlane, mapping) -> "FanoBijection":
-        tgt_index = {p.bits: i for i, p in enumerate(target.points)}
-        images = []
-        for p in source.points:
-            q = mapping[p]
-            images.append(tgt_index[q.bits])
-        return cls(source, target, tuple(images))
+        return cls(
+            source, target, tuple(target.index[mapping[p].bits] for p in source.points)
+        )
 
     def mapping(self) -> dict[ElementSet, ElementSet]:
         return {
@@ -153,21 +157,23 @@ class FanoBijection:
         }
 
     def __call__(self, p: ElementSet) -> ElementSet:
-        src_index = {q.bits: i for i, q in enumerate(self.source.points)}
-        return self.target.points[self.images[src_index[p.bits]]]
+        return self.target.points[self.images[self.source.index[p.bits]]]
 
 
-def bijection_index(d: FanoBijection) -> int:
-    """Number of source lines whose image is a line of the target."""
-    target_lines = set(d.target.lines())
+def _lines_kept(images, source_lines, target_lines: set) -> int:
+    """Number of source lines that images sends onto a member of target_lines."""
     count = 0
-    for line in d.source.lines():
-        if frozenset(d.images[i] for i in line) in target_lines:
+    for line in source_lines:
+        if frozenset([images[i] for i in line]) in target_lines:
             count += 1
     return count
 
 
-@lru_cache(maxsize=None)
+def bijection_index(d: FanoBijection) -> int:
+    """Number of source lines whose image is a line of the target."""
+    return _lines_kept(d.images, d.source.lines(), set(d.target.lines()))
+
+
 def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
     """All 168 automorphisms as index permutations of f.points.
 
@@ -176,19 +182,16 @@ def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
     """
     labels = canonical_labeling(f)
     base = (labels["1"], labels["2"], labels["3"], labels["123"])
-    index = {p.bits: i for i, p in enumerate(f.points)}
     bits = [p.bits for p in f.points]
+    thirds = [f.index[bits[base[0]] ^ bits[b]] for b in base[1:]]
     out = []
     for simplex in f.simplices():
         for ordered in permutations(sorted(simplex)):
             images = [-1] * 7
             for src, dst in zip(base, ordered):
                 images[src] = dst
-            a, b, c, d = base
-            ta, tb, tc, td = ordered
-            images[index[bits[a] ^ bits[b]]] = index[bits[ta] ^ bits[tb]]
-            images[index[bits[a] ^ bits[c]]] = index[bits[ta] ^ bits[tc]]
-            images[index[bits[a] ^ bits[d]]] = index[bits[ta] ^ bits[td]]
+            for src, t in zip(thirds, ordered[1:]):
+                images[src] = f.index[bits[ordered[0]] ^ bits[t]]
             out.append(tuple(images))
     result = tuple(sorted(set(out)))
     if len(result) != 168:
@@ -202,13 +205,12 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     Points 1, 2, 3 are not on a common plane line, ij marks the third point
     on the line through i and j, and 123 is the remaining point.
     """
-    index = {p.bits: i for i, p in enumerate(f.points)}
     bits = [p.bits for p in f.points]
     p1, p2 = 0, 1
-    p12 = index[bits[p1] ^ bits[p2]]
+    p12 = f.index[bits[p1] ^ bits[p2]]
     p3 = min(i for i in range(7) if i not in (p1, p2, p12))
-    p13 = index[bits[p1] ^ bits[p3]]
-    p23 = index[bits[p2] ^ bits[p3]]
+    p13 = f.index[bits[p1] ^ bits[p3]]
+    p23 = f.index[bits[p2] ^ bits[p3]]
     p123 = next(
         i for i in range(7) if i not in (p1, p2, p3, p12, p13, p23)
     )
@@ -279,16 +281,10 @@ def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
 
 def index_spectrum(f1: FanoPlane, f2: FanoPlane) -> dict[int, int]:
     """Index histogram over all 5040 bijections between two planes."""
-    spectrum: dict[int, int] = {}
     target_lines = set(f2.lines())
-    source_lines = f1.lines()
-    for perm in permutations(range(7)):
-        count = 0
-        for line in source_lines:
-            if frozenset(perm[i] for i in line) in target_lines:
-                count += 1
-        spectrum[count] = spectrum.get(count, 0) + 1
-    return spectrum
+    return dict(Counter(
+        _lines_kept(perm, f1.lines(), target_lines) for perm in permutations(range(7))
+    ))
 
 
 def representative_of_index(f1: FanoPlane, f2: FanoPlane, idx: int) -> FanoBijection:

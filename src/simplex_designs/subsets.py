@@ -46,9 +46,6 @@ class ElementSet:
     def elements(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.ground_size) if self.bits >> i & 1)
 
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 

@@ -247,6 +247,15 @@ class TestCensus:
         assert code == 2
         assert err.startswith("parse error:")
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--x-limit", "-1"), ("--y-limit", "-2"), ("--delta-limit", "-5039")],
+    )
+    def test_negative_limit_is_a_parse_error(self, capsys, option, value):
+        code, _, err = run_cli(capsys, "census", option, value)
+        assert code == 2
+        assert err.startswith(f"parse error: {option} must be non-negative")
+
     def test_global_limit_bounds_census(self, capsys):
         code, out, _ = run_cli(
             capsys, "--format", "kv", "--sorted", "census", "--delta-limit", "120"

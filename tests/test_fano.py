@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -46,6 +47,18 @@ def lifted_plane_images(support):
     return sorted(images)
 
 
+OTHER_SUPPORT = ElementSet.of([2, 3, 5, 7, 11, 13, 14], 15)
+
+
+def xor_lines(f):
+    """Oracle: the point-index triples of f whose bitmasks xor to zero, in order."""
+    bits = [p.bits for p in f.points]
+    return tuple(
+        frozenset(t) for t in combinations(range(7), 3)
+        if bits[t[0]] ^ bits[t[1]] ^ bits[t[2]] == 0
+    )
+
+
 @pytest.fixture(scope="module")
 def planes():
     return fano_planes_on(ElementSet.full(7))
@@ -88,7 +101,7 @@ class TestPlaneEnumeration:
 
     @pytest.mark.parametrize(
         "support",
-        [ElementSet.full(7), ElementSet.of([2, 3, 5, 7, 11, 13, 14], 15)],
+        [ElementSet.full(7), OTHER_SUPPORT],
         ids=str,
     )
     def test_matches_images_of_one_plane(self, support):
@@ -96,6 +109,24 @@ class TestPlaneEnumeration:
         assert len(oracle) == 30
         found = [tuple(p.bits for p in f.points) for f in fano_planes_on(support)]
         assert found == oracle
+
+    @pytest.mark.parametrize("support", [ElementSet.full(7), OTHER_SUPPORT], ids=str)
+    def test_stored_lines_and_index_match_xor_closure(self, support):
+        for f in fano_planes_on(support):
+            assert f.lines() == xor_lines(f)
+            assert len(f.lines()) == 7
+            assert f.index == {p.bits: i for i, p in enumerate(f.points)}
+
+    def test_from_points_ignores_point_order(self, planes):
+        rng = random.Random(5)
+        for f in planes:
+            shuffled = list(f.points)
+            rng.shuffle(shuffled)
+            g = FanoPlane.from_points(shuffled)
+            assert g == f
+            assert hash(g) == hash(f)
+            assert g.lines() == f.lines()
+            assert g.index == f.index
 
     def test_wrong_ground_size(self):
         with pytest.raises(InvariantError):
@@ -107,6 +138,14 @@ class TestPlaneEnumeration:
             FanoPlane.from_points(good.points[:6])
         broken = list(good.points[:6]) + [ElementSet.of([1, 2, 3, 5], 7)]
         with pytest.raises(InvariantError):
+            FanoPlane.from_points(broken)
+
+    @pytest.mark.parametrize(
+        "extra,message", [((1, 2, 3, 5), "not collinear"), ((1, 2, 3, 7), "not closed")]
+    )
+    def test_validation_names_the_failure(self, planes, extra, message):
+        broken = list(planes[0].points[1:]) + [ElementSet.of(extra, 7)]
+        with pytest.raises(InvariantError, match=message):
             FanoPlane.from_points(broken)
 
     def test_complements_are_dual_lines(self, planes):
@@ -127,7 +166,7 @@ class TestSimplex:
 
     def test_line_plus_point_is_not(self, planes):
         f = planes[0]
-        line = f.line_points()[0]
+        line = [f.points[i] for i in f.lines()[0]]
         extra = next(p for p in f.points if p not in line)
         assert not is_simplex(f, list(line) + [extra])
 
@@ -169,6 +208,22 @@ class TestIndex:
     def test_spectrum_frozen(self, pair):
         assert index_spectrum(*pair) == SPECTRUM
         assert sum(SPECTRUM.values()) == 5040
+
+    @pytest.mark.parametrize("i,j,other", [(0, 0, False), (0, 1, False), (5, 29, False), (11, 3, True)])
+    def test_spectrum_is_histogram_of_bijection_index(self, planes, i, j, other):
+        f1 = planes[i]
+        f2 = fano_planes_on(OTHER_SUPPORT)[j] if other else planes[j]
+        target = [p.bits for p in f2.points]
+        histogram = Counter()
+        for perm in permutations(range(7)):
+            idx = bijection_index(FanoBijection(f1, f2, perm))
+            # oracle: a line goes to a line when its image bitmasks xor to zero
+            assert idx == sum(
+                1 for a, b, c in map(sorted, xor_lines(f1))
+                if target[perm[a]] ^ target[perm[b]] ^ target[perm[c]] == 0
+            )
+            histogram[idx] += 1
+        assert index_spectrum(f1, f2) == histogram == SPECTRUM
 
     def test_index_is_class_invariant_random(self, pair):
         f1, f2 = pair
