@@ -114,7 +114,6 @@ class TestPlaneEnumeration:
     def test_stored_lines_and_index_match_xor_closure(self, support):
         for f in fano_planes_on(support):
             assert f.lines() == xor_lines(f)
-            assert len(f.lines()) == 7
             assert f.index == {p.bits: i for i, p in enumerate(f.points)}
 
     def test_from_points_ignores_point_order(self, planes):
@@ -168,7 +167,7 @@ class TestSimplex:
         f = planes[0]
         line = [f.points[i] for i in f.lines()[0]]
         extra = next(p for p in f.points if p not in line)
-        assert not is_simplex(f, list(line) + [extra])
+        assert not is_simplex(f, line + [extra])
 
     def test_equivalence_with_complement_definition(self, planes):
         f = planes[0]
@@ -219,7 +218,7 @@ class TestIndex:
             idx = bijection_index(FanoBijection(f1, f2, perm))
             # oracle: a line goes to a line when its image bitmasks xor to zero
             assert idx == sum(
-                1 for a, b, c in map(sorted, xor_lines(f1))
+                1 for a, b, c in xor_lines(f1)
                 if target[perm[a]] ^ target[perm[b]] ^ target[perm[c]] == 0
             )
             histogram[idx] += 1
