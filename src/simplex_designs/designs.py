@@ -12,7 +12,9 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
@@ -196,77 +198,126 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # ---------------------------------------------------------------------------
 # isomorphism and automorphism search
 #
-# Points and blocks are refined together: the base invariant of a point
-# triple is the number of blocks containing all three, and dually the size
-# of a triple block intersection. Signatures over these invariants carve
-# the candidate sets, then a backtracking search with bitmask propagation
-# over the bipartite incidence structure assigns point images.
+# Each side of a design, its points and its blocks, is refined on its own
+# and only when first asked for. The base invariant of a point triple is
+# the number of blocks containing all three, and dually the size of a
+# triple block intersection. Pair signatures over these invariants seed a
+# colour refinement that stops at the first round splitting no class, so
+# find_isomorphism rejects most non-isomorphic pairs on the point side
+# before it refines any blocks. The classes carve the candidate sets, then
+# a backtracking search with bitmask propagation over the bipartite
+# incidence structure assigns point images.
 
 logger = logging.getLogger(__name__)
 
+# a class code is packed above a pair code in one int while refining; both
+# are codes of one label table, far below 2**32 entries
+_CODE_SHIFT = 32
+
+
+class _Classes(NamedTuple):
+    """Refined classes of one side: a code per index and the rounds run."""
+
+    codes: list[int]
+    rounds: int
+
+    @property
+    def profile(self) -> list[int]:
+        return sorted(self.codes)
+
+
+def _refine(masks: list[int], labels: dict) -> _Classes:
+    """Classes of the indices of masks under their triple intersection counts.
+
+    The pair signature of x and y is the sorted list of the sizes of
+    masks[x] & masks[y] & masks[z] over every z; z = x and z = y add lambda
+    twice to every signature, the same constant everywhere. Round 1 splits
+    the indices by their multisets of pair signatures, and each later round
+    by the multiset of (class, pair signature) over the other indices. The
+    refinement stops after the first round that splits no class, after at
+    most 3 rounds; one class after round 1 is already stable. Codes come
+    from ``labels`` by value, so contexts that share it give equal codes to
+    equal structures, and codes of different rounds never coincide.
+    """
+    v = len(masks)
+    intern = labels.setdefault
+    # lanes[i] has a 1 in byte z when masks[z] has bit i, so summing the
+    # lanes over the bits of masks[x] & masks[y] counts the triple
+    # intersection of x, y and z in byte z. A triple count is at most
+    # lambda <= 16 in a design and at most v <= 63 for any masks, as
+    # ElementSet caps ground sets at 63 points, so no byte overflows into
+    # the next one, which would make the counts depend on the labeling.
+    lanes = [0] * v
+    for z, m in enumerate(masks):
+        for i in set_bits(m):
+            lanes[i] |= 1 << 8 * z
+    # sums[k][b] is the sum of lanes[8k + j] over the bits j of the byte b,
+    # so the lane sum of a mask is one lookup per byte
+    sums = []
+    for start in range(0, v, 8):
+        table = [0]
+        for lane in lanes[start:start + 8]:
+            table += [t + lane for t in table]
+        sums.append(table)
+    pair = [[0] * v for _ in range(v)]
+    for x, y in combinations(range(v), 2):
+        m = masks[x] & masks[y]
+        total = 0
+        for table in sums:
+            total += table[m & 255]
+            m >>= 8
+        signature = bytes(sorted(total.to_bytes(v, "little")))
+        pair[x][y] = pair[y][x] = intern(signature, len(labels))
+
+    codes = [
+        intern(tuple(sorted(row[:x] + row[x + 1:])), len(labels))
+        for x, row in enumerate(pair)
+    ]
+    rounds = 1
+    count = len(set(codes))
+    while 1 < count and rounds < 3:
+        codes = [
+            intern((codes[x], tuple(sorted([
+                codes[y] << _CODE_SHIFT | row[y] for y in range(v) if y != x
+            ]))), len(labels))
+            for x, row in enumerate(pair)
+        ]
+        rounds += 1
+        count, before = len(set(codes)), count
+        if count == before:
+            break
+    return _Classes(codes, rounds)
+
 
 class _DesignContext:
-    """Incidence bitmasks and refined point/block classes of one design.
+    """Incidence bitmasks of one design and, on first use, its refined classes.
 
-    Class labels are codes in ``labels``, a table owned by the caller:
-    contexts that share it give equal codes to equal signature structures,
-    so their classes can be compared.
+    ``points`` and ``blocks`` are refined separately and lazily, so a caller
+    that compares the point classes first pays for the blocks only when the
+    points agree. Each side stops refining at its first round that splits
+    no class, and records how many rounds it ran. Class codes come from
+    ``labels``, a table owned by the caller: contexts that share it give
+    equal codes to equal signature structures, so their classes can be
+    compared.
     """
 
     def __init__(self, d: Design, labels: dict):
-        self.design = d
         v = d.v
         self.v = v
+        self.labels = labels
         self.block_bits = [b.bits for b in d.blocks]
-        self.point_in_blocks = [
-            sum(1 << i for i, b in enumerate(d.blocks) if b.bits >> x & 1)
-            for x in range(v)
-        ]
-        self.point_classes, self.block_classes = self._refine(labels)
+        self.point_in_blocks = [0] * v
+        for a, bits in enumerate(self.block_bits):
+            for x in set_bits(bits):
+                self.point_in_blocks[x] |= 1 << a
 
-    def _refine(self, labels: dict):
-        v = self.v
+    @cached_property
+    def points(self) -> _Classes:
+        return _refine(self.point_in_blocks, self.labels)
 
-        def pair_signatures(masks):
-            # z runs over all v, so x and y add lambda twice to every
-            # signature: the same constant everywhere, the same partition
-            pair = [[()] * v for _ in range(v)]
-            for x, y in combinations(range(v), 2):
-                m = masks[x] & masks[y]
-                pair[x][y] = pair[y][x] = tuple(
-                    sorted([(m & mz).bit_count() for mz in masks])
-                )
-            return pair
-
-        def intern(obj) -> int:
-            return labels.setdefault(obj, len(labels))
-
-        def classes_from(pair):
-            pair_codes = [[intern(sig) for sig in row] for row in pair]
-            codes = [intern(("seed",))] * v
-            for _ in range(3):
-                codes = [
-                    intern((
-                        codes[i],
-                        tuple(sorted([
-                            (codes[j], pair_codes[i][j])
-                            for j in range(v) if j != i
-                        ])),
-                    ))
-                    for i in range(v)
-                ]
-            return codes
-
-        return (
-            classes_from(pair_signatures(self.point_in_blocks)),
-            classes_from(pair_signatures(self.block_bits)),
-        )
-
-    def class_profile(self):
-        return (
-            tuple(sorted(self.point_classes)),
-            tuple(sorted(self.block_classes)),
-        )
+    @cached_property
+    def blocks(self) -> _Classes:
+        return _refine(self.block_bits, self.labels)
 
 
 class _Search:
@@ -288,16 +339,14 @@ class _Search:
         """The propagated state the refined classes allow; None if it is empty."""
         ctx1, ctx2, v = self.ctx1, self.ctx2, self.v
         pclass2 = {}
-        for y in range(v):
-            pclass2.setdefault(ctx2.point_classes[y], 0)
-            pclass2[ctx2.point_classes[y]] |= 1 << y
+        for y, code in enumerate(ctx2.points.codes):
+            pclass2[code] = pclass2.get(code, 0) | 1 << y
         bclass2 = {}
-        for b in range(v):
-            bclass2.setdefault(ctx2.block_classes[b], 0)
-            bclass2[ctx2.block_classes[b]] |= 1 << b
+        for b, code in enumerate(ctx2.blocks.codes):
+            bclass2[code] = bclass2.get(code, 0) | 1 << b
 
-        pcand = [pclass2.get(ctx1.point_classes[x], 0) for x in range(v)]
-        bcand = [bclass2.get(ctx1.block_classes[a], 0) for a in range(v)]
+        pcand = [pclass2.get(code, 0) for code in ctx1.points.codes]
+        bcand = [bclass2.get(code, 0) for code in ctx1.blocks.codes]
         if any(c == 0 for c in pcand) or any(c == 0 for c in bcand):
             return None
         seed_p = [x for x in range(v) if pcand[x].bit_count() == 1]
@@ -390,17 +439,39 @@ def _is_isomorphism(ctx1, ctx2, images) -> bool:
     return all(map_bits(bits, images) in target for bits in ctx1.block_bits)
 
 
+def _rounds(ctx1: _DesignContext, ctx2: _DesignContext, side: str) -> str:
+    """Refinement rounds of one side in each context, "-" where it was not refined."""
+    return "/".join(
+        "-" if classes is None else str(classes.rounds)
+        for classes in (vars(ctx1).get(side), vars(ctx2).get(side))
+    )
+
+
 def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
     """A point permutation carrying the blocks of d1 onto those of d2."""
     if d1.v != d2.v:
         raise InvariantError("designs have different point counts")
     labels: dict = {}
     ctx1, ctx2 = _DesignContext(d1, labels), _DesignContext(d2, labels)
-    if ctx1.class_profile() != ctx2.class_profile():
-        return None
     search = _Search(ctx1, ctx2)
-    state = search.root()
-    images = None if state is None else search.first_hit(state)
+    images = None
+    # the cheapest invariant first: blocks are refined only when the point
+    # classes agree, and the search runs only when the block classes do too
+    if ctx1.points.profile != ctx2.points.profile:
+        stage = "points"
+    elif ctx1.blocks.profile != ctx2.blocks.profile:
+        stage = "blocks"
+    else:
+        stage = "search"
+        state = search.root()
+        images = None if state is None else search.first_hit(state)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "find_isomorphism v=%d stage=%s point_rounds=%s block_rounds=%s"
+            " leaves=%d propagations=%d",
+            d1.v, stage, _rounds(ctx1, ctx2, "points"),
+            _rounds(ctx1, ctx2, "blocks"), search.leaves, search.propagations,
+        )
     if images is None:
         return None
     p = _permutation(images)

@@ -6,7 +6,10 @@ there is one set-bit iterator in the package. numpy is imported inside the
 functions that use it, never at module level, so importing the CLI does not
 load it. The point roster's numbering (index_of, indices_of, Clique.vertices)
 is used in geometry.py and cliques.py alone: everywhere else points are
-bitmasks, so nothing else builds the roster.
+bitmasks, so nothing else builds the roster. functools.lru_cache and
+functools.cache appear only on geometry_for_dimension, whose shared
+geometry the tests rely on: a module-level cache is global mutable state,
+and what the search computes lazily stays on its own instances.
 """
 
 import ast
@@ -86,6 +89,54 @@ def module_level_numpy_imports(tree):
     return [text for _, text in sorted(found)]
 
 
+CACHE_NAMES = {"lru_cache", "cache"}
+CACHED_FUNCTIONS = {("geometry.py", "geometry_for_dimension")}
+
+
+def functools_caches(tree):
+    """References to functools.lru_cache or functools.cache.
+
+    A decorator is reported with the function it decorates, as
+    "line N: @decorator on name"; any other reference as "line N: expr".
+    """
+    local = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHE_NAMES
+    }
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+
+    def is_cache(node):
+        if isinstance(node, ast.Name):
+            return node.id in local
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHE_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                decorated[id(target)] = f"@{ast.unparse(decorator)} on {node.name}"
+    return [
+        f"line {node.lineno}: {decorated.get(id(node), ast.unparse(node))}"
+        for node in ast.walk(tree)
+        if is_cache(node)
+    ]
+
+
 def test_package_modules_found():
     assert PACKAGE / "subsets.py" in MODULES
 
@@ -114,6 +165,18 @@ def test_no_module_level_numpy_import(path):
 )
 def test_roster_numbering_only_in_geometry_and_cliques(path):
     assert roster_numbering_uses(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functools_caches_only_on_the_shared_geometry(path):
+    assert [
+        use
+        for use in functools_caches(parse(path))
+        if not any(
+            module == path.name and use.endswith(f" on {name}")
+            for module, name in CACHED_FUNCTIONS
+        )
+    ] == []
 
 
 def test_rules_catch_the_patterns():
@@ -148,3 +211,22 @@ def test_rules_catch_the_patterns():
         "line 1: import numpy as np",
         "line 3: from numpy.linalg import det",
     ]
+    cache_tree = ast.parse(
+        "import functools\n"
+        "from functools import cache as memo, cached_property, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@memo\n"
+        "def b(): pass\n"
+        "c = lru_cache(8)(len)\n"
+        "class D:\n"
+        "    @cached_property\n"
+        "    def e(self): pass\n"
+    )
+    assert sorted(functools_caches(cache_tree)) == [
+        "line 3: @functools.lru_cache(maxsize=None) on a",
+        "line 5: @memo on b",
+        "line 7: lru_cache",
+    ]
+    (shared,) = functools_caches(parse(PACKAGE / "geometry.py"))
+    assert shared.endswith(": @lru_cache(maxsize=None) on geometry_for_dimension")
