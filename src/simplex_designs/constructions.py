@@ -1,7 +1,8 @@
 """Explicit clique constructions.
 
 * the centered product of two (2m-1)-element cliques glued by a bijection,
-  and its inverse decomposition at a center point;
+  and its inverse decomposition at a center point, which checks its split
+  by rebuilding c.bits through the product's bitmask formula (_product_bits);
 * the clique of hyperplane complements of PG(k-1,2);
 * a non-centered 15-element clique assembled from a singular subspace with
   a plane removed plus a disjoint plane.
@@ -63,10 +64,15 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
         raise InvariantError("delta is not a bijection from X onto Y")
 
     # O and both halves share the ground [n]; Clique checks the points themselves
-    members = [O.bits]
-    for x, y in zip(x_points, images):
-        members += (x.bits | y.bits, x.bits | (O.bits & ~y.bits))
-    return Clique(g, tuple(sorted(members)))
+    return Clique(g, _product_bits(O.bits, [x.bits for x in x_points], [y.bits for y in images]))
+
+
+def _product_bits(o: int, xs, ys) -> tuple[int, ...]:
+    """Sorted members of the centered product: o, then x | y and x | (o & ~y) per pair."""
+    members = [o]
+    for x, y in zip(xs, ys):
+        members += (x | y, x | (o & ~y))
+    return tuple(sorted(members))
 
 
 def default_z(O: ElementSet) -> ElementSet:
@@ -106,53 +112,41 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
 
     Z defaults to default_z(O). X collects the intersections
     with the complement of O; Y the O-parts contained in Z; delta pairs them
-    block by block.
+    block by block. InvariantError unless c has n points and O is a center
+    of c and Z a (2m-1)-subset of O; InternalCheckError unless _product_bits
+    rebuilds c.bits. fano_bijection validates the halves as Fano planes.
     """
-    g = c.geometry
-    n, m = g.params.n, g.params.m
+    n, m = c.geometry.params.n, c.geometry.params.m
+    o = O.bits
     if len(c) != n:
         raise InvariantError(f"clique has {len(c)} points, expected {n}")
     inside = set(c.bits)
-    if O.bits not in inside:
+    if o not in inside:
         raise InvariantError(f"{O} is not a point of the clique")
-    if any(O.bits ^ b not in inside for b in inside if b != O.bits):
+    if any(o ^ b not in inside for b in inside if b != o):
         raise InvariantError(f"{O} is not a center point of the clique")
     if Z is None:
         Z = default_z(O)
     if not Z <= O or len(Z) != 2 * m - 1:
         raise InvariantError(f"Z must be a {2 * m - 1}-element subset of the center")
 
-    plus, minus = [], []
-    for b in c.bits:
-        if b == O.bits:
-            continue
-        member = ElementSet(b, n)
-        if (b & O.bits) & ~Z.bits:
-            minus.append(member)
-        else:
-            plus.append(member)
-    if len(plus) != 2 * m - 1 or len(minus) != 2 * m - 1:
-        raise InternalCheckError("halves of a centered clique must have 2m-1 points")
-    x_points = tuple(ElementSet(p.bits & ~O.bits, n) for p in plus)
-    y_points = tuple(ElementSet(p.bits & O.bits, n) for p in plus)
-    delta = dict(zip(x_points, y_points))
-    spare = O.bits & ~Z.bits
-    if any(p.bits & spare == 0 for p in minus):
-        raise InternalCheckError("minus-half member misses the element outside Z")
-
-    dec = CenteredDecomposition(
+    spare = o & ~Z.bits
+    plus = [b for b in c.bits if b != o and not b & spare]
+    xs, ys = [b & ~o for b in plus], [b & o for b in plus]
+    # equal tuples leave 2m-1 plus points and the minus half {p ^ o}, all holding spare
+    if _product_bits(o, xs, ys) != c.bits:
+        raise InternalCheckError("decomposition does not rebuild the clique")
+    x_points = tuple(ElementSet(x, n) for x in xs)
+    y_points = tuple(ElementSet(y, n) for y in ys)
+    return CenteredDecomposition(
         center=O,
         z=Z,
         x_points=x_points,
         y_points=y_points,
-        delta=delta,
-        plus_half=tuple(plus),
-        minus_half=tuple(minus),
+        delta=dict(zip(x_points, y_points)),
+        plus_half=tuple(ElementSet(b, n) for b in plus),
+        minus_half=tuple(ElementSet(b, n) for b in c.bits if b != o and b & spare),
     )
-    rebuilt = product_clique(O, x_points, y_points, delta, geometry=g)
-    if rebuilt.bits != c.bits:
-        raise InternalCheckError("decomposition does not rebuild the clique")
-    return dec
 
 
 def hyperplane_complement_blocks(k: int) -> tuple[ElementSet, ...]:

@@ -68,15 +68,16 @@ class Line:
 MAX_ROSTER_DIMENSION = 4
 
 
+@dataclass(frozen=True)
 class Geometry:
     """One geometry: its parameters, and its point roster in ascending bitmask order.
 
-    The roster is built on the first call to points, index_of or indices_of;
+    Geometries compare and hash by their parameters alone. The roster is
+    built on the first call to points, index_of or indices_of;
     for k > MAX_ROSTER_DIMENSION that call raises InvariantError at once.
     """
 
-    def __init__(self, params: GeometryParams):
-        self.params = params
+    params: GeometryParams
 
     @cached_property
     def points(self) -> tuple[ElementSet, ...]:

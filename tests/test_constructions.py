@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import simplex_designs.constructions as constructions
 from simplex_designs.cliques import (
     Clique,
     CliqueTag,
@@ -26,7 +27,7 @@ from simplex_designs.constructions import (
     split_non_centered,
 )
 from simplex_designs.designs import Design, design_from_clique, find_isomorphism
-from simplex_designs.errors import InvariantError
+from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
     FanoBijection,
     fano_planes_on,
@@ -36,6 +37,22 @@ from simplex_designs.geometry import is_singular_subspace
 from simplex_designs.subsets import ElementSet
 
 FULL15 = ElementSet.full(15)
+
+
+FIXTURE_TAGS = {
+    "c1": CliqueTag.C1,
+    "c2": CliqueTag.C2,
+    "c3": CliqueTag.C3,
+    "c4": CliqueTag.C4,
+    "non_centered": CliqueTag.NON_CENTERED,
+}
+
+
+def forbid_product_clique(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("product_clique was called")
+
+    monkeypatch.setattr(constructions, "product_clique", refuse)
 
 
 def random_parameters(rng):
@@ -162,6 +179,37 @@ class TestDecompose:
         }
         assert {y.bits for y in dec2.y_points} == expected
 
+    def test_rebuild_check_fires(self, monkeypatch, fixture_designs, g15):
+        c = Clique.from_points(g15, fixture_designs["c2"].blocks)
+        O = center_points(c)[0]
+        product_bits = constructions._product_bits
+
+        def one_member_off(o, xs, ys):
+            bits = product_bits(o, xs, ys)
+            return (bits[0] ^ 1, *bits[1:])
+
+        monkeypatch.setattr(constructions, "_product_bits", one_member_off)
+        with pytest.raises(InternalCheckError, match="does not rebuild"):
+            decompose(c, O)
+        with pytest.raises(InternalCheckError, match="does not rebuild"):
+            classify_clique(c)
+
+    def test_needs_no_product_clique(self, monkeypatch, fixture_designs, g15):
+        rng = random.Random(9)
+        cases = []
+        for _ in range(10):
+            O, Z, X, Y, delta = random_parameters(rng)
+            cases.append((O, Z, X, Y, delta, product_clique(O, X, Y, delta)))
+        forbid_product_clique(monkeypatch)
+        for name, tag in FIXTURE_TAGS.items():
+            c = Clique.from_points(g15, fixture_designs[name].blocks)
+            assert classify_clique(c).tag is tag
+        for O, Z, X, Y, delta, c in cases:
+            dec = decompose(c, O, Z)
+            assert set(dec.x_points) == set(X.points)
+            assert set(dec.y_points) == set(Y.points)
+            assert dec.delta == delta.mapping()
+
     def test_rejects_non_center(self, fixture_designs, g15):
         c = Clique.from_points(g15, fixture_designs["c4"].blocks)
         non_center = next(
@@ -250,6 +298,13 @@ class TestDimensionFive:
         assert dec.delta == delta
         assert set(dec.x_points) == set(X) and set(dec.y_points) == set(Y)
         assert product_clique(O, dec.x_points, dec.y_points, dec.delta) == c
+
+    def test_decompose_needs_no_product_clique(self, identity_product, monkeypatch):
+        O, Z, X, Y, delta, c = identity_product
+        forbid_product_clique(monkeypatch)
+        dec = decompose(c, O, Z)
+        assert dec.delta == delta
+        assert set(dec.x_points) == set(X) and set(dec.y_points) == set(Y)
 
     def test_isomorphic_to_pg42_hyperplane_complements(self, identity_product):
         c = identity_product[-1]

@@ -19,7 +19,7 @@ from simplex_designs.geometry import (
     line_through,
     singular_span,
 )
-from simplex_designs.subsets import ElementSet
+from simplex_designs.subsets import ElementSet, complement_in
 
 from conftest import fixture_text
 from simplex_designs import parse_incidence
@@ -63,6 +63,24 @@ class TestRoster:
         with pytest.raises(InvariantError, match=f"k = {k}"):
             Geometry(params).points
         assert time.perf_counter() - started < 1.0
+
+    def test_geometry_is_a_value_of_its_parameters(self, fixture_designs):
+        from simplex_designs.cliques import Clique
+        from simplex_designs.constructions import canonical_center, default_z, product_clique
+        from simplex_designs.fano import FanoBijection, fano_planes_on
+
+        params = GeometryParams.for_dimension(4)
+        built, shared = build_geometry(params), geometry_for_dimension(4)
+        assert built == shared and hash(built) == hash(shared)
+        assert built != geometry_for_dimension(3)
+        blocks = fixture_designs["c3"].blocks
+        a, b = Clique.from_points(built, blocks), Clique.from_points(shared, blocks)
+        assert a == b and hash(a) == hash(b)
+        O = canonical_center()
+        X = fano_planes_on(complement_in(O, ElementSet.full(15)))[0]
+        Y = fano_planes_on(default_z(O))[0]
+        d = FanoBijection(X, Y, (3, 1, 4, 0, 6, 5, 2))
+        assert product_clique(O, X, Y, d, build_geometry(params)) == product_clique(O, X, Y, d)
 
     def test_sizes(self, g7, g15):
         assert len(g7) == 35
