@@ -13,7 +13,13 @@ from itertools import combinations
 
 from .cliques import Clique, center_points, planes_inside
 from .errors import InternalCheckError, InvariantError
-from .geometry import Geometry, geometry_for_dimension, geometry_for_ground, singular_span
+from .geometry import (
+    Geometry,
+    geometry_for_dimension,
+    geometry_for_ground,
+    is_singular_subspace,
+    singular_span,
+)
 from .subsets import ElementSet, complement_in
 
 
@@ -268,8 +274,6 @@ def split_non_centered(c: Clique) -> NonCenteredParts:
         raise InvariantError("subspace does not meet the clique in the right shape")
     if plane & subspace:
         raise InvariantError("attached plane is not disjoint from the subspace")
-    from .geometry import is_singular_subspace
-
     if not is_singular_subspace(g, removed):
         raise InvariantError("deleted part of the subspace is not a plane")
     return NonCenteredParts(

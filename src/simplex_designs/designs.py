@@ -3,9 +3,11 @@ isomorphism / automorphism machinery.
 
 A design here is an ordered list of n blocks over n points; validity means
 every block has 2m points and two distinct blocks meet in exactly m points.
-Incidence 1 corresponds to entry -1 of the associated normalized Hadamard
-matrix, so the 0/1 rendering of the matrix reproduces the incidence rows
-bit for bit inside a border of zeros.
+Design and HadamardMatrix check themselves when built, so every value of
+either type is valid and nothing downstream checks it again. Incidence 1
+corresponds to entry -1 of the associated normalized Hadamard matrix, so the
+0/1 rendering of the matrix reproduces the incidence rows bit for bit
+inside a border of zeros.
 """
 
 import logging
@@ -28,9 +30,7 @@ class Design:
 
     @classmethod
     def from_blocks(cls, blocks) -> "Design":
-        d = cls(tuple(blocks))
-        d.validate()
-        return d
+        return cls(tuple(blocks))
 
     @property
     def v(self) -> int:
@@ -44,7 +44,7 @@ class Design:
     def lambda_(self) -> int:
         return (self.v + 1) // 4
 
-    def validate(self):
+    def __post_init__(self):
         v = self.v
         if v < 3 or (v + 1) % 4 != 0:
             raise InvariantError(f"{v} points do not fit the 4t-1 pattern")
@@ -82,6 +82,10 @@ def clique_from_design(d: Design) -> Clique:
     return Clique.from_points(geometry_for_ground(d.v), d.blocks)
 
 
+# entry -> character of each rendering style of a Hadamard matrix
+_STYLES = {"01": {1: "0", -1: "1"}, "pm": {1: "+", -1: "-"}}
+
+
 @dataclass(frozen=True)
 class HadamardMatrix:
     entries: tuple[tuple[int, ...], ...]
@@ -90,19 +94,18 @@ class HadamardMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def validate(self):
-        import numpy as np  # imported here: at module level it is most of the CLI's start-up
-
+    def __post_init__(self):
         n = self.order
-        if any(len(row) != n for row in self.entries):
+        if any(len(row) != n or not set(row) <= {1, -1} for row in self.entries):
             raise InvariantError("entries must form a square +-1 matrix")
-        h = np.array(self.entries).reshape(n, n)
-        if not (abs(h) == 1).all():
-            raise InvariantError("entries must form a square +-1 matrix")
-        off = h @ h.T - n * np.eye(n, dtype=h.dtype)
-        if off.any():
-            i, j = np.argwhere(off)[0]
-            raise InvariantError(f"rows {i} and {j} are not orthogonal")
+        # bit j of a row's mask marks a -1 in column j; two +-1 rows of
+        # order n are orthogonal exactly when they differ in n/2 places
+        masks = [
+            sum(1 << j for j, e in enumerate(row) if e == -1) for row in self.entries
+        ]
+        for i, j in combinations(range(n), 2):
+            if 2 * (masks[i] ^ masks[j]).bit_count() != n:
+                raise InvariantError(f"rows {i} and {j} are not orthogonal")
 
     def is_normalized(self) -> bool:
         return all(e == 1 for e in self.entries[0]) and all(
@@ -110,12 +113,9 @@ class HadamardMatrix:
         )
 
     def render(self, style: str = "01") -> str:
-        if style == "01":
-            table = {1: "0", -1: "1"}
-        elif style == "pm":
-            table = {1: "+", -1: "-"}
-        else:
+        if style not in _STYLES:
             raise InvariantError(f"unknown rendering style {style!r}")
+        table = _STYLES[style]
         return "\n".join(
             "".join(table[e] for e in row) for row in self.entries
         )
@@ -123,20 +123,16 @@ class HadamardMatrix:
 
 def to_hadamard(d: Design) -> HadamardMatrix:
     """Normalized Hadamard matrix of order v+1 with -1 at incidences."""
-    d.validate()
     v = d.v
     first = tuple([1] * (v + 1))
     rows = [first]
     for b in d.blocks:
         rows.append(tuple([1] + [-1 if j in b else 1 for j in range(1, v + 1)]))
-    h = HadamardMatrix(tuple(rows))
-    h.validate()
-    return h
+    return HadamardMatrix(tuple(rows))
 
 
 def from_hadamard(h: HadamardMatrix) -> Design:
     """Design read off a normalized Hadamard matrix of order 4t."""
-    h.validate()
     if h.order % 4 != 0 or h.order < 4:
         raise InvariantError("order must be a positive multiple of 4")
     if not h.is_normalized():
@@ -172,27 +168,22 @@ def parse_incidence(text: str) -> Design:
                 f"row {i + 1} must be {v} characters of 0/1, got {line!r}"
             )
         blocks.append(ElementSet.of([j + 1 for j, ch in enumerate(line) if ch == "1"], v))
-    d = Design(tuple(blocks))
-    d.validate()
-    return d
+    return Design(tuple(blocks))
 
 
 def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
-    if style == "01":
-        table = {"0": 1, "1": -1}
-    elif style == "pm":
-        table = {"+": 1, "-": -1}
-    else:
+    if style not in _STYLES:
         raise ParseError(f"unknown rendering style {style!r}")
+    table = {ch: e for e, ch in _STYLES[style].items()}
     lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("empty Hadamard matrix")
     rows = []
     for i, line in enumerate(lines):
         if len(line) != len(lines) or set(line) - set(table):
             raise ParseError(f"row {i + 1} is not a valid matrix row: {line!r}")
         rows.append(tuple(table[ch] for ch in line))
-    h = HadamardMatrix(tuple(rows))
-    h.validate()
-    return h
+    return HadamardMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -317,17 +317,35 @@ def test_console_entry_point_runs():
     assert "class: C1" in proc.stdout
 
 
+NUMPY_SCRIPT = """
+import contextlib, io, sys
+from simplex_designs.cli import CONSTRUCT_KINDS, main
+
+print("import", "numpy" in sys.modules)
+runs = [["construct", kind] for kind in CONSTRUCT_KINDS] + [
+    ["classify", "c1"], ["isomorphic", "c1", "c3"], ["census", "--delta-limit", "50"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--sorted", *argv])
+    print(*argv, code, "numpy" in sys.modules)
+"""
+
+
 def test_cli_import_leaves_numpy_unloaded():
+    # neither importing the CLI nor any command short of clique enumeration loads numpy
     proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import sys, simplex_designs.cli; print('numpy' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", NUMPY_SCRIPT], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["import False"] + [
+        f"construct {kind} 0 False"
+        for kind in ("c1", "c2", "c3", "c4", "non-centered", "hyperplane-complement")
+    ] + [
+        "classify c1 0 False",
+        "isomorphic c1 c3 0 False",
+        "census --delta-limit 50 0 False",
+    ]
 
 
 NO_ROSTER_SCRIPT = """

@@ -3,6 +3,7 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplex_designs.cliques import Clique
 from simplex_designs.constructions import hyperplane_complement_blocks
@@ -88,6 +89,80 @@ class TestDesignType:
         with pytest.raises(InvariantError, match=r"blocks \d+ and \d+ meet"):
             Design.from_blocks(blocks)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty", "0 points do not fit the 4t-1 pattern"),
+            ("four-points", "4 points do not fit the 4t-1 pattern"),
+            ("singletons", "block 1 has 1 points, expected 8"),
+            ("wrong-ground", "block 6 lives on the wrong ground set"),
+            ("near-miss", "blocks 4 and 8 meet in 1 points, expected 4"),
+        ],
+    )
+    def test_construction_rejects_bad_blocks(self, fixture_designs, case, message):
+        c1 = list(fixture_designs["c1"].blocks)
+        eight = [1, 2, 3, 4, 5, 6, 7, 8]
+        blocks = {
+            "empty": [],
+            "four-points": [ElementSet.of([1, 2], 4)] * 4,
+            "singletons": [ElementSet.of([i], 15) for i in range(1, 16)],
+            "wrong-ground": c1[:5] + [ElementSet.of(eight, 16)] + c1[6:],
+            "near-miss": c1[:3] + [ElementSet.of(eight, 15)] + c1[4:],
+        }[case]
+        with pytest.raises(InvariantError) as raised:
+            Design(tuple(blocks))
+        assert str(raised.value) == message
+
+
+def sylvester(order):
+    """The Sylvester Hadamard matrix of a power-of-two order, as lists."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-e for e in row] for row in h]
+    return h
+
+
+def first_non_orthogonal_pair(rows):
+    """The lexicographically first pair of distinct rows with a nonzero dot product."""
+    for i, j in combinations(range(len(rows)), 2):
+        if sum(a * b for a, b in zip(rows[i], rows[j])):
+            return i, j
+    return None
+
+
+def assert_matches_dot_product_oracle(rows):
+    entries = tuple(tuple(row) for row in rows)
+    bad = first_non_orthogonal_pair(rows)
+    if bad is None:
+        assert HadamardMatrix(entries).entries == entries
+    else:
+        with pytest.raises(InvariantError) as raised:
+            HadamardMatrix(entries)
+        assert str(raised.value) == f"rows {bad[0]} and {bad[1]} are not orthogonal"
+
+
+@st.composite
+def pm_matrices(draw):
+    """Square +-1 matrices: uniform ones of order 1-8, and Sylvester matrices
+    of order 1-16 with random row and column signs and 0-2 flipped entries."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        return draw(st.lists(
+            st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ))
+    n = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    rows_sign = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    cols_sign = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    rows = [
+        [r * c * e for c, e in zip(cols_sign, row)]
+        for r, row in zip(rows_sign, sylvester(n))
+    ]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cells, max_size=2, unique=True)):
+        rows[i][j] = -rows[i][j]
+    return rows
+
 
 class TestHadamard:
     def test_reference_renderings_are_bit_exact(self, fixture_designs):
@@ -133,9 +208,27 @@ class TestHadamard:
             from_hadamard(HadamardMatrix(flipped))
 
     def test_rejects_non_orthogonal(self):
-        bad = HadamardMatrix(((1, 1), (1, 1)))
         with pytest.raises(InvariantError):
-            bad.validate()
+            HadamardMatrix(((1, 1), (1, 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pm_matrices())
+    def test_orthogonality_matches_dot_products(self, rows):
+        assert_matches_dot_product_oracle(rows)
+
+    def test_flipped_fixture_entries_match_dot_products(self, fixture_designs):
+        rng = random.Random(41)
+        for name in FIXTURE_NAMES:
+            rows = [list(row) for row in to_hadamard(fixture_designs[name]).entries]
+            assert_matches_dot_product_oracle(rows)
+            for trial in range(20):
+                flipped = [row[:] for row in rows]
+                for i, j in rng.sample(
+                    [(i, j) for i in range(16) for j in range(16)], 1 + trial % 2
+                ):
+                    flipped[i][j] = -flipped[i][j]
+                assert first_non_orthogonal_pair(flipped) is not None
+                assert_matches_dot_product_oracle(flipped)
 
     @pytest.mark.parametrize(
         "entries",
@@ -149,7 +242,7 @@ class TestHadamard:
     )
     def test_rejects_malformed_entries(self, entries):
         with pytest.raises(InvariantError, match="square"):
-            HadamardMatrix(entries).validate()
+            HadamardMatrix(entries)
 
 
 class TestSerialization:
@@ -165,6 +258,11 @@ class TestSerialization:
             parse_incidence("")
         with pytest.raises(ParseError):
             parse_incidence("01\n0")
+
+    def test_parse_hadamard_rejects_empty(self):
+        for text in ("", "\n  \n"):
+            with pytest.raises(ParseError, match="empty Hadamard matrix"):
+                parse_hadamard(text)
 
     def test_parse_validates_design(self):
         rows = ["0" * 15] * 15

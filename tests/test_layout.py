@@ -4,9 +4,11 @@ Modules share code through public names only, and the lowest-set-bit
 idiom ``x & -x`` lives in subsets.py alone (set_bits and map_bits), so
 there is one set-bit iterator in the package. numpy is imported inside the
 functions that use it, never at module level, so importing the CLI does not
-load it. The point roster's numbering (index_of, indices_of, Clique.vertices)
-is used in geometry.py and cliques.py alone: everywhere else points are
-bitmasks, so nothing else builds the roster. functools.lru_cache and
+load it. Only cliques.py imports it, for the collinearity graph, so the
+array code sits in one module and no CLI command loads numpy unless it
+enumerates cliques. The point roster's numbering (index_of, indices_of,
+Clique.vertices) is used in geometry.py and cliques.py alone: everywhere
+else points are bitmasks, so nothing else builds the roster. functools.lru_cache and
 functools.cache appear only on geometry_for_dimension, whose shared
 geometry the tests rely on: a module-level cache is global mutable state,
 and what the search computes lazily stays on its own instances.
@@ -65,6 +67,21 @@ def roster_numbering_uses(tree):
     ]
 
 
+def imports_numpy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
+def import_lines(nodes):
+    ordered = sorted(nodes, key=lambda node: node.lineno)
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ordered]
+
+
 def module_level_numpy_imports(tree):
     """Imports of numpy that run when the module is imported.
 
@@ -77,16 +94,15 @@ def module_level_numpy_imports(tree):
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            names = []
-        if any(name.split(".")[0] == "numpy" for name in names):
-            found.append((node.lineno, f"line {node.lineno}: {ast.unparse(node)}"))
+        if imports_numpy(node):
+            found.append(node)
         pending.extend(ast.iter_child_nodes(node))
-    return [text for _, text in sorted(found)]
+    return import_lines(found)
+
+
+def numpy_imports(tree):
+    """Imports of numpy anywhere in the module, function bodies included."""
+    return import_lines([node for node in ast.walk(tree) if imports_numpy(node)])
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
@@ -159,6 +175,13 @@ def test_no_module_level_numpy_import(path):
 
 
 @pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cliques.py"], ids=lambda p: p.name
+)
+def test_numpy_only_in_cliques(path):
+    assert numpy_imports(parse(path)) == []
+
+
+@pytest.mark.parametrize(
     "path",
     [p for p in MODULES if p.name not in ("geometry.py", "cliques.py")],
     ids=lambda p: p.name,
@@ -211,6 +234,12 @@ def test_rules_catch_the_patterns():
         "line 1: import numpy as np",
         "line 3: from numpy.linalg import det",
     ]
+    assert numpy_imports(numpy_tree) == [
+        "line 1: import numpy as np",
+        "line 3: from numpy.linalg import det",
+        "line 5: import numpy",
+    ]
+    assert numpy_imports(parse(PACKAGE / "cliques.py"))
     cache_tree = ast.parse(
         "import functools\n"
         "from functools import cache as memo, cached_property, lru_cache\n"
