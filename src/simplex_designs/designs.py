@@ -196,14 +196,41 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # colour refinement that stops at the first round splitting no class, so
 # find_isomorphism rejects most non-isomorphic pairs on the point side
 # before it refines any blocks. The classes carve the candidate sets, then
-# a backtracking search with bitmask propagation over the bipartite
-# incidence structure assigns point images.
+# a backtracking search assigns point images, narrowing the candidates of
+# every point and every block of the bipartite incidence structure after
+# each choice.
+#
+# The candidates of one side live in one int (``_Fields``): row x in bits
+# x*w to x*w + v - 1, w = v + 1, under a guard bit x*w + v that stays zero,
+# so adding up to 2**v - 1 to a row, or taking 1 from a row whose guard
+# is set, never carries into the next row. Two tests read every row at once:
+# (m + low) & high != high when some row is empty, as the sum reaches the
+# guard of every nonempty row; and ~((((m | high) - ones) & m) + low) & high
+# marks the rows with at most one bit, as ((m | high) - ones) & m clears
+# the lowest bit of each row. Each narrowing rule is one AND on a side.
+# The rules only clear bits and stay true in narrower states, so applying
+# them in any order until none changes anything ends in the same state,
+# the largest below the start in which all of them hold. Batches of
+# decided rows thus give the states, the search tree and the work counts
+# of a row-by-row queue.
 
 logger = logging.getLogger(__name__)
 
 # a class code is packed above a pair code in one int while refining; both
 # are codes of one label table, far below 2**32 entries
 _CODE_SHIFT = 32
+
+
+def _subset_sums(items: list[int]) -> list[int]:
+    """Entry b is the sum of items[j] over the bits j of b."""
+    table = [0]
+    for item in items:
+        table += [t + item for t in table]
+    return table
+
+
+# entry b has a 1 in byte j for each bit j of the byte b
+_BYTE_LANES = tuple(_subset_sums([1 << 8 * j for j in range(8)]))
 
 
 class _Classes(NamedTuple):
@@ -217,7 +244,7 @@ class _Classes(NamedTuple):
         return sorted(self.codes)
 
 
-def _refine(masks: list[int], labels: dict) -> _Classes:
+def _refine(masks: list[int], transpose: list[int], labels: dict) -> _Classes:
     """Classes of the indices of masks under their triple intersection counts.
 
     The pair signature of x and y is the sorted list of the sizes of
@@ -229,6 +256,8 @@ def _refine(masks: list[int], labels: dict) -> _Classes:
     most 3 rounds; one class after round 1 is already stable. Codes come
     from ``labels`` by value, so contexts that share it give equal codes to
     equal structures, and codes of different rounds never coincide.
+    ``transpose`` is the incidence read the other way: bit z of
+    transpose[i] is bit i of masks[z].
     """
     v = len(masks)
     intern = labels.setdefault
@@ -238,18 +267,16 @@ def _refine(masks: list[int], labels: dict) -> _Classes:
     # lambda <= 16 in a design and at most v <= 63 for any masks, as
     # ElementSet caps ground sets at 63 points, so no byte overflows into
     # the next one, which would make the counts depend on the labeling.
-    lanes = [0] * v
-    for z, m in enumerate(masks):
-        for i in set_bits(m):
-            lanes[i] |= 1 << 8 * z
+    # lanes[i] is transpose[i] with its bits spread one to a byte.
+    lanes = []
+    for t in transpose:
+        lane = 0
+        for k in range(0, v, 8):
+            lane |= _BYTE_LANES[t >> k & 255] << 8 * k
+        lanes.append(lane)
     # sums[k][b] is the sum of lanes[8k + j] over the bits j of the byte b,
     # so the lane sum of a mask is one lookup per byte
-    sums = []
-    for start in range(0, v, 8):
-        table = [0]
-        for lane in lanes[start:start + 8]:
-            table += [t + lane for t in table]
-        sums.append(table)
+    sums = [_subset_sums(lanes[k:k + 8]) for k in range(0, v, 8)]
     pair = [[0] * v for _ in range(v)]
     for x, y in combinations(range(v), 2):
         m = masks[x] & masks[y]
@@ -280,6 +307,32 @@ def _refine(masks: list[int], labels: dict) -> _Classes:
     return _Classes(codes, rounds)
 
 
+class _Fields:
+    """v rows of v bits in one int, row x in the w = v + 1 bits from x*w,
+    the top one a guard that stays zero."""
+
+    __slots__ = ("v", "w", "full", "ones", "low", "high", "copies")
+
+    def __init__(self, v: int):
+        self.v, self.w, self.full = v, v + 1, (1 << v) - 1
+        # the lowest bit, the value bits and the guard bit of every field
+        self.ones = ((1 << self.w * v) - 1) // ((1 << self.w) - 1)
+        self.low, self.high = self.ones * self.full, self.ones << v
+        # a 1 every v bits, so mask * copies holds copy i of a row at i*v
+        self.copies = ((1 << v * v) - 1) // self.full
+
+    def spread(self, mask: int) -> int:
+        """Bit i of mask moved to the lowest bit of field i (i*v + i = i*w)."""
+        return mask * self.copies & self.ones
+
+    def row(self, packed: int, x: int) -> int:
+        return packed >> x * self.w & self.full
+
+    def decided(self, packed: int) -> int:
+        """The guard bits of the rows with at most one bit."""
+        return ~((((packed | self.high) - self.ones) & packed) + self.low) & self.high
+
+
 class _DesignContext:
     """Incidence bitmasks of one design and, on first use, its refined classes.
 
@@ -296,83 +349,107 @@ class _DesignContext:
         v = d.v
         self.v = v
         self.labels = labels
+        self.fields = fields = _Fields(v)
         self.block_bits = [b.bits for b in d.blocks]
-        self.point_in_blocks = [0] * v
+        # field x of the sum of the spread blocks a, each shifted by a,
+        # holds the blocks through point x
+        packed = 0
         for a, bits in enumerate(self.block_bits):
-            for x in set_bits(bits):
-                self.point_in_blocks[x] |= 1 << a
+            packed |= fields.spread(bits) << a
+        self.point_in_blocks = [fields.row(packed, x) for x in range(v)]
 
     @cached_property
     def points(self) -> _Classes:
-        return _refine(self.point_in_blocks, self.labels)
+        return _refine(self.point_in_blocks, self.block_bits, self.labels)
 
     @cached_property
     def blocks(self) -> _Classes:
-        return _refine(self.block_bits, self.labels)
+        return _refine(self.block_bits, self.point_in_blocks, self.labels)
 
 
 class _Search:
-    """Bitmask propagation and first-hit backtracking from ctx1 onto ctx2.
+    """First-hit backtracking from ctx1 onto ctx2 over packed candidate sets.
 
-    A state is a pair of lists (pcand, bcand): pcand[x] is the bitmask of
-    the points of ctx2 that point x of ctx1 may still map to, and bcand[a]
-    the same for blocks. ``propagations`` and ``leaves`` count the work.
+    A state is a tuple (p, b, decided_p, decided_b). Row x of p, read with
+    ``fields.row``, is the bitmask of the points of ctx2 that point x of
+    ctx1 may still map to; b holds the blocks the same way. decided_p and
+    decided_b are the guard bits of the rows with one candidate.
+    ``propagations`` and ``leaves`` count the work.
     """
 
     def __init__(self, ctx1: _DesignContext, ctx2: _DesignContext):
         self.ctx1 = ctx1
         self.ctx2 = ctx2
         self.v = ctx1.v
+        self.fields = ctx1.fields
         self.propagations = 0
         self.leaves = 0
 
+    @cached_property
+    def _tables(self):
+        """The AND masks of the narrowing rules, built on first use.
+
+        clear[y] clears column y. For point x sent to y, in_points[x] fills
+        the fields of the blocks through x with ones and rep_points[y] puts
+        the blocks of ctx2 missing y in every field, so their XOR keeps the
+        blocks through x on blocks through y and the rest off them. The
+        block tables do the same for a block sent to a block.
+        """
+        ctx1, ctx2, fields = self.ctx1, self.ctx2, self.fields
+        full, ones = fields.full, fields.ones
+        return (
+            [fields.low ^ ones << y for y in range(self.v)],
+            [fields.spread(blocks) * full for blocks in ctx1.point_in_blocks],
+            [ones * (full ^ blocks) for blocks in ctx2.point_in_blocks],
+            [fields.spread(points) * full for points in ctx1.block_bits],
+            [ones * (full ^ points) for points in ctx2.block_bits],
+        )
+
     def root(self):
         """The propagated state the refined classes allow; None if it is empty."""
-        ctx1, ctx2, v = self.ctx1, self.ctx2, self.v
-        pclass2 = {}
-        for y, code in enumerate(ctx2.points.codes):
-            pclass2[code] = pclass2.get(code, 0) | 1 << y
-        bclass2 = {}
-        for b, code in enumerate(ctx2.blocks.codes):
-            bclass2[code] = bclass2.get(code, 0) | 1 << b
-
-        pcand = [pclass2.get(code, 0) for code in ctx1.points.codes]
-        bcand = [bclass2.get(code, 0) for code in ctx1.blocks.codes]
-        if any(c == 0 for c in pcand) or any(c == 0 for c in bcand):
-            return None
-        seed_p = [x for x in range(v) if pcand[x].bit_count() == 1]
-        seed_b = [a for a in range(v) if bcand[a].bit_count() == 1]
-        if self.propagate(pcand, bcand, seed_p, seed_b):
-            return pcand, bcand
-        return None
+        ctx1, ctx2, w = self.ctx1, self.ctx2, self.fields.w
+        sides = []
+        for classes1, classes2 in ((ctx1.points, ctx2.points), (ctx1.blocks, ctx2.blocks)):
+            images = {}
+            for y, code in enumerate(classes2.codes):
+                images[code] = images.get(code, 0) | 1 << y
+            rows = [images.get(code, 0) for code in classes1.codes]
+            if 0 in rows:
+                return None
+            sides.append(sum(c << x * w for x, c in enumerate(rows)))
+        p, b = sides
+        decided_p, decided_b = self.fields.decided(p), self.fields.decided(b)
+        return self.propagate(p, b, decided_p, decided_b, decided_p, decided_b)
 
     def fix(self, state, x: int, y: int):
-        """A copy of state with point x sent to y, propagated; None on a wipe-out."""
-        pcand = list(state[0])
-        bcand = list(state[1])
-        pcand[x] = 1 << y
-        if self.propagate(pcand, bcand, [x], []):
-            return pcand, bcand
-        return None
+        """The state with point x sent to y, propagated; None on a wipe-out."""
+        p, b, decided_p, decided_b = state
+        shift = x * self.fields.w
+        guard = 1 << shift + self.v
+        p = p & ~(self.fields.full << shift) | 1 << shift + y
+        return self.propagate(p, b, decided_p | guard, decided_b, guard, 0)
 
     def branch_point(self, state) -> int | None:
         """The undecided point with fewest candidates, lowest first; None at a leaf."""
-        pcand = state[0]
-        undecided = [x for x in range(self.v) if pcand[x].bit_count() > 1]
+        p, undecided = state[0], self.fields.high & ~state[2]
         if not undecided:
             return None
-        return min(undecided, key=lambda u: (pcand[u].bit_count(), u))
+        v, w, row = self.v, self.fields.w, self.fields.row
+        return min([
+            (row(p, u).bit_count(), u) for u in range(v) if undecided >> u * w + v & 1
+        ])[1]
 
     def first_hit(self, state) -> tuple[int, ...] | None:
         """Point images (0-based) of the first isomorphism below state."""
         x = self.branch_point(state)
         if x is None:
             self.leaves += 1
-            images = tuple(c.bit_length() - 1 for c in state[0])
+            row = self.fields.row
+            images = tuple(row(state[0], u).bit_length() - 1 for u in range(self.v))
             if len(set(images)) == self.v and _is_isomorphism(self.ctx1, self.ctx2, images):
                 return images
             return None
-        for y in set_bits(state[0][x]):
+        for y in set_bits(self.fields.row(state[0], x)):
             child = self.fix(state, x, y)
             if child is not None:
                 images = self.first_hit(child)
@@ -380,49 +457,44 @@ class _Search:
                     return images
         return None
 
-    def propagate(self, pcand, bcand, queue_p, queue_b) -> bool:
-        """Narrow the state in place; False when some candidate set empties.
+    def propagate(self, p: int, b: int, decided_p: int, decided_b: int,
+                  new_p: int, new_b: int):
+        """The narrowed state; None when some candidate set empties.
 
-        A decided point x -> y drops y from every other point and keeps
-        each block's candidates inside or outside the blocks through y, as
-        x lies in that block or not; a decided block does the same with
-        the roles of points and blocks swapped.
+        new_p and new_b are the guard bits of the decided rows whose rules p
+        and b do not carry yet. A decided point x -> y drops y from every
+        other point and keeps each block's candidates inside or outside the
+        blocks through y, as x lies in that block or not; a decided block
+        does the same with the roles of points and blocks swapped.
         """
         self.propagations += 1
-        v = self.v
-        sides = (
-            (pcand, queue_p, self.ctx1.point_in_blocks, self.ctx2.point_in_blocks,
-             bcand, queue_b),
-            (bcand, queue_b, self.ctx1.block_bits, self.ctx2.block_bits,
-             pcand, queue_p),
-        )
-        while queue_p or queue_b:
-            for cand, queue, incidence1, incidence2, other, other_queue in sides:
-                while queue:
-                    x = queue.pop()
-                    y = cand[x]
-                    for x2 in range(v):
-                        before = cand[x2]
-                        if before & y and x2 != x:
-                            after = before ^ y
-                            if after == 0:
-                                return False
-                            cand[x2] = after
-                            if after.bit_count() == 1:
-                                queue.append(x2)
-                    member = incidence1[x]
-                    image = incidence2[y.bit_length() - 1]
-                    outside = ~image
-                    for a in range(v):
-                        before = other[a]
-                        after = before & (image if member >> a & 1 else outside)
-                        if after != before:
-                            if after == 0:
-                                return False
-                            other[a] = after
-                            if after.bit_count() == 1:
-                                other_queue.append(a)
-        return True
+        f = self.fields
+        v, w, full, ones, low, high = f.v, f.w, f.full, f.ones, f.low, f.high
+        clear, in_points, rep_points, in_blocks, rep_blocks = self._tables
+        while new_p or new_b:
+            # a batch reads its images off the state it was found in, as a
+            # rule of the batch may empty a row decided in the same batch
+            p0, b0 = p, b
+            if new_p:
+                for guard in set_bits(new_p):
+                    shift = guard - v
+                    y = (p0 >> shift & full).bit_length() - 1
+                    p &= clear[y] | 1 << shift + y
+                    b &= rep_points[y] ^ in_points[shift // w]
+            if new_b:
+                for guard in set_bits(new_b):
+                    shift = guard - v
+                    c = (b0 >> shift & full).bit_length() - 1
+                    b &= clear[c] | 1 << shift + c
+                    p &= rep_blocks[c] ^ in_blocks[shift // w]
+            if (p + low) & high != high or (b + low) & high != high:
+                return None
+            # _Fields.decided of both sides, inline on the hot path
+            now_p = ~((((p | high) - ones) & p) + low) & high
+            now_b = ~((((b | high) - ones) & b) + low) & high
+            new_p, new_b = now_p & ~decided_p, now_b & ~decided_b
+            decided_p, decided_b = now_p, now_b
+        return p, b, decided_p, decided_b
 
 
 def _is_isomorphism(ctx1, ctx2, images) -> bool:
@@ -695,7 +767,7 @@ def automorphism_group(d: Design) -> PermGroup:
         deeper = tuple(generators)
         orbit = _orbit(x, generators)
         rejected: set[int] = set()
-        for y in set_bits(state[0][x]):
+        for y in set_bits(ctx.fields.row(state[0], x)):
             if y in orbit or y in rejected:
                 continue
             child = search.fix(state, x, y)

@@ -111,7 +111,11 @@ class TestPartitionOracle:
         rounds = set()
         for _ in range(300):
             masks = [rng.getrandbits(10) for _ in range(10)]
-            classes = designs._refine(masks, {})
+            transpose = [
+                sum(1 << z for z, m in enumerate(masks) if m >> i & 1)
+                for i in range(10)
+            ]
+            classes = designs._refine(masks, transpose, {})
             oracle = oracle_classes_from(oracle_pair_signatures(masks), {})
             assert partition(classes.codes) == partition(oracle)
             rounds.add(classes.rounds)
