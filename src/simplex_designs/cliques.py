@@ -8,7 +8,9 @@ deterministic. A search through one vertex v runs on N[v] renumbered in
 ascending order (_renumber), so a slice of the 6435-vertex k = 4 graph
 works on bitsets as wide as the slice; the stream is the same.
 enumerate_maximal_cliques is the wrapper for a collinearity graph: it
-maps each tuple through the point roster into a Clique.
+maps each tuple through the point roster to bitmasks, which the search has
+proved collinear, and wraps them with Clique._proved, which (unlike
+Clique(...) and Clique.from_points) checks no pair again.
 
 A clique's centers, lines and Fano planes come from one pass over its point
 bitmasks (_structure). classify_clique works on those ints directly;
@@ -84,6 +86,14 @@ class Clique:
                 raise InvariantError(
                     f"points {bin(a)} and {bin(b)} are not collinear"
                 )
+
+    @classmethod
+    def _proved(cls, geometry: Geometry, bits: tuple[int, ...]) -> "Clique":
+        """A clique from ascending bitmasks already proved collinear; no second check."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "geometry", geometry)
+        object.__setattr__(c, "bits", bits)
+        return c
 
     @classmethod
     def from_points(cls, g: Geometry, points) -> "Clique":
@@ -237,12 +247,13 @@ def enumerate_maximal_cliques(
     The stream of maximal_cliques on the graph's adjacency. min_size prunes
     subtrees that cannot reach the requested size; the n-element bound caps
     every clique, so min_size = n searches exactly the design-sized ones.
-    With containing=v only cliques through v are emitted.
+    With containing=v only cliques through v are emitted. The adjacency must
+    be build_graph's or a subgraph of it, as no pair is checked again.
     """
     points = graph.geometry.points
     for vertices in maximal_cliques(graph.adjacency, min_size, containing):
         # the roster ascends by bitmask, so ascending vertices give ascending bits
-        yield Clique(graph.geometry, tuple(points[v].bits for v in vertices))
+        yield Clique._proved(graph.geometry, tuple([points[v].bits for v in vertices]))
 
 
 def _degeneracy_order(adj: list[int]) -> list[int]:
@@ -341,14 +352,14 @@ def planes_inside(c: Clique) -> tuple[frozenset[ElementSet], ...]:
 def classify_clique(c: Clique) -> CliqueClass:
     """Classify a maximal n-element clique of the k = 4 geometry.
 
-    The bijection index of a decomposition at the smallest center point is
-    the primary route; the structural description (singularity, Fano planes
-    and lines inside) is recomputed independently and any disagreement is a
-    hard failure. Both routes start from the center, line and plane bitmasks
-    of one _structure pass; only the verdict's centers become ElementSets.
+    The bijection index of the decomposition at the smallest center point
+    is the primary route, counted on the split's bitmasks. The structural
+    description (singularity, Fano planes and lines inside) is recomputed
+    independently from the center, line and plane bitmasks of one _structure
+    pass, whose lines the index route never reads; any disagreement is a
+    hard failure. Only the verdict's centers become ElementSets.
     """
     from .constructions import decompose
-    from .fano import bijection_index
 
     g = c.geometry
     if g.params.k != 4:
@@ -363,8 +374,7 @@ def classify_clique(c: Clique) -> CliqueClass:
         tag_structural = CliqueTag.NON_CENTERED
         index = None
     else:
-        dec = decompose(c, centers[0])
-        index = bijection_index(dec.fano_bijection())
+        index = decompose(c, centers[0]).bijection_index()
         if index not in TAG_BY_INDEX:
             raise InternalCheckError(f"impossible bijection index {index}")
         tag_structural = _structural_tag(c, center_bits, lines, planes)

@@ -69,8 +69,11 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     if {q.bits for q in images} != {q.bits for q in y_points}:
         raise InvariantError("delta is not a bijection from X onto Y")
 
-    # O and both halves share the ground [n]; Clique checks the points themselves
-    return Clique(g, _product_bits(O.bits, [x.bits for x in x_points], [y.bits for y in images]))
+    # the checks above prove the product a clique: two members meet in m/2 + m/2,
+    # or in x alone, or in y or O minus y against O, so no pair is checked again
+    return Clique._proved(
+        g, _product_bits(O.bits, [x.bits for x in x_points], [y.bits for y in images])
+    )
 
 
 def _product_bits(o: int, xs, ys) -> tuple[int, ...]:
@@ -92,18 +95,41 @@ def default_z(O: ElementSet) -> ElementSet:
 class CenteredDecomposition:
     """The unique (X, Y, delta) splitting of a centered clique at O and Z.
 
-    plus_half collects the clique points whose O-part lies inside Z,
-    minus_half the rest; every minus_half member contains the single
-    element of O outside Z.
+    The plus half, the clique points whose O-part lies inside Z, is
+    xs[i] | ys[i] in ascending order; the minus half is xs[i] | (O - ys[i]),
+    and each of its members holds the element of O outside Z. The ElementSet
+    views are built from these bitmasks on each read.
     """
 
     center: ElementSet
     z: ElementSet
-    x_points: tuple[ElementSet, ...]
-    y_points: tuple[ElementSet, ...]
-    delta: dict[ElementSet, ElementSet]
-    plus_half: tuple[ElementSet, ...]
-    minus_half: tuple[ElementSet, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    def _sets(self, bits) -> tuple[ElementSet, ...]:
+        n = self.center.ground_size
+        return tuple(ElementSet(b, n) for b in bits)
+
+    @property
+    def x_points(self) -> tuple[ElementSet, ...]:
+        return self._sets(self.xs)
+
+    @property
+    def y_points(self) -> tuple[ElementSet, ...]:
+        return self._sets(self.ys)
+
+    @property
+    def delta(self) -> dict[ElementSet, ElementSet]:
+        return dict(zip(self.x_points, self.y_points))
+
+    @property
+    def plus_half(self) -> tuple[ElementSet, ...]:
+        return self._sets(x | y for x, y in zip(self.xs, self.ys))
+
+    @property
+    def minus_half(self) -> tuple[ElementSet, ...]:
+        o = self.center.bits
+        return self._sets(sorted(x | (o & ~y) for x, y in zip(self.xs, self.ys)))
 
     def fano_bijection(self):
         from .fano import FanoBijection, FanoPlane
@@ -112,20 +138,45 @@ class CenteredDecomposition:
         dst = FanoPlane.from_points(self.y_points)
         return FanoBijection.from_mapping(src, dst, self.delta)
 
+    def bijection_index(self) -> int:
+        """Number of X-lines whose three y-images form a Y-line, on bitmasks.
+
+        Equals fano.bijection_index(self.fano_bijection()). Both halves must
+        be closed Fano planes (7 distinct points, every pairwise sum inside,
+        so 7 lines), or InternalCheckError; InvariantError unless they have 7
+        points (k = 4). A line is counted once at each of its three pairs.
+        """
+        xs, ys = self.xs, self.ys
+        if len(xs) != 7:
+            raise InvariantError(f"Fano halves need 7 points, got {len(xs)}")
+        y_of, y_set = dict(zip(xs, ys)), set(ys)
+        if len(y_of) != 7 or len(y_set) != 7:
+            raise InternalCheckError("a half is not a closed Fano plane: it repeats a point")
+        kept = 0
+        for (x1, y1), (x2, y2) in combinations(zip(xs, ys), 2):
+            y3 = y_of.get(x1 ^ x2)
+            if y3 is None or y1 ^ y2 not in y_set:
+                raise InternalCheckError("a half is not a closed Fano plane")
+            kept += y3 == y1 ^ y2
+        return kept // 3
+
 
 def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> CenteredDecomposition:
     """Split a centered maximal n-clique at center O with respect to Z.
 
-    Z defaults to default_z(O). X collects the intersections
-    with the complement of O; Y the O-parts contained in Z; delta pairs them
-    block by block. InvariantError unless c has n points and O is a center
-    of c and Z a (2m-1)-subset of O; InternalCheckError unless _product_bits
-    rebuilds c.bits. fano_bijection validates the halves as Fano planes.
+    Z defaults to default_z(O). X collects the intersections of the plus
+    half with the complement of O; Y their O-parts; delta pairs them point
+    by point; all stay bitmasks until read. InvariantError unless c has n
+    points, O and Z lie on its ground [n], O is a center of c and Z a
+    (2m-1)-subset of O; InternalCheckError unless _product_bits rebuilds
+    c.bits. fano_bijection and bijection_index check the halves' planes.
     """
     n, m = c.geometry.params.n, c.geometry.params.m
     o = O.bits
     if len(c) != n:
         raise InvariantError(f"clique has {len(c)} points, expected {n}")
+    if O.ground_size != n:
+        raise InvariantError(f"center lies on ground {O.ground_size}, the clique on {n}")
     inside = set(c.bits)
     if o not in inside:
         raise InvariantError(f"{O} is not a point of the clique")
@@ -133,26 +184,18 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
         raise InvariantError(f"{O} is not a center point of the clique")
     if Z is None:
         Z = default_z(O)
+    elif Z.ground_size != n:
+        raise InvariantError(f"Z lies on ground {Z.ground_size}, the clique on {n}")
     if not Z <= O or len(Z) != 2 * m - 1:
         raise InvariantError(f"Z must be a {2 * m - 1}-element subset of the center")
 
     spare = o & ~Z.bits
     plus = [b for b in c.bits if b != o and not b & spare]
-    xs, ys = [b & ~o for b in plus], [b & o for b in plus]
+    xs, ys = tuple([b & ~o for b in plus]), tuple([b & o for b in plus])
     # equal tuples leave 2m-1 plus points and the minus half {p ^ o}, all holding spare
     if _product_bits(o, xs, ys) != c.bits:
         raise InternalCheckError("decomposition does not rebuild the clique")
-    x_points = tuple(ElementSet(x, n) for x in xs)
-    y_points = tuple(ElementSet(y, n) for y in ys)
-    return CenteredDecomposition(
-        center=O,
-        z=Z,
-        x_points=x_points,
-        y_points=y_points,
-        delta=dict(zip(x_points, y_points)),
-        plus_half=tuple(ElementSet(b, n) for b in plus),
-        minus_half=tuple(ElementSet(b, n) for b in c.bits if b != o and b & spare),
-    )
+    return CenteredDecomposition(center=O, z=Z, xs=xs, ys=ys)
 
 
 def hyperplane_complement_blocks(k: int) -> tuple[ElementSet, ...]:

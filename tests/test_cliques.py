@@ -245,6 +245,72 @@ class TestCliqueType:
             assert list(c.vertices) == sorted(c.vertices)
 
 
+class TestProvedPath:
+    """Cliques built without the second pair check equal the fully checked ones.
+
+    enumerate_maximal_cliques and product_clique wrap bitmasks they have
+    proved collinear; Clique(...) and Clique.from_points still check every
+    pair of user input.
+    """
+
+    def test_plane_slice_cliques_pass_the_full_check(self, g15, gr15, fixture_cliques):
+        plane = planes_inside(fixture_cliques["c1"])[0]
+        p = Permutation.random(15, random.Random(5))
+        vertices, graph = slice_graph(g15, gr15, [apply(p, q) for q in plane])
+        cliques = list(enumerate_maximal_cliques(graph, containing=vertices[0], min_size=15))
+        assert len(cliques) == 480
+        for c in cliques:
+            assert c == Clique(g15, c.bits)
+
+    def test_census_products_pass_the_full_check(self, g15):
+        from itertools import permutations
+
+        from simplex_designs.constructions import canonical_center, default_z, product_clique
+        from simplex_designs.fano import FanoBijection, fano_planes_on
+
+        rng = random.Random(2)
+        O = canonical_center()
+        X = rng.choice(fano_planes_on(complement_in(O, ElementSet.full(15))))
+        Y = rng.choice(fano_planes_on(default_z(O)))
+        products = {
+            product_clique(O, X, Y, FanoBijection(X, Y, images), g15).bits
+            for images in permutations(range(7))
+        }
+        assert len(products) == 5040
+        for bits in products:
+            Clique(g15, bits)
+
+    def test_user_input_is_still_checked(self, g15, gr15, fixture_cliques):
+        vertices, graph = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
+        c = next(enumerate_maximal_cliques(graph, containing=vertices[0], min_size=15))
+        a, b = c.bits[:2]
+        # swap an element that a shares with b for one in neither: still an
+        # 8-subset, but it meets b in 3 elements
+        shared = next(1 << e for e in range(15) if (a & b) >> e & 1)
+        neither = next(1 << e for e in range(15) if not (a | b) >> e & 1)
+        mutated = a ^ shared ^ neither
+        assert (mutated & b).bit_count() == 3
+        broken = tuple(sorted([mutated, *c.bits[1:]]))
+        repeated = (c.bits[0], *c.bits[:-1])
+        unsorted = (c.bits[1], c.bits[0], *c.bits[2:])
+        for bits, message in (
+            (broken, "not collinear"),
+            (repeated, "sorted and distinct"),
+            (unsorted, "sorted and distinct"),
+        ):
+            with pytest.raises(InvariantError, match=message):
+                Clique(g15, bits)
+        points = c.points
+        for given_points, message in (
+            ([ElementSet(mutated, 15), *points[1:]], "not collinear"),
+            ([points[0], *points[:-1]], "sorted and distinct"),
+        ):
+            with pytest.raises(InvariantError, match=message):
+                Clique.from_points(g15, given_points)
+        # from_points sorts its input, so an unsorted list names the same clique
+        assert Clique.from_points(g15, points[::-1]) == c
+
+
 class TestCenters:
     def test_fixture_center_counts(self, fixture_cliques):
         expected = {"c1": 15, "c2": 3, "c3": 1, "c4": 1, "non_centered": 0}

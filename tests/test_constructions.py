@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,6 +14,7 @@ from simplex_designs.cliques import (
     lines_inside,
 )
 from simplex_designs.constructions import (
+    CenteredDecomposition,
     canonical_centered_blocks,
     canonical_center,
     decompose,
@@ -30,6 +31,7 @@ from simplex_designs.designs import Design, design_from_clique, find_isomorphism
 from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
     FanoBijection,
+    bijection_index,
     fano_planes_on,
     representative_of_index,
 )
@@ -223,6 +225,83 @@ class TestDecompose:
         O = center_points(c)[0]
         with pytest.raises(InvariantError):
             decompose(c, O, ElementSet.of([1, 2, 3, 4, 5, 6, 7], 15))
+
+    def test_rejects_a_center_on_another_ground(self, fixture_designs, g15):
+        c = Clique.from_points(g15, fixture_designs["c1"].blocks)
+        O = center_points(c)[0]
+        with pytest.raises(InvariantError, match="center lies on ground 31"):
+            decompose(c, ElementSet(O.bits, 31))
+
+    def test_rejects_a_z_on_another_ground(self, fixture_designs, g15):
+        c = Clique.from_points(g15, fixture_designs["c1"].blocks)
+        O = center_points(c)[0]
+        with pytest.raises(InvariantError, match="Z lies on ground 31"):
+            decompose(c, O, ElementSet(default_z(O).bits, 31))
+
+
+class TestBitmaskIndex:
+    """CenteredDecomposition.bijection_index against the FanoPlane route."""
+
+    def test_every_center_and_z_of_the_fixtures(self, fixture_designs, g15):
+        for name, tag in FIXTURE_TAGS.items():
+            c = Clique.from_points(g15, fixture_designs[name].blocks)
+            centers = center_points(c)
+            assert bool(centers) is (tag is not CliqueTag.NON_CENTERED)
+            for O in centers:
+                for drop in O.elements():
+                    dec = decompose(c, O, ElementSet(O.bits & ~(1 << drop - 1), 15))
+                    index = dec.bijection_index()
+                    assert index == bijection_index(dec.fano_bijection())
+                    assert index == classify_clique(c).index
+
+    def test_every_product_of_one_census_pair(self, g15):
+        rng = random.Random(11)
+        O = canonical_center()
+        X = rng.choice(fano_planes_on(ElementSet(FULL15.bits & ~O.bits, 15)))
+        Y = rng.choice(fano_planes_on(default_z(O)))
+        seen = set()
+        for images in permutations(range(7)):
+            delta = FanoBijection(X, Y, images)
+            dec = decompose(product_clique(O, X, Y, delta, g15), O)
+            index = dec.bijection_index()
+            assert index == bijection_index(dec.fano_bijection()) == bijection_index(delta)
+            seen.add(index)
+        assert seen == {0, 1, 3, 7}
+
+    @pytest.mark.parametrize("half", ["xs", "ys"])
+    def test_a_half_that_is_not_closed(self, half):
+        O = canonical_center()
+        X = fano_planes_on(ElementSet(FULL15.bits & ~O.bits, 15))[0]
+        Y = fano_planes_on(default_z(O))[0]
+        dec = CenteredDecomposition(
+            O, default_z(O), tuple(p.bits for p in X.points), tuple(p.bits for p in Y.points)
+        )
+        assert dec.bijection_index() == bijection_index(dec.fano_bijection())
+        bits = list(getattr(dec, half))
+        support = 0
+        for b in bits:
+            support |= b
+        # another 4-subset of the plane's support; six points of a Fano
+        # plane span it, so no such swap leaves it closed
+        bits[0] = next(
+            b for b in range(1 << 15)
+            if b.bit_count() == 4 and not b & ~support and b not in bits
+        )
+        repeated = [bits[1], *bits[1:]]
+        for swapped in (bits, repeated):
+            broken = CenteredDecomposition(
+                O, default_z(O), **{"xs": dec.xs, "ys": dec.ys, half: tuple(swapped)}
+            )
+            with pytest.raises(InternalCheckError, match="not a closed Fano plane"):
+                broken.bijection_index()
+
+    def test_needs_seven_point_halves(self):
+        O = ElementSet.of(range(1, 17), 31)
+        Y = [ElementSet(b.bits, 31) for b in hyperplane_complement_blocks(4)]
+        X = [ElementSet(y.bits << 16, 31) for y in Y]
+        dec = decompose(product_clique(O, X, Y, dict(zip(X, Y))), O)
+        with pytest.raises(InvariantError, match="7 points, got 15"):
+            dec.bijection_index()
 
 
 class TestDefaultZ:

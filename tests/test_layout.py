@@ -12,6 +12,9 @@ else points are bitmasks, so nothing else builds the roster. functools.lru_cache
 functools.cache appear only on geometry_for_dimension, whose shared
 geometry the tests rely on: a module-level cache is global mutable state,
 and what the search computes lazily stays on its own instances.
+Clique._proved, which skips the pair check, is called only by
+enumerate_maximal_cliques and product_clique, whose outputs are proved
+cliques by construction; every other clique goes through the full check.
 """
 
 import ast
@@ -153,6 +156,36 @@ def functools_caches(tree):
     ]
 
 
+PROVED_CALLERS = {
+    ("cliques.py", "enumerate_maximal_cliques"),
+    ("constructions.py", "product_clique"),
+}
+
+
+def proved_constructor_uses(tree):
+    """References to Clique._proved, as "line N: expr in function".
+
+    Attribute reads, bare names and the string "_proved" (as getattr would
+    take it) all count; "<module>" stands for code outside any function.
+    """
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "_proved"
+            or isinstance(node, ast.Name) and node.id == "_proved"
+            or isinstance(node, ast.Constant) and node.value == "_proved"
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
 def test_package_modules_found():
     assert PACKAGE / "subsets.py" in MODULES
 
@@ -259,3 +292,34 @@ def test_rules_catch_the_patterns():
     ]
     (shared,) = functools_caches(parse(PACKAGE / "geometry.py"))
     assert shared.endswith(": @lru_cache(maxsize=None) on geometry_for_dimension")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_unchecked_cliques_only_from_the_enumerator_and_the_product(path):
+    assert [
+        use
+        for use in proved_constructor_uses(parse(path))
+        if not any(
+            module == path.name and use.endswith(f" in {name}")
+            for module, name in PROVED_CALLERS
+        )
+    ] == []
+
+
+def test_proved_rule_catches_the_patterns():
+    tree = ast.parse(
+        "c = Clique._proved(g, bits)\n"
+        "def build(g, bits):\n"
+        "    make = getattr(Clique, '_proved')\n"
+        "    return [_proved(g, b) for b in bits]\n"
+        "doc = 'Clique._proved skips the pair check'\n"
+    )
+    assert proved_constructor_uses(tree) == [
+        "line 1: Clique._proved in <module>",
+        "line 3: '_proved' in build",
+        "line 4: _proved in build",
+    ]
+    # both allowed callers use it, so the rule is not vacuous
+    for module, name in PROVED_CALLERS:
+        uses = proved_constructor_uses(parse(PACKAGE / module))
+        assert uses and all(use.endswith(f" in {name}") for use in uses)
