@@ -4,10 +4,11 @@ The graph stores one adjacency bitset per vertex (bit j of adjacency[u] is
 set when vertex j is collinear to vertex u). maximal_cliques is the
 package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
-deterministic. A search through one vertex v runs on N[v] renumbered in
-ascending order (_renumber), so a slice of the 6435-vertex k = 4 graph
-works on bitsets as wide as the slice; the stream is the same.
-enumerate_maximal_cliques is the wrapper for a collinearity graph: it
+deterministic. The whole graph is searched from the root; a search through
+one vertex v starts at v on N[v] renumbered in ascending order (_renumber),
+so a slice of the 6435-vertex k = 4 graph works on bitsets as wide as the
+slice; the stream is the same. enumerate_maximal_cliques is the wrapper
+for a collinearity graph, whose edges were checked when it was built: it
 maps each tuple through the point roster to bitmasks, which the search has
 proved collinear, and wraps them with Clique._proved, which (unlike
 Clique(...) and Clique.from_points) checks no pair again.
@@ -18,7 +19,6 @@ center_points, lines_inside and planes_inside wrap them as ElementSet, Line
 and frozenset values.
 """
 
-import heapq
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -32,9 +32,35 @@ logger = logging.getLogger(__name__)
 
 
 class CollinearityGraph:
+    """Adjacency bitsets on the point roster: bit j of adjacency[u] joins u and j.
+
+    The constructor raises InvariantError unless there is one row per point
+    and every edge (only set bits are walked) joins two collinear points, so
+    a hand-built graph may drop edges but not invent them. build_graph's
+    rows are collinearity by construction; it wraps them with _unchecked.
+    """
+
     def __init__(self, geometry: Geometry, adjacency: list[int]):
+        points, m = geometry.points, geometry.params.m
+        if len(adjacency) != len(points):
+            raise InvariantError(f"adjacency has {len(adjacency)} rows, expected {len(points)}")
+        for u, row in enumerate(adjacency):
+            if row >> len(points):  # also true of a negative row
+                raise InvariantError(f"row {u} has bits outside range({len(points)})")
+            # a point meets itself in 2m != m elements, so this also rejects j == u
+            for j in set_bits(row):
+                if (points[u].bits & points[j].bits).bit_count() != m:
+                    raise InvariantError(f"vertices {u} and {j} are not collinear")
         self.geometry = geometry
         self.adjacency = adjacency
+
+    @classmethod
+    def _unchecked(cls, geometry: Geometry, adjacency: list[int]) -> "CollinearityGraph":
+        """A graph on rows already known to be collinearity; no check."""
+        graph = object.__new__(cls)
+        graph.geometry = geometry
+        graph.adjacency = adjacency
+        return graph
 
     def __len__(self) -> int:
         return len(self.adjacency)
@@ -62,7 +88,7 @@ def build_graph(g: Geometry) -> CollinearityGraph:
         adjacent = np.bitwise_count(masks[start:start + chunk, None] & masks) == m
         packed = np.packbits(adjacent, axis=1, bitorder="little")
         adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return CollinearityGraph(g, adjacency)
+    return CollinearityGraph._unchecked(g, adjacency)
 
 
 @dataclass(frozen=True)
@@ -157,8 +183,9 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
     Tanaka & Takahashi 2006) under a fixed rule: the pivot maximizes
     |P & N(u)|, ties to the smallest vertex, and candidates are scanned in
     ascending order, so the stream is deterministic. Subtrees that cannot
-    reach min_size are pruned. Without containing, the top level runs in
-    degeneracy order, which keeps the subproblems small.
+    reach min_size are pruned. Without containing, the search starts at the
+    root with every vertex a candidate; the pivot rule alone is worst-case
+    optimal, and on graphs as dense as these no vertex order helps.
 
     With containing=v only cliques through v are emitted. The search then
     runs on N[v] (v and its neighbours) renumbered 0..|N[v]| - 1 in
@@ -205,17 +232,8 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
                 containing, len(outer), emitted,
             )
         return
-    order = _degeneracy_order(adj)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = 0
-        earlier = 0
-        for u in set_bits(adj[v]):
-            if position[u] > position[v]:
-                later |= 1 << u
-            else:
-                earlier |= 1 << u
-        yield from expand(adj, [v], later, earlier)
+    if adj:
+        yield from expand(adj, [], (1 << len(adj)) - 1, 0)
 
 
 def _renumber(adj: list[int], v: int) -> tuple[list[int], list[int]]:
@@ -247,37 +265,13 @@ def enumerate_maximal_cliques(
     The stream of maximal_cliques on the graph's adjacency. min_size prunes
     subtrees that cannot reach the requested size; the n-element bound caps
     every clique, so min_size = n searches exactly the design-sized ones.
-    With containing=v only cliques through v are emitted. The adjacency must
-    be build_graph's or a subgraph of it, as no pair is checked again.
+    With containing=v only cliques through v are emitted. No pair is checked
+    again: the graph's constructor has checked every edge.
     """
     points = graph.geometry.points
     for vertices in maximal_cliques(graph.adjacency, min_size, containing):
         # the roster ascends by bitmask, so ascending vertices give ascending bits
         yield Clique._proved(graph.geometry, tuple([points[v].bits for v in vertices]))
-
-
-def _degeneracy_order(adj: list[int]) -> list[int]:
-    """Repeatedly remove the vertex of least remaining degree, ties to the smallest.
-
-    A heap of (degree, vertex) entries keeps this O((V + E) log V), so
-    isolated vertices cost almost nothing. A vertex's current entry is its
-    smallest, so it pops before any stale one, which then finds it removed.
-    """
-    degs = [a.bit_count() for a in adj]
-    heap = [(d, v) for v, d in enumerate(degs)]
-    heapq.heapify(heap)
-    remaining = (1 << len(adj)) - 1
-    order = []
-    while heap:
-        _, v = heapq.heappop(heap)
-        if not remaining >> v & 1:
-            continue
-        order.append(v)
-        remaining ^= 1 << v
-        for u in set_bits(adj[v] & remaining):
-            degs[u] -= 1
-            heapq.heappush(heap, (degs[u], u))
-    return order
 
 
 def _structure(c: Clique):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
 from .geometry import geometry_for_ground
-from .subsets import ElementSet, Permutation, apply, map_bits, set_bits
+from .subsets import MAX_GROUND_SIZE, ElementSet, Permutation, apply, map_bits, set_bits
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,8 @@ def to_hadamard(d: Design) -> HadamardMatrix:
 
 def from_hadamard(h: HadamardMatrix) -> Design:
     """Design read off a normalized Hadamard matrix of order 4t."""
-    if h.order % 4 != 0 or h.order < 4:
-        raise InvariantError("order must be a positive multiple of 4")
+    if h.order % 4 != 0 or not 4 <= h.order <= MAX_GROUND_SIZE + 1:
+        raise InvariantError(f"order must be a multiple of 4 in 4..{MAX_GROUND_SIZE + 1}")
     if not h.is_normalized():
         raise InvariantError("matrix must be normalized")
     v = h.order - 1
@@ -161,6 +161,8 @@ def parse_incidence(text: str) -> Design:
     if not lines:
         raise ParseError("empty incidence matrix")
     v = len(lines)
+    if v > MAX_GROUND_SIZE:
+        raise ParseError(f"{v} rows: incidence matrices have at most {MAX_GROUND_SIZE}")
     blocks = []
     for i, line in enumerate(lines):
         if len(line) != v or set(line) - {"0", "1"}:

@@ -140,6 +140,13 @@ class TestClassify:
         assert code == 2
         assert "parse" in err
 
+    def test_too_many_rows_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(["0" * 64] * 64))
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "parse error: 64 rows: incidence matrices have at most 63\n"
+
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "classify", "/nonexistent/nowhere.txt")
         assert code == 2
@@ -197,6 +204,14 @@ class TestIsomorphic:
         )
         assert code == 0
         assert kv_dict(out)["isomorphic"] == "true"
+
+
+    def test_too_many_rows_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(["0" * 64] * 64))
+        code, out, err = run_cli(capsys, "isomorphic", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err == "parse error: 64 rows: incidence matrices have at most 63\n"
 
 
 class TestCensus:

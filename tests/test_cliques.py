@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_designs.cliques import (
-    _degeneracy_order,
     _renumber,
     Clique,
     CliqueTag,
@@ -83,6 +82,41 @@ class TestGraph:
             fast = gr15.adjacency[u] >> v & 1 == 1
             slow = is_collinear(g15, g15.points[u], g15.points[v])
             assert fast == slow
+
+    def test_hand_built_rows_must_be_collinearity(self, g7):
+        # points 0, 1, 2 of the k = 3 roster are 0b0001111, 0b0010111 and
+        # 0b0011011, which meet pairwise in 3 elements, not m = 2
+        rows = [0b110, 0b101, 0b011] + [0] * 32
+        with pytest.raises(InvariantError, match="vertices 0 and 1 are not collinear"):
+            CollinearityGraph(g7, rows)
+
+    @pytest.mark.parametrize(
+        "u, row, message",
+        [
+            (3, 1 << 3, "vertices 3 and 3 are not collinear"),
+            (0, 1 << 35, r"row 0 has bits outside range\(35\)"),
+            (4, -1, r"row 4 has bits outside range\(35\)"),
+        ],
+        ids=["loop", "wide", "negative"],
+    )
+    def test_rejects_malformed_rows(self, g7, gr7, u, row, message):
+        rows = list(gr7.adjacency)
+        rows[u] = row
+        with pytest.raises(InvariantError, match=message):
+            CollinearityGraph(g7, rows)
+
+    def test_needs_one_row_per_point(self, g7, gr7):
+        with pytest.raises(InvariantError, match="34 rows, expected 35"):
+            CollinearityGraph(g7, gr7.adjacency[:-1])
+
+    def test_accepts_collinearity_and_its_subgraphs(self, g7, gr7, g15, gr15, fixture_cliques):
+        assert CollinearityGraph(g7, gr7.adjacency).adjacency == gr7.adjacency
+        _, graph = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
+        assert CollinearityGraph(g15, graph.adjacency).adjacency == graph.adjacency
+        # an edge may be left out on one side only: every set bit is still collinear
+        rows = list(gr7.adjacency)
+        rows[0] &= rows[0] - 1
+        assert CollinearityGraph(g7, rows).adjacency == rows
 
     def test_restricted_enumeration_respects_bound(self, gr15):
         sizes = set()
@@ -752,30 +786,57 @@ def assert_matches_networkx(nx, graph):
     assert {frozenset(c) for c in ours} == {frozenset(c) for c in nx.find_cliques(g)}
 
 
-def oracle_degeneracy_order(adj):
-    remaining = set(range(len(adj)))
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (sum(adj[u] >> w & 1 for w in remaining), u))
-        order.append(v)
-        remaining.remove(v)
-    return order
+# four points of the C2 fixture clique, no three of them on a line
+FOUR_POINTS = (11565, 21675, 24990, 26214)
 
 
-class TestDegeneracyOrder:
-    def test_k3_graph(self, gr7):
-        assert _degeneracy_order(gr7.adjacency) == oracle_degeneracy_order(gr7.adjacency)
+class TestEntryStates:
+    """The search from the root against the search through one vertex.
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_graphs(self, seed):
+    Every vertex of a slice is collinear to the points it is cut through,
+    so each maximal clique of the slice holds them all, and both entry
+    states must give the same cliques.
+    """
+
+    @pytest.mark.parametrize(
+        "through, width, count", [("plane", 135, 480), ("four points", 119, 176)]
+    )
+    def test_same_cliques_on_a_renumbered_slice(
+        self, g15, gr15, fixture_cliques, through, width, count
+    ):
+        if through == "plane":
+            points = planes_inside(fixture_cliques["c1"])[0]
+        else:
+            points = [ElementSet(b, 15) for b in FOUR_POINTS]
+            assert all(p in fixture_cliques["c2"] for p in points)
+        vertices, graph = slice_graph(g15, gr15, points)
+        outer, local = _renumber(graph.adjacency, vertices[0])
+        assert len(local) == width
+        root = set(maximal_cliques(local))
+        assert len(root) == count
+        v = outer.index(vertices[0])
+        for min_size in (0, 15):
+            assert set(maximal_cliques(local, min_size)) == root
+            assert set(maximal_cliques(local, min_size, containing=v)) == root
+
+    def test_empty_graph_yields_nothing(self):
+        for min_size in (0, 1, 3):
+            assert list(maximal_cliques([], min_size)) == []
+
+    def test_isolated_vertices_are_singletons(self):
+        assert list(maximal_cliques([0] * 4)) == [(0,), (1,), (2,), (3,)]
+        # 0 - 1 is an edge, 2 is isolated
+        adj = [0b010, 0b001, 0b000]
+        assert sorted(maximal_cliques(adj)) == [(0, 1), (2,)]
+        assert list(maximal_cliques(adj, 2)) == [(0, 1)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_min_size_filters_the_unpruned_stream(self, seed):
         rng = random.Random(seed)
-        n = 30
-        adj = [0] * n
-        for u, v in combinations(range(n), 2):
-            if rng.random() < 0.3:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        assert _degeneracy_order(adj) == oracle_degeneracy_order(adj)
+        adj = random_adjacency(rng, rng.randrange(1, 36), rng.choice((0.2, 0.5, 0.8)))
+        unpruned = list(maximal_cliques(adj))
+        for k in range(8):
+            assert list(maximal_cliques(adj, k)) == [c for c in unpruned if len(c) >= k]
 
 
 class TestEnumerationAgainstNetworkx:

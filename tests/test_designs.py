@@ -207,6 +207,13 @@ class TestHadamard:
         with pytest.raises(InvariantError):
             from_hadamard(HadamardMatrix(flipped))
 
+    def test_orders_up_to_64_fit_the_ground_cap(self):
+        # the (63, 32, 16) design of a Sylvester matrix is the largest that fits
+        d = from_hadamard(HadamardMatrix(tuple(map(tuple, sylvester(64)))))
+        assert d.v == 63
+        with pytest.raises(InvariantError, match=r"multiple of 4 in 4\.\.64"):
+            from_hadamard(HadamardMatrix(tuple(map(tuple, sylvester(128)))))
+
     def test_rejects_non_orthogonal(self):
         with pytest.raises(InvariantError):
             HadamardMatrix(((1, 1), (1, 1)))
@@ -258,6 +265,12 @@ class TestSerialization:
             parse_incidence("")
         with pytest.raises(ParseError):
             parse_incidence("01\n0")
+
+    def test_parse_rejects_more_rows_than_the_ground_cap(self):
+        # the count is checked before any row is read, so bad rows do not matter
+        for row in ("0" * 64, "x"):
+            with pytest.raises(ParseError, match="64 rows: .* at most 63"):
+                parse_incidence("\n".join([row] * 64))
 
     def test_parse_hadamard_rejects_empty(self):
         for text in ("", "\n  \n"):

@@ -15,6 +15,8 @@ and what the search computes lazily stays on its own instances.
 Clique._proved, which skips the pair check, is called only by
 enumerate_maximal_cliques and product_clique, whose outputs are proved
 cliques by construction; every other clique goes through the full check.
+Likewise CollinearityGraph._unchecked, which skips the edge check, is
+called only by build_graph, whose rows are collinearity by construction.
 """
 
 import ast
@@ -160,13 +162,14 @@ PROVED_CALLERS = {
     ("cliques.py", "enumerate_maximal_cliques"),
     ("constructions.py", "product_clique"),
 }
+UNCHECKED_GRAPH_CALLERS = {("cliques.py", "build_graph")}
 
 
-def proved_constructor_uses(tree):
-    """References to Clique._proved, as "line N: expr in function".
+def constructor_uses(tree, name):
+    """References to an unchecked constructor, as "line N: expr in function".
 
-    Attribute reads, bare names and the string "_proved" (as getattr would
-    take it) all count; "<module>" stands for code outside any function.
+    Attribute reads, bare names and the string name (as getattr would take
+    it) all count; "<module>" stands for code outside any function.
     """
     found = []
 
@@ -174,9 +177,9 @@ def proved_constructor_uses(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if (
-            isinstance(node, ast.Attribute) and node.attr == "_proved"
-            or isinstance(node, ast.Name) and node.id == "_proved"
-            or isinstance(node, ast.Constant) and node.value == "_proved"
+            isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Constant) and node.value == name
         ):
             found.append(f"line {node.lineno}: {ast.unparse(node)} in {where}")
         for child in ast.iter_child_nodes(node):
@@ -184,6 +187,17 @@ def proved_constructor_uses(tree):
 
     visit(tree, "<module>")
     return found
+
+
+def uses_outside(path, name, callers):
+    """The uses of name in the module at path that are not inside an allowed caller."""
+    return [
+        use
+        for use in constructor_uses(parse(path), name)
+        if not any(
+            module == path.name and use.endswith(f" in {caller}") for module, caller in callers
+        )
+    ]
 
 
 def test_package_modules_found():
@@ -296,14 +310,12 @@ def test_rules_catch_the_patterns():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_unchecked_cliques_only_from_the_enumerator_and_the_product(path):
-    assert [
-        use
-        for use in proved_constructor_uses(parse(path))
-        if not any(
-            module == path.name and use.endswith(f" in {name}")
-            for module, name in PROVED_CALLERS
-        )
-    ] == []
+    assert uses_outside(path, "_proved", PROVED_CALLERS) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_unchecked_graphs_only_from_build_graph(path):
+    assert uses_outside(path, "_unchecked", UNCHECKED_GRAPH_CALLERS) == []
 
 
 def test_proved_rule_catches_the_patterns():
@@ -314,12 +326,28 @@ def test_proved_rule_catches_the_patterns():
         "    return [_proved(g, b) for b in bits]\n"
         "doc = 'Clique._proved skips the pair check'\n"
     )
-    assert proved_constructor_uses(tree) == [
+    assert constructor_uses(tree, "_proved") == [
         "line 1: Clique._proved in <module>",
         "line 3: '_proved' in build",
         "line 4: _proved in build",
     ]
     # both allowed callers use it, so the rule is not vacuous
     for module, name in PROVED_CALLERS:
-        uses = proved_constructor_uses(parse(PACKAGE / module))
+        uses = constructor_uses(parse(PACKAGE / module), "_proved")
         assert uses and all(use.endswith(f" in {name}") for use in uses)
+
+
+def test_unchecked_graph_rule_catches_the_patterns(tmp_path):
+    path = tmp_path / "cliques.py"
+    path.write_text(
+        "def build_graph(g):\n"
+        "    return CollinearityGraph._unchecked(g, rows(g))\n"
+        "def induced(g, rows):\n"
+        "    return getattr(CollinearityGraph, '_unchecked')(g, rows)\n"
+    )
+    assert uses_outside(path, "_unchecked", UNCHECKED_GRAPH_CALLERS) == [
+        "line 4: '_unchecked' in induced",
+    ]
+    # build_graph uses it, so the rule is not vacuous
+    (use,) = constructor_uses(parse(PACKAGE / "cliques.py"), "_unchecked")
+    assert use.endswith(" in build_graph")
