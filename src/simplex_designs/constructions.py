@@ -13,30 +13,49 @@ from itertools import combinations
 
 from .cliques import Clique, center_points, planes_inside
 from .errors import InternalCheckError, InvariantError
+from .fano import FanoBijection, FanoPlane, representative_of_index
 from .geometry import (
     Geometry,
+    GeometryParams,
     geometry_for_dimension,
     geometry_for_ground,
     is_singular_subspace,
     singular_span,
 )
-from .subsets import ElementSet, complement_in
+from .subsets import ElementSet
 
 
-def _check_half_clique(points, support: ElementSet, m: int, what: str):
-    pts = list(points)
-    if len(pts) != len({p.bits for p in pts}):
+def _check_half_clique(points, support: int, n: int, m: int, what: str) -> list[int]:
+    pts = tuple(points)
+    bits = [p.bits for p in pts]
+    if len(bits) != len(set(bits)):
         raise InvariantError(f"{what} contains repeated points")
-    if len(pts) != 2 * m - 1:
-        raise InvariantError(f"{what} must have {2 * m - 1} points, got {len(pts)}")
+    if len(bits) != 2 * m - 1:
+        raise InvariantError(f"{what} must have {2 * m - 1} points, got {len(bits)}")
+    union = 0
     for p in pts:
-        if len(p) != m:
-            raise InvariantError(f"{what} point {p} is not an {m}-element subset")
-        if not p <= support:
-            raise InvariantError(f"{what} point {p} leaves its support {support}")
+        if p.ground_size != n or p.bits.bit_count() != m:
+            raise InvariantError(f"{what} point {p} is not an {m}-element subset of [{n}]")
+        if p.bits & ~support:
+            raise InvariantError(f"{what} point {p} leaves its support {ElementSet(support, n)}")
+        union |= p.bits
     for a, b in combinations(pts, 2):
         if (a.bits & b.bits).bit_count() != m // 2:
             raise InvariantError(f"{what} points {a}, {b} do not meet in {m // 2}")
+    if union.bit_count() != 2 * m - 1:
+        raise InvariantError(f"{what} must cover {2 * m - 1} elements of {ElementSet(support, n)}")
+    return bits
+
+
+def _half_bits(half, support: int, n: int, m: int, what: str) -> list[int]:
+    """Bitmasks of a half inside the mask support: a plane, proved when built, is only placed."""
+    if not isinstance(half, FanoPlane):
+        return _check_half_clique(half, support, n, m, what)
+    if m != 4 or half.support.ground_size != n:
+        raise InvariantError(f"{what} is a Fano plane, not a k = 4 half on [{n}]")
+    if half.support.bits & ~support:
+        raise InvariantError(f"{what} support {half.support} leaves {ElementSet(support, n)}")
+    return half.bits
 
 
 def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None) -> Clique:
@@ -45,35 +64,31 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     X must be a maximal (2m-1)-clique of m-subsets of the complement of O,
     Y one of m-subsets of a (2m-1)-subset of O, delta a bijection X -> Y.
     The result has n points, is maximal by the n-element bound, and O is a
-    center point.
+    center point. FanoPlane halves and a FanoBijection between them are
+    proved when built, so only where the planes sit is checked; point
+    sequences and other deltas (mappings, callables) are checked in full.
     """
     g = geometry if geometry is not None else geometry_for_ground(O.ground_size)
     n, m = g.params.n, g.params.m
-    if len(O) != 2 * m:
-        raise InvariantError(f"center must be a {2 * m}-element set")
-    x_points = tuple(getattr(X, "points", X))
-    y_points = tuple(getattr(Y, "points", Y))
-    if not callable(delta):
-        mapping = dict(delta)
-        delta = mapping.__getitem__
-    o_complement = complement_in(O, ElementSet.full(n))
-    _check_half_clique(x_points, o_complement, m, "X")
-    bits = 0
-    for y in y_points:
-        bits |= y.bits
-    z_support = ElementSet(bits, n)
-    if not z_support <= O or len(z_support) != 2 * m - 1:
-        raise InvariantError("Y must live inside a (2m-1)-element subset of the center")
-    _check_half_clique(y_points, z_support, m, "Y")
-    images = [delta(x) for x in x_points]
-    if {q.bits for q in images} != {q.bits for q in y_points}:
-        raise InvariantError("delta is not a bijection from X onto Y")
+    if len(O) != 2 * m or O.ground_size != n:
+        raise InvariantError(f"center must be a {2 * m}-element set on [{n}]")
+    o = O.bits
+    xs = _half_bits(X, ((1 << n) - 1) & ~o, n, m, "X")
+    ys = _half_bits(Y, o, n, m, "Y")
+    if isinstance(delta, FanoBijection) and isinstance(X, FanoPlane) and isinstance(Y, FanoPlane):
+        if (delta.source, delta.target) != (X, Y):
+            raise InvariantError("delta is a bijection between other planes than X and Y")
+        images = [ys[i] for i in delta.images]
+    else:
+        if not callable(delta):
+            delta = dict(delta).__getitem__
+        images = [delta(ElementSet(x, n)).bits for x in xs]
+        if set(images) != set(ys):
+            raise InvariantError("delta is not a bijection from X onto Y")
 
-    # the checks above prove the product a clique: two members meet in m/2 + m/2,
+    # the halves prove the product a clique: two members meet in m/2 + m/2,
     # or in x alone, or in y or O minus y against O, so no pair is checked again
-    return Clique._proved(
-        g, _product_bits(O.bits, [x.bits for x in x_points], [y.bits for y in images])
-    )
+    return Clique._proved(g, _product_bits(o, xs, images))
 
 
 def _product_bits(o: int, xs, ys) -> tuple[int, ...]:
@@ -131,9 +146,7 @@ class CenteredDecomposition:
         o = self.center.bits
         return self._sets(sorted(x | (o & ~y) for x, y in zip(self.xs, self.ys)))
 
-    def fano_bijection(self):
-        from .fano import FanoBijection, FanoPlane
-
+    def fano_bijection(self) -> FanoBijection:
         src = FanoPlane.from_points(self.x_points)
         dst = FanoPlane.from_points(self.y_points)
         return FanoBijection.from_mapping(src, dst, self.delta)
@@ -207,7 +220,7 @@ def hyperplane_complement_blocks(k: int) -> tuple[ElementSet, ...]:
     """
     if k < 3:
         raise InvariantError("hyperplane complements need k >= 3")
-    n = 2**k - 1
+    n = GeometryParams.for_dimension(k).n
     return tuple(
         ElementSet.of(
             [j for j in range(1, n + 1) if (a & j).bit_count() % 2 == 1], n
@@ -339,8 +352,6 @@ def canonical_centered_blocks(index: int) -> tuple[ElementSet, ...]:
     points, the center, then the seven complements; with index 7 this
     reproduces the hyperplane-complement blocks of PG(3,2) exactly.
     """
-    from .fano import FanoPlane, representative_of_index
-
     if index not in (0, 1, 3, 7):
         raise InvariantError("index must be one of 0, 1, 3, 7")
     O = canonical_center()

@@ -1,9 +1,10 @@
 """Fano planes as 7-point cliques of 4-subsets of a 7-element support.
 
-A FanoPlane comes from FanoPlane.from_points or fano_planes_on, which
-validate its points once and store on it the point index (point bitmask ->
-position in points) and the 7 lines that every other function here reads;
-equality and hashing depend on the points alone.
+A FanoPlane checks its points when built (7 distinct ascending 4-subsets of
+one ground, closed under symmetric difference) and stores what every other
+function here reads: bitmasks, support, point index (bitmask -> position),
+the 7 lines and their masks (bit i = position i). Equality and hashing
+depend on the points alone.
 
 A bijection between two planes carries an index: the number of lines it
 maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from operator import attrgetter
 
-from .constructions import hyperplane_complement_blocks
 from .errors import InternalCheckError, InvariantError
 from .subsets import ElementSet, map_bits
 
@@ -30,26 +30,28 @@ class FanoPlane:
     """Seven mutually collinear 4-subsets, closed under symmetric difference."""
 
     points: tuple[ElementSet, ...]
-    index: dict[int, int] = field(compare=False, repr=False)
-    _lines: tuple[frozenset[int], ...] = field(compare=False, repr=False)
+    bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    support: ElementSet = field(init=False, compare=False, repr=False)
+    index: dict[int, int] = field(init=False, compare=False, repr=False)
+    _lines: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
+    _line_masks: frozenset[int] = field(init=False, compare=False, repr=False)
 
-    @classmethod
-    def from_points(cls, points) -> "FanoPlane":
-        pts = tuple(sorted(points, key=attrgetter("bits")))
-        bits = [p.bits for p in pts]
-        index = {b: i for i, b in enumerate(bits)}
-        if len(pts) != 7 or len(index) != 7:
-            raise InvariantError("a Fano plane needs 7 distinct points")
-        support = 0
-        for b in bits:
-            if b.bit_count() != 4:
-                raise InvariantError("plane points must be 4-element subsets")
-            support |= b
+    def __post_init__(self):
+        pts = tuple(self.points)
+        bits = tuple(p.bits for p in pts)
+        if len(bits) != 7 or list(bits) != sorted(set(bits)):
+            raise InvariantError("a Fano plane needs 7 distinct points in ascending bitmask order")
+        support, n = 0, pts[0].ground_size
+        for p in pts:
+            if p.ground_size != n or p.bits.bit_count() != 4:
+                raise InvariantError(f"plane points must be 4-element subsets of one ground [{n}]")
+            support |= p.bits
         if support.bit_count() != 7:
             raise InvariantError("plane points must cover a 7-element support")
+        index = {b: i for i, b in enumerate(bits)}
         # a ^ b is a 4-subset only if |a & b| = 2, so a closed plane is collinear;
         # pairs in lexicographic order emit each line once, at its two smallest points
-        lines = []
+        lines, masks = [], []
         for i, j in combinations(range(7), 2):
             third = index.get(bits[i] ^ bits[j])
             if third is None:
@@ -58,14 +60,16 @@ class FanoPlane:
                 raise InvariantError("plane is not closed under symmetric difference")
             if j < third:
                 lines.append(_TRIPLES[i, j, third])
-        return cls(pts, index, tuple(lines))
+                masks.append(1 << i | 1 << j | 1 << third)
+        for name, value in (
+            ("points", pts), ("bits", bits), ("support", ElementSet(support, n)),
+            ("index", index), ("_lines", tuple(lines)), ("_line_masks", frozenset(masks)),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def support(self) -> ElementSet:
-        bits = 0
-        for p in self.points:
-            bits |= p.bits
-        return ElementSet(bits, self.points[0].ground_size)
+    @classmethod
+    def from_points(cls, points) -> "FanoPlane":
+        return cls(tuple(sorted(points, key=attrgetter("bits"))))
 
     def lines(self) -> tuple[frozenset[int], ...]:
         """The 7 lines as frozensets of point indices into .points, sorted."""
@@ -73,8 +77,7 @@ class FanoPlane:
 
     def simplices(self) -> tuple[frozenset[int], ...]:
         """The 7 simplices (4 points, no 3 on a line) = complements of lines."""
-        everything = frozenset(range(7))
-        return tuple(everything - line for line in self.lines())
+        return tuple(frozenset(range(7)) - line for line in self._lines)
 
 
 def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
@@ -86,6 +89,8 @@ def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
     ascending support elements, which generate S7. The planes come sorted
     by their ascending point bitmasks.
     """
+    from .constructions import hyperplane_complement_blocks
+
     if len(ground) != 7:
         raise InvariantError("ground set must have exactly 7 elements")
     n = ground.ground_size
@@ -160,18 +165,18 @@ class FanoBijection:
         return self.target.points[self.images[self.source.index[p.bits]]]
 
 
-def _lines_kept(images, source_lines, target_lines: set) -> int:
-    """Number of source lines that images sends onto a member of target_lines."""
+def _lines_kept(images, source_lines, target_masks: frozenset[int]) -> int:
+    """Number of source lines whose image under images is one of target_masks."""
     count = 0
-    for line in source_lines:
-        if frozenset([images[i] for i in line]) in target_lines:
+    for a, b, c in source_lines:
+        if (1 << images[a] | 1 << images[b] | 1 << images[c]) in target_masks:
             count += 1
     return count
 
 
 def bijection_index(d: FanoBijection) -> int:
     """Number of source lines whose image is a line of the target."""
-    return _lines_kept(d.images, d.source.lines(), set(d.target.lines()))
+    return _lines_kept(d.images, d.source._lines, d.target._line_masks)
 
 
 def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
@@ -182,7 +187,7 @@ def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
     """
     labels = canonical_labeling(f)
     base = (labels["1"], labels["2"], labels["3"], labels["123"])
-    bits = [p.bits for p in f.points]
+    bits = f.bits
     thirds = [f.index[bits[base[0]] ^ bits[b]] for b in base[1:]]
     out = []
     for simplex in f.simplices():
@@ -205,7 +210,7 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     Points 1, 2, 3 are not on a common plane line, ij marks the third point
     on the line through i and j, and 123 is the remaining point.
     """
-    bits = [p.bits for p in f.points]
+    bits = f.bits
     p1, p2 = 0, 1
     p12 = f.index[bits[p1] ^ bits[p2]]
     p3 = min(i for i in range(7) if i not in (p1, p2, p12))
@@ -281,9 +286,8 @@ def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
 
 def index_spectrum(f1: FanoPlane, f2: FanoPlane) -> dict[int, int]:
     """Index histogram over all 5040 bijections between two planes."""
-    target_lines = set(f2.lines())
     return dict(Counter(
-        _lines_kept(perm, f1.lines(), target_lines) for perm in permutations(range(7))
+        _lines_kept(perm, f1._lines, f2._line_masks) for perm in permutations(range(7))
     ))
 
 

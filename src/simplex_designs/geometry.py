@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvariantError
-from .subsets import ElementSet, subsets_of
+from .subsets import MAX_GROUND_SIZE, ElementSet, subsets_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,6 +30,8 @@ class GeometryParams:
             raise InvariantError(
                 f"({self.k}, {self.m}, {self.n}) is not a simplex-code triple"
             )
+        if self.n > MAX_GROUND_SIZE:
+            raise InvariantError(f"ground size {self.n} exceeds {MAX_GROUND_SIZE} (k <= 6)")
 
     @classmethod
     def for_dimension(cls, k: int) -> "GeometryParams":

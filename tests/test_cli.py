@@ -228,6 +228,31 @@ class TestCensus:
         )
         assert total == 720
 
+    def test_census_trusts_its_planes(self, capsys, monkeypatch):
+        # the planes prove themselves when built; a census op must not re-check them
+        import simplex_designs.constructions as constructions
+        from simplex_designs.fano import fano_planes_on
+        from simplex_designs.subsets import ElementSet
+
+        calls = []
+        check = constructions._check_half_clique
+
+        def spy(*args):
+            calls.append(args[-1])
+            return check(*args)
+
+        monkeypatch.setattr(constructions, "_check_half_clique", spy)
+        code, out, _ = run_cli(
+            capsys, "--format", "kv", "--sorted", "census", "--delta-limit", "720"
+        )
+        assert code == 0 and kv_dict(out)["distinct_cliques"] == "720"
+        assert calls == []
+        O = constructions.canonical_center()
+        X = fano_planes_on(ElementSet(0x7F, 15))[0]
+        Y = fano_planes_on(constructions.default_z(O))[0]
+        constructions.product_clique(O, X.points, Y.points, dict(zip(X.points, Y.points)))
+        assert calls == ["X", "Y"]
+
     def test_full_delta_census_matches_spectrum(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "kv", "--sorted", "census")
         assert code == 0

@@ -30,12 +30,13 @@ from simplex_designs.constructions import (
 from simplex_designs.designs import Design, design_from_clique, find_isomorphism
 from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
+    INDEX_VALUES,
     FanoBijection,
     bijection_index,
     fano_planes_on,
     representative_of_index,
 )
-from simplex_designs.geometry import is_singular_subspace
+from simplex_designs.geometry import geometry_for_dimension, is_singular_subspace
 from simplex_designs.subsets import ElementSet
 
 FULL15 = ElementSet.full(15)
@@ -136,6 +137,65 @@ class TestProduct:
         with pytest.raises(InvariantError):
             product_clique(O, Y, X, {y: x for x, y in delta.mapping().items()})
 
+
+
+class TestTrustedProduct:
+    """Plane halves with a FanoBijection take the trusted route of product_clique.
+
+    The point-sequence route with a mapping checks every point and pair, so
+    it is the reference the trusted route must match bit for bit.
+    """
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return random_parameters(random.Random(16))
+
+    def test_matches_checked_route_on_every_index(self, g15):
+        rng = random.Random(17)
+        seen = set()
+        for trial in range(40):
+            O, Z, X, Y, delta = random_parameters(rng)
+            for d in (delta, representative_of_index(X, Y, INDEX_VALUES[trial % 4])):
+                seen.add(bijection_index(d))
+                trusted = product_clique(O, X, Y, d)
+                checked = product_clique(O, X.points, Y.points, d.mapping())
+                assert trusted.bits == checked.bits
+                assert Clique(g15, trusted.bits) == trusted
+        assert seen == set(INDEX_VALUES)
+
+    def test_rejects_x_meeting_the_center(self, params):
+        O, Z, X, Y, delta = params
+        with pytest.raises(InvariantError, match="X support"):
+            product_clique(O, Y, X, FanoBijection(Y, X, delta.images))
+
+    def test_rejects_y_leaving_the_center(self, params):
+        O, Z, X, Y, delta = params
+        other = fano_planes_on(X.support)[0]
+        with pytest.raises(InvariantError, match="Y support"):
+            product_clique(O, X, other, FanoBijection(X, other, delta.images))
+
+    def test_rejects_a_bijection_between_other_planes(self, params):
+        O, Z, X, Y, delta = params
+        other_x = next(f for f in fano_planes_on(X.support) if f != X)
+        other_y = next(f for f in fano_planes_on(Y.support) if f != Y)
+        for d in (FanoBijection(other_x, Y, delta.images), FanoBijection(X, other_y, delta.images)):
+            with pytest.raises(InvariantError, match="other planes"):
+                product_clique(O, X, Y, d)
+
+    def test_rejects_planes_on_another_ground(self, params):
+        O, Z, X, Y, delta = params
+        X7 = fano_planes_on(ElementSet.full(7))[0]
+        with pytest.raises(InvariantError, match=r"k = 4 half on \[15\]"):
+            product_clique(O, X7, Y, FanoBijection(X7, Y, delta.images))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_rejects_planes_in_another_dimension(self, k):
+        g = geometry_for_dimension(k)
+        n, m = g.params.n, g.params.m
+        O = ElementSet((1 << 2 * m) - 1, n)
+        X = fano_planes_on(ElementSet(0x7F << n - 7, n))[0]
+        with pytest.raises(InvariantError, match=rf"k = 4 half on \[{n}\]"):
+            product_clique(O, X, X, FanoBijection(X, X, tuple(range(7))), g)
 
 class TestDecompose:
     def test_round_trip_from_random_parameters(self):

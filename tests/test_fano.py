@@ -114,7 +114,10 @@ class TestPlaneEnumeration:
     def test_stored_lines_and_index_match_xor_closure(self, support):
         for f in fano_planes_on(support):
             assert f.lines() == xor_lines(f)
+            assert f._line_masks == {sum(1 << i for i in line) for line in xor_lines(f)}
             assert f.index == {p.bits: i for i, p in enumerate(f.points)}
+            assert f.bits == tuple(p.bits for p in f.points)
+            assert f.support == support
 
     def test_from_points_ignores_point_order(self, planes):
         rng = random.Random(5)
@@ -138,6 +141,30 @@ class TestPlaneEnumeration:
         broken = list(good.points[:6]) + [ElementSet.of([1, 2, 3, 5], 7)]
         with pytest.raises(InvariantError):
             FanoPlane.from_points(broken)
+
+    def test_direct_construction_validates(self, planes):
+        good = planes[0]
+        assert FanoPlane(good.points) == good
+        assert FanoPlane(good.points).lines() == good.lines()
+        outside = ElementSet.of([1, 2, 3, 7], 7)
+        assert outside not in good.points
+        bad = [
+            (good.points[:3], "7 distinct"),
+            (good.points[:6] + good.points[5:6], "7 distinct"),
+            (good.points[::-1], "ascending"),
+            (tuple(sorted(good.points[1:] + (outside,), key=lambda p: p.bits)), "not closed"),
+        ]
+        for points, message in bad:
+            with pytest.raises(InvariantError, match=message):
+                FanoPlane(points)
+        with pytest.raises(TypeError):
+            FanoPlane(good.points[:3], {}, ())
+
+    def test_points_on_two_grounds_rejected(self, planes):
+        points = [ElementSet(p.bits, 15) for p in planes[0].points]
+        points[3] = planes[0].points[3]
+        with pytest.raises(InvariantError, match="of one ground"):
+            FanoPlane.from_points(points)
 
     @pytest.mark.parametrize(
         "extra,message", [((1, 2, 3, 5), "not collinear"), ((1, 2, 3, 7), "not closed")]

@@ -44,6 +44,17 @@ class TestParams:
         with pytest.raises(InvariantError):
             GeometryParams.for_dimension(1)
 
+    def test_ground_beyond_one_word_rejected(self):
+        from simplex_designs.constructions import hyperplane_complement_blocks
+
+        assert GeometryParams.for_dimension(6).n == 63
+        for build in (GeometryParams.for_dimension, geometry_for_dimension,
+                      hyperplane_complement_blocks):
+            with pytest.raises(InvariantError, match="ground size 127 exceeds 63"):
+                build(7)
+        with pytest.raises(InvariantError, match="exceeds 63"):
+            GeometryParams(7, 32, 127)
+
 
 class TestRoster:
     @pytest.mark.parametrize("k", [5, 6])
