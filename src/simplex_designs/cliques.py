@@ -1,7 +1,7 @@
 """Collinearity graph, maximal-clique enumeration and clique classification.
 
-The graph stores one adjacency bitset per vertex (bit j of adjacency[u] is
-set when vertex j is collinear to vertex u). maximal_cliques is the
+The graph stores one adjacency bitset, a Python int, per vertex (bit j of
+adjacency[u] is set when vertex j is collinear to vertex u). maximal_cliques is the
 package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
 deterministic. The whole graph is searched from the root; a search through
@@ -23,6 +23,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import InternalCheckError, InvariantError
 from .geometry import Geometry, Line, is_singular_bits
@@ -73,21 +74,28 @@ def build_graph(g: Geometry) -> CollinearityGraph:
     """Adjacency bitsets for the whole point roster, numbered as g.points.
 
     Vertices are adjacent when their point bitmasks meet in exactly m
-    elements, counted by numpy popcounts one chunk of rows at a time. The
-    slow predicate is_collinear remains the semantic source of truth.
+    elements. Bit j of column[e] is set when point j holds element e; row u
+    adds the columns of u's 2m elements in bit-sliced counters (plane i holds
+    bit i of every count; Knuth, TAOCP 4A, 7.1.3) and keeps the count-m bits.
+    The slow predicate is_collinear remains the semantic source of truth.
     """
-    import numpy as np  # imported here: at module level it is most of the CLI's start-up
-
-    m = g.params.m
-    # the k <= 4 roster guard keeps n <= 15, so every point fits in 16 bits
-    masks = np.array([p.bits for p in g.points], dtype=np.uint16)
+    m, n = g.params.m, g.params.n
+    bits = [p.bits for p in g.points]
+    # f"{b:0{n}b}" spells element n - 1 first, so zip reads the columns from the top down
+    column = [int("".join(c), 2) for c in zip(*[f"{b:0{n}b}" for b in reversed(bits)])][::-1]
+    everyone = (1 << len(bits)) - 1
     adjacency: list[int] = []
-    chunk = 1024
-    for start in range(0, len(masks), chunk):
+    for b in bits:
+        planes = [0] * (2 * m).bit_length()
+        for e in set_bits(b):
+            carry = column[e]
+            for i, plane in enumerate(planes):
+                planes[i], carry = plane ^ carry, plane & carry
         # a point meets itself in 2m != m elements, so no vertex is its own neighbour
-        adjacent = np.bitwise_count(masks[start:start + chunk, None] & masks) == m
-        packed = np.packbits(adjacent, axis=1, bitorder="little")
-        adjacency.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        row = everyone
+        for i, plane in enumerate(planes):
+            row &= plane if m >> i & 1 else ~plane
+        adjacency.append(row)
     return CollinearityGraph._unchecked(g, adjacency)
 
 
@@ -239,20 +247,13 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
 def _renumber(adj: list[int], v: int) -> tuple[list[int], list[int]]:
     """N[v] ascending, and the graph it induces with outer[i] renumbered to i.
 
-    The rows of N[v] are joined as little-endian bytes, unpacked to a 0/1
-    matrix, cut to the columns of N[v] and packed again, as build_graph
-    packs its rows.
+    Character -1 - w of bin(row | 1 << len(adj)) is bit w of the row, so one
+    itemgetter picks the columns of N[v] from the highest down and int(_, 2)
+    reads them back as a row |N[v]| bits wide.
     """
-    import numpy as np  # imported here: at module level it is most of the CLI's start-up
-
     outer = list(set_bits(adj[v] | 1 << v))
-    width = (len(adj) + 7) // 8
-    rows = np.frombuffer(
-        b"".join([adj[u].to_bytes(width, "little") for u in outer]), dtype=np.uint8
-    ).reshape(len(outer), width)
-    matrix = np.unpackbits(rows, axis=1, bitorder="little")
-    packed = np.packbits(matrix[:, outer], axis=1, bitorder="little")
-    return outer, [int.from_bytes(row.tobytes(), "little") for row in packed]
+    pick = itemgetter(*[-1 - w for w in reversed(outer)])
+    return outer, [int("".join(pick(bin(adj[u] | 1 << len(adj)))), 2) for u in outer]
 
 
 def enumerate_maximal_cliques(

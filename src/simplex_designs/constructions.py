@@ -82,7 +82,10 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     else:
         if not callable(delta):
             delta = dict(delta).__getitem__
-        images = [delta(ElementSet(x, n)).bits for x in xs]
+        try:
+            images = [delta(ElementSet(x, n)).bits for x in xs]
+        except KeyError as missing:
+            raise InvariantError(f"delta has no image for {missing}") from None
         if set(images) != set(ys):
             raise InvariantError("delta is not a bijection from X onto Y")
 

@@ -71,6 +71,12 @@ class FanoPlane:
     def from_points(cls, points) -> "FanoPlane":
         return cls(tuple(sorted(points, key=attrgetter("bits"))))
 
+    def position(self, p: ElementSet) -> int:
+        """The index of p in .points; InvariantError unless p is a point of the plane."""
+        if p.bits in self.index and p.ground_size == self.support.ground_size:
+            return self.index[p.bits]
+        raise InvariantError(f"{p} is not a point of the plane")
+
     def lines(self) -> tuple[frozenset[int], ...]:
         """The 7 lines as frozensets of point indices into .points, sorted."""
         return self._lines
@@ -124,11 +130,7 @@ def is_simplex(f: FanoPlane, s) -> bool:
     Equivalent to the complement being a line; the primary check is the
     no-line condition and tests assert the equivalence exhaustively.
     """
-    idxs = set()
-    for p in s:
-        if p.bits not in f.index:
-            raise InvariantError(f"{p} is not a point of the plane")
-        idxs.add(f.index[p.bits])
+    idxs = {f.position(p) for p in s}
     if len(idxs) != 4:
         raise InvariantError("a simplex consists of 4 distinct plane points")
     return not any(line <= idxs for line in f.lines())
@@ -152,7 +154,7 @@ class FanoBijection:
     @classmethod
     def from_mapping(cls, source: FanoPlane, target: FanoPlane, mapping) -> "FanoBijection":
         return cls(
-            source, target, tuple(target.index[mapping[p].bits] for p in source.points)
+            source, target, tuple(target.position(mapping[p]) for p in source.points)
         )
 
     def mapping(self) -> dict[ElementSet, ElementSet]:
@@ -162,7 +164,7 @@ class FanoBijection:
         }
 
     def __call__(self, p: ElementSet) -> ElementSet:
-        return self.target.points[self.images[self.source.index[p.bits]]]
+        return self.target.points[self.images[self.source.position(p)]]
 
 
 def _lines_kept(images, source_lines, target_masks: frozenset[int]) -> int:

@@ -360,6 +360,8 @@ def test_console_entry_point_runs():
 NUMPY_SCRIPT = """
 import contextlib, io, sys
 from simplex_designs.cli import CONSTRUCT_KINDS, main
+from simplex_designs.cliques import build_graph, enumerate_maximal_cliques
+from simplex_designs.geometry import geometry_for_dimension
 
 print("import", "numpy" in sys.modules)
 runs = [["construct", kind] for kind in CONSTRUCT_KINDS] + [
@@ -369,11 +371,15 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["--sorted", *argv])
     print(*argv, code, "numpy" in sys.modules)
+graph = build_graph(geometry_for_dimension(4))
+print("build_graph", len(graph), "numpy" in sys.modules)
+first = next(enumerate_maximal_cliques(graph, containing=0, min_size=15))
+print("first clique", len(first), "numpy" in sys.modules)
 """
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # neither importing the CLI nor any command short of clique enumeration loads numpy
+    # the package runs on the standard library: no import, command, graph or search loads numpy
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_SCRIPT], capture_output=True, text=True
     )
@@ -385,6 +391,8 @@ def test_cli_import_leaves_numpy_unloaded():
         "classify c1 0 False",
         "isomorphic c1 c3 0 False",
         "census --delta-limit 50 0 False",
+        "build_graph 6435 False",
+        "first clique 15 False",
     ]
 
 

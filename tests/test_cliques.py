@@ -22,7 +22,7 @@ from simplex_designs.cliques import (
 )
 from simplex_designs.designs import automorphism_group
 from simplex_designs.errors import InvariantError
-from simplex_designs.geometry import is_collinear, is_singular_subspace
+from simplex_designs.geometry import geometry_for_dimension, is_collinear, is_singular_subspace
 from simplex_designs.subsets import ElementSet, Permutation, apply, complement_in, subsets_of
 
 from conftest import FIXTURE_NAMES
@@ -69,10 +69,15 @@ class TestGraph:
                 assert (gr7.adjacency[u] >> v & 1) == (gr7.adjacency[v] >> u & 1)
 
     def test_adjacency_matches_predicate_exhaustive_n7(self, gr7, g7):
-        for u, v in combinations(range(len(g7)), 2):
-            fast = gr7.adjacency[u] >> v & 1 == 1
-            slow = is_collinear(g7, g7.points[u], g7.points[v])
-            assert fast == slow
+        # and at k = 2, where the three 2-subsets of [3] meet pairwise in m = 1: a triangle
+        g3 = geometry_for_dimension(2)
+        gr3 = build_graph(g3)
+        assert gr3.adjacency == [0b110, 0b101, 0b011]
+        for g, graph in ((g3, gr3), (g7, gr7)):
+            for u, v in combinations(range(len(g)), 2):
+                fast = graph.adjacency[u] >> v & 1 == 1
+                slow = is_collinear(g, g.points[u], g.points[v])
+                assert fast == slow
 
     def test_adjacency_matches_predicate_sampled_n15(self, g15, gr15):
         assert len(gr15) == 6435
@@ -82,6 +87,17 @@ class TestGraph:
             fast = gr15.adjacency[u] >> v & 1 == 1
             slow = is_collinear(g15, g15.points[u], g15.points[v])
             assert fast == slow
+
+    def test_every_k4_row_has_2450_neighbours_and_no_loop(self, gr15):
+        # each 8-subset of [15] meets C(8,4) * C(7,4) = 2450 others in 4 elements
+        for u, row in enumerate(gr15.adjacency):
+            assert row.bit_count() == 2450 and not row >> u & 1
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_refuses_a_graph_without_a_roster(self, k):
+        # the roster guard fails before any column or counter is built
+        with pytest.raises(InvariantError, match=f"k = {k} point roster"):
+            build_graph(geometry_for_dimension(k))
 
     def test_hand_built_rows_must_be_collinearity(self, g7):
         # points 0, 1, 2 of the k = 3 roster are 0b0001111, 0b0010111 and
@@ -214,6 +230,12 @@ class TestContaining:
         graphs = [random_adjacency(rng, 30, density) for density in (0.0, 0.2, 0.6, 1.0)]
         vertices, plane_slice = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
         cases = [(adj, v) for adj in graphs for v in rng.sample(range(30), 3)]
+        # every width 1..70, multiples of 8 or not, at both ends and one vertex made isolated
+        for width in range(1, 71):
+            adj = random_adjacency(rng, width, rng.random())
+            lone = rng.randrange(width)
+            adj = [0 if u == lone else row & ~(1 << lone) for u, row in enumerate(adj)]
+            cases += [(adj, 0), (adj, width - 1), (adj, lone), (adj, rng.randrange(width))]
         cases += [(plane_slice.adjacency, v) for v in (0, vertices[0], vertices[-1])]
         for adj, v in cases:
             outer = [u for u in range(len(adj)) if u == v or adj[v] >> u & 1]

@@ -131,6 +131,19 @@ class TestProduct:
         with pytest.raises(InvariantError):
             product_clique(O, X.points, Y.points, bad)
 
+    @pytest.mark.parametrize("keep", [0, 6])
+    def test_rejects_a_delta_missing_a_point(self, keep):
+        O = canonical_center()
+        X = fano_planes_on(ElementSet(FULL15.bits & ~O.bits, 15))[0]
+        Y = fano_planes_on(default_z(O))[0]
+        partial = dict(list(zip(X.points, Y.points))[:keep])
+        missing = rf"delta has no image for .*bits={X.points[keep].bits},"
+        with pytest.raises(InvariantError, match=missing):
+            product_clique(O, X.points, Y.points, partial)
+        # a FanoBijection passed with point-sequence halves is a callable delta, checked in full
+        with pytest.raises(InvariantError, match="not a point of the plane"):
+            product_clique(O, X.points, Y.points, FanoBijection(Y, Y, tuple(range(7))))
+
     def test_rejects_x_not_in_complement(self):
         rng = random.Random(5)
         O, Z, X, Y, delta = random_parameters(rng)

@@ -130,6 +130,10 @@ class TestPlaneEnumeration:
             assert g.lines() == f.lines()
             assert g.index == f.index
 
+    def test_position_is_the_index_of_each_point(self, planes):
+        for f in planes[:5]:
+            assert [f.position(p) for p in f.points] == list(range(7))
+
     def test_wrong_ground_size(self):
         with pytest.raises(InvariantError):
             fano_planes_on(ElementSet.full(6))
@@ -203,6 +207,13 @@ class TestSimplex:
             pts = [f.points[i] for i in quad]
             comp = frozenset(range(7)) - set(quad)
             assert is_simplex(f, pts) == (comp in line_sets)
+
+    def test_rejects_points_outside_the_plane(self, planes):
+        f, other = planes[0], planes[1]
+        stranger = next(p for p in other.points if p not in f.points)
+        for outside in (stranger, ElementSet(f.points[0].bits, 15)):
+            with pytest.raises(InvariantError, match="not a point of the plane"):
+                is_simplex(f, [outside, *f.points[1:4]])
 
 
 class TestAutomorphisms:
@@ -343,6 +354,22 @@ class TestBijectionType:
         d = representative_of_index(f1, f2, 7)
         rebuilt = FanoBijection.from_mapping(f1, f2, d.mapping())
         assert rebuilt == d
+
+    def test_call_rejects_a_point_outside_the_source(self):
+        X, Y = (fano_planes_on(ElementSet(bits, 15))[0] for bits in (0x7F, 0x7F00))
+        d = FanoBijection(X, Y, tuple(range(7)))
+        assert [d(x) for x in X.points] == list(Y.points)
+        with pytest.raises(InvariantError, match="not a point of the plane"):
+            d(Y.points[0])
+        # the same bits on another ground are another set
+        with pytest.raises(InvariantError, match="not a point of the plane"):
+            d(ElementSet(X.points[0].bits, 7))
+
+    def test_from_mapping_rejects_an_image_outside_the_target(self, planes):
+        f1, f2, f3 = planes[:3]
+        stray = dict(zip(f1.points, f3.points))
+        with pytest.raises(InvariantError, match="not a point of the plane"):
+            FanoBijection.from_mapping(f1, f2, stray)
 
     def test_invalid_images(self, pair):
         with pytest.raises(InvariantError):

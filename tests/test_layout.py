@@ -2,11 +2,10 @@
 
 Modules share code through public names only, and the lowest-set-bit
 idiom ``x & -x`` lives in subsets.py alone (set_bits and map_bits), so
-there is one set-bit iterator in the package. numpy is imported inside the
-functions that use it, never at module level, so importing the CLI does not
-load it. Only cliques.py imports it, for the collinearity graph, so the
-array code sits in one module and no CLI command loads numpy unless it
-enumerates cliques. The point roster's numbering (index_of, indices_of,
+there is one set-bit iterator in the package. No module imports numpy, not
+even inside a function: the collinearity graph is built and renumbered on
+Python ints like every other bitset, so the package runs on the standard
+library alone. The point roster's numbering (index_of, indices_of,
 Clique.vertices) is used in geometry.py and cliques.py alone: everywhere
 else points are bitmasks, so nothing else builds the roster. functools.lru_cache and
 functools.cache appear only on geometry_for_dimension, whose shared
@@ -82,32 +81,11 @@ def imports_numpy(node):
     return any(name.split(".")[0] == "numpy" for name in names)
 
 
-def import_lines(nodes):
-    ordered = sorted(nodes, key=lambda node: node.lineno)
-    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ordered]
-
-
-def module_level_numpy_imports(tree):
-    """Imports of numpy that run when the module is imported.
-
-    Function bodies are skipped; class bodies and compound statements at
-    module level run on import, so they are searched.
-    """
-    found = []
-    pending = list(tree.body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if imports_numpy(node):
-            found.append(node)
-        pending.extend(ast.iter_child_nodes(node))
-    return import_lines(found)
-
-
 def numpy_imports(tree):
     """Imports of numpy anywhere in the module, function bodies included."""
-    return import_lines([node for node in ast.walk(tree) if imports_numpy(node)])
+    found = [node for node in ast.walk(tree) if imports_numpy(node)]
+    found.sort(key=lambda node: node.lineno)
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
@@ -216,15 +194,15 @@ def test_lowest_set_bit_idiom_only_in_subsets(path):
     assert lowest_bit_idioms(parse(path)) == []
 
 
+def test_package_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_numpy_import(path):
-    assert module_level_numpy_imports(parse(path)) == []
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "cliques.py"], ids=lambda p: p.name
-)
-def test_numpy_only_in_cliques(path):
+    # every module, and inside functions too: no module imports numpy at all
     assert numpy_imports(parse(path)) == []
 
 
@@ -277,16 +255,11 @@ def test_rules_catch_the_patterns():
         "    import numpy\n"
         "import numpyro\n"
     )
-    assert module_level_numpy_imports(numpy_tree) == [
-        "line 1: import numpy as np",
-        "line 3: from numpy.linalg import det",
-    ]
     assert numpy_imports(numpy_tree) == [
         "line 1: import numpy as np",
         "line 3: from numpy.linalg import det",
         "line 5: import numpy",
     ]
-    assert numpy_imports(parse(PACKAGE / "cliques.py"))
     cache_tree = ast.parse(
         "import functools\n"
         "from functools import cache as memo, cached_property, lru_cache\n"
