@@ -207,6 +207,14 @@ def test_no_module_level_numpy_import(path):
 
 
 @pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cliques.py"], ids=lambda p: p.name
+)
+def test_numpy_only_in_cliques(path):
+    # cliques.py was the last module to use numpy; the rest never may
+    assert numpy_imports(parse(path)) == []
+
+
+@pytest.mark.parametrize(
     "path",
     [p for p in MODULES if p.name not in ("geometry.py", "cliques.py")],
     ids=lambda p: p.name,
