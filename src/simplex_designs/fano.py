@@ -153,9 +153,11 @@ class FanoBijection:
 
     @classmethod
     def from_mapping(cls, source: FanoPlane, target: FanoPlane, mapping) -> "FanoBijection":
-        return cls(
-            source, target, tuple(target.position(mapping[p]) for p in source.points)
-        )
+        try:
+            images = tuple(target.position(mapping[p]) for p in source.points)
+        except KeyError as missing:
+            raise InvariantError(f"mapping has no image for {missing.args[0]}") from None
+        return cls(source, target, images)
 
     def mapping(self) -> dict[ElementSet, ElementSet]:
         return {

@@ -99,10 +99,8 @@ def complement_in(a: ElementSet, universe: ElementSet) -> ElementSet:
 
 def subsets_of(support: ElementSet, size: int):
     """All size-element subsets of the given support, ascending by bitmask."""
-    masks = sorted(
-        sum(1 << (e - 1) for e in combo)
-        for combo in combinations(support.elements(), size)
-    )
+    powers = [1 << (e - 1) for e in support.elements()]
+    masks = sorted(map(sum, combinations(powers, size)))
     return tuple(ElementSet(m, support.ground_size) for m in masks)
 
 

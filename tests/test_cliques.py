@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_designs.cliques import (
+    _colex_columns,
     _renumber,
     Clique,
     CliqueTag,
@@ -26,6 +27,9 @@ from simplex_designs.geometry import geometry_for_dimension, is_collinear, is_si
 from simplex_designs.subsets import ElementSet, Permutation, apply, complement_in, subsets_of
 
 from conftest import FIXTURE_NAMES
+
+
+K4_ADJACENCY_SHA256 = "8903f16b558bb2639378d1027b16b2fc72e2bca2089042e3306ef2e3bd32b5b4"
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +103,40 @@ class TestGraph:
         with pytest.raises(InvariantError, match=f"k = {k} point roster"):
             build_graph(geometry_for_dimension(k))
 
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_roster_guard_comes_before_the_columns(self, k, monkeypatch):
+        def fail(n, t):
+            raise AssertionError("columns built before the roster guard")
+
+        monkeypatch.setattr("simplex_designs.cliques._colex_columns", fail)
+        with pytest.raises(InvariantError, match=f"k = {k} point roster"):
+            build_graph(geometry_for_dimension(k))
+
+    def test_colex_columns_match_their_definition(self):
+        # bit j of column[e] is bit e of the j-th t-subset of range(n), ascending
+        for n in range(10):
+            for t in range(n + 1):
+                masks = sorted(sum(1 << e for e in c) for c in combinations(range(n), t))
+                expected = [
+                    sum((mask >> e & 1) << j for j, mask in enumerate(masks))
+                    for e in range(n)
+                ]
+                assert _colex_columns(n, t) == expected, (n, t)
+
+    def test_k4_adjacency_is_pinned(self, gr15):
+        # SHA-256 of the rows as 805-byte little-endian words, as first built
+        # by adding the 8 element columns of each point into 4 counter planes
+        digest = hashlib.sha256()
+        for row in gr15.adjacency:
+            digest.update(row.to_bytes(805, "little"))
+        assert digest.hexdigest() == K4_ADJACENCY_SHA256
+
+    def test_seeded_k4_rows_match_every_popcount(self, g15, gr15):
+        bits = [p.bits for p in g15.points]
+        for u in random.Random(18).sample(range(len(bits)), 64):
+            expected = sum(1 << j for j, b in enumerate(bits) if (bits[u] & b).bit_count() == 4)
+            assert gr15.adjacency[u] == expected, u
+
     def test_hand_built_rows_must_be_collinearity(self, g7):
         # points 0, 1, 2 of the k = 3 roster are 0b0001111, 0b0010111 and
         # 0b0011011, which meet pairwise in 3 elements, not m = 2
@@ -120,6 +158,20 @@ class TestGraph:
         rows[u] = row
         with pytest.raises(InvariantError, match=message):
             CollinearityGraph(g7, rows)
+
+    def test_zero_rows_are_skipped_but_later_rows_checked(self, g15):
+        zero = [0] * len(g15.points)
+        assert CollinearityGraph(g15, zero).adjacency == zero
+        bits = [p.bits for p in g15.points]
+        stranger = next(j for j, b in enumerate(bits) if (bits[6000] & b).bit_count() != 4)
+        for row, message in [
+            (-1, r"row 6000 has bits outside range\(6435\)"),
+            (1 << stranger, f"vertices 6000 and {stranger} are not collinear"),
+        ]:
+            rows = list(zero)
+            rows[6000] = row
+            with pytest.raises(InvariantError, match=message):
+                CollinearityGraph(g15, rows)
 
     def test_needs_one_row_per_point(self, g7, gr7):
         with pytest.raises(InvariantError, match="34 rows, expected 35"):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -370,6 +371,14 @@ class TestBijectionType:
         stray = dict(zip(f1.points, f3.points))
         with pytest.raises(InvariantError, match="not a point of the plane"):
             FanoBijection.from_mapping(f1, f2, stray)
+
+    def test_from_mapping_names_a_missing_source_point(self, pair):
+        f1, f2 = pair
+        with pytest.raises(InvariantError, match=re.escape(f"no image for {f1.points[0]}")):
+            FanoBijection.from_mapping(f1, f2, {})
+        partial = dict(zip(f1.points[:-1], f2.points))
+        with pytest.raises(InvariantError, match=re.escape(f"no image for {f1.points[-1]}")):
+            FanoBijection.from_mapping(f1, f2, partial)
 
     def test_invalid_images(self, pair):
         with pytest.raises(InvariantError):

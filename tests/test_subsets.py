@@ -118,6 +118,26 @@ class TestComplement:
             complement_in(elem([1]), elem([2, 3]))
 
 
+class TestSubsetsOf:
+    @pytest.mark.parametrize(
+        "elements, n",
+        [((), 7), ((3,), 7), ((1, 2, 3, 4, 5, 6, 7), 7), ((2, 5, 9, 11, 15), 15),
+         (tuple(range(1, 16)), 15), ((1, 63), 63)],
+        ids=["empty", "one", "full7", "scattered", "full15", "wide"],
+    )
+    def test_matches_the_sum_of_each_combination(self, elements, n):
+        support = ElementSet.of(elements, n)
+        for size in range(len(elements) + 1):
+            expected = sorted(
+                sum(1 << (e - 1) for e in combo)
+                for combo in combinations(support.elements(), size)
+            )
+            assert subsets_of(support, size) == tuple(ElementSet(b, n) for b in expected)
+        # size 0 gives the empty set alone; a size beyond the support gives nothing
+        assert subsets_of(support, 0) == (ElementSet.empty(n),)
+        assert subsets_of(support, len(elements) + 1) == ()
+
+
 class TestPermutation:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
