@@ -8,24 +8,24 @@ together with their normalized order-16 Hadamard matrices.
 
 from .cliques import (
     Clique,
-    CliqueClass,
-    CliqueTag,
     CollinearityGraph,
     build_graph,
-    center_points,
-    classify_clique,
     enumerate_maximal_cliques,
-    lines_inside,
-    planes_inside,
 )
 from .constructions import (
     CenteredDecomposition,
+    CliqueClass,
+    CliqueTag,
     canonical_centered_blocks,
+    center_points,
+    classify_clique,
     decompose,
     hyperplane_complement_blocks,
     hyperplane_complement_clique,
+    lines_inside,
     non_centered_blocks,
     non_centered_clique,
+    planes_inside,
     product_clique,
     split_non_centered,
 )

@@ -15,10 +15,12 @@ from importlib import resources
 from itertools import permutations
 from pathlib import Path
 
-from .cliques import INDEX_BY_TAG, TAG_BY_INDEX, classify_clique
 from .constructions import (
+    INDEX_BY_TAG,
+    TAG_BY_INDEX,
     canonical_centered_blocks,
     canonical_center,
+    classify_clique,
     default_z,
     hyperplane_complement_blocks,
     non_centered_blocks,

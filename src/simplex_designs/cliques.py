@@ -1,4 +1,4 @@
-"""Collinearity graph, maximal-clique enumeration and clique classification.
+"""Collinearity graph, cliques and maximal-clique enumeration.
 
 The graph stores one adjacency bitset, a Python int, per vertex (bit j of
 adjacency[u] is set when vertex j is collinear to vertex u). build_graph
@@ -15,23 +15,18 @@ slice; the stream is the same. enumerate_maximal_cliques is the wrapper
 for a collinearity graph, whose edges were checked when it was built: it
 maps each tuple through the point roster to bitmasks, which the search has
 proved collinear, and wraps them with Clique._proved, which (unlike
-Clique(...) and Clique.from_points) checks no pair again.
-
-A clique's centers, lines and Fano planes come from one pass over its point
-bitmasks (_structure). classify_clique works on those ints directly;
-center_points, lines_inside and planes_inside wrap them as ElementSet, Line
-and frozenset values.
+Clique(...) and Clique.from_points) checks no pair again. A clique's
+structure and type are read in constructions, beside the split they use.
 """
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .errors import InternalCheckError, InvariantError
-from .geometry import Geometry, Line, is_singular_bits
+from .errors import InvariantError
+from .geometry import Geometry
 from .subsets import ElementSet, set_bits
 
 logger = logging.getLogger(__name__)
@@ -188,40 +183,6 @@ class Clique:
         return p.ground_size == self.geometry.params.n and p.bits in self.bits
 
 
-class CliqueTag(Enum):
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
-    C4 = "C4"
-    NON_CENTERED = "NON_CENTERED"
-
-
-TAG_BY_INDEX = {7: CliqueTag.C1, 3: CliqueTag.C2, 1: CliqueTag.C3, 0: CliqueTag.C4}
-INDEX_BY_TAG = {tag: idx for idx, tag in TAG_BY_INDEX.items()}
-
-
-@dataclass(frozen=True)
-class CliqueClass:
-    """Classification verdict with the evidence that produced it."""
-
-    tag: CliqueTag
-    centers: tuple[ElementSet, ...]
-    index: int | None
-    line_count: int
-    plane_count: int
-
-    def __post_init__(self):
-        if self.tag is CliqueTag.NON_CENTERED:
-            if self.centers or self.index is not None:
-                raise InvariantError("non-centered verdicts carry no center or index")
-        else:
-            if not self.centers or self.index != INDEX_BY_TAG[self.tag]:
-                raise InvariantError(
-                    f"tag {self.tag.value} requires a center and index"
-                    f" {INDEX_BY_TAG[self.tag]}"
-                )
-
-
 def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = None):
     """Stream the maximal cliques of a graph given by adjacency bitsets.
 
@@ -312,157 +273,3 @@ def enumerate_maximal_cliques(
     for vertices in maximal_cliques(graph.adjacency, min_size, containing):
         # the roster ascends by bitmask, so ascending vertices give ascending bits
         yield Clique._proved(graph.geometry, tuple([points[v].bits for v in vertices]))
-
-
-def _structure(c: Clique):
-    """Centers, lines and planes of a clique in one pass over its point bitmasks.
-
-    Returns plain ints: the center bitmasks ascending, the lines as ascending
-    triples (a, b, a ^ b) in lexicographic order, and the planes as ascending
-    7-tuples in lexicographic order. Every pair of clique points is
-    collinear, so a line is a pair whose sum is inside, a center is a point
-    whose sum with every other point is inside (it lies on (|c| - 1) / 2
-    lines), and a plane is a line plus one more point d whose three sums
-    with the line points are inside. Each plane is built once, from the line
-    through its two smallest points and the smallest point off that line.
-    """
-    bits = c.bits
-    inside = set(bits)
-    on_lines = dict.fromkeys(bits, 0)
-    lines = []
-    planes = []
-    for i, a in enumerate(bits):
-        for j in range(i + 1, len(bits)):
-            b = bits[j]
-            third = a ^ b
-            if third < b or third not in inside:
-                continue
-            lines.append((a, b, third))
-            on_lines[a] += 1
-            on_lines[b] += 1
-            on_lines[third] += 1
-            for d in bits[j + 1:]:
-                if d == third:
-                    continue
-                # third > b puts the top bit of b above that of a, so
-                # ad > d and bd > d already give third ^ d > d
-                ad, bd, td = a ^ d, b ^ d, third ^ d
-                if ad > d and bd > d and ad in inside and bd in inside and td in inside:
-                    planes.append(tuple(sorted((a, b, third, d, ad, bd, td))))
-    centers = tuple(o for o in bits if 2 * on_lines[o] == len(bits) - 1)
-    planes.sort()
-    return centers, tuple(lines), tuple(planes)
-
-
-def center_points(c: Clique) -> tuple[ElementSet, ...]:
-    """All points O of the clique whose line to every other point stays inside."""
-    n = c.geometry.params.n
-    return tuple(ElementSet(b, n) for b in _structure(c)[0])
-
-
-def lines_inside(c: Clique) -> tuple[Line, ...]:
-    """All lines of the geometry with all three points in the clique.
-
-    Ordered by their two smallest points; each line lists its points ascending.
-    """
-    n = c.geometry.params.n
-    return tuple(
-        Line(tuple(ElementSet(b, n) for b in line)) for line in _structure(c)[1]
-    )
-
-
-def planes_inside(c: Clique) -> tuple[frozenset[ElementSet], ...]:
-    """All 7-point singular subspaces (Fano-plane copies) inside the clique.
-
-    Ordered by their sorted point bitmasks, i.e. sorted(planes, key=sorted)
-    on the bitmask sets.
-    """
-    n = c.geometry.params.n
-    return tuple(
-        frozenset(ElementSet(b, n) for b in plane) for plane in _structure(c)[2]
-    )
-
-
-def classify_clique(c: Clique) -> CliqueClass:
-    """Classify a maximal n-element clique of the k = 4 geometry.
-
-    The bijection index of the decomposition at the smallest center point
-    is the primary route, counted on the split's bitmasks. The structural
-    description (singularity, Fano planes and lines inside) is recomputed
-    independently from the center, line and plane bitmasks of one _structure
-    pass, whose lines the index route never reads; any disagreement is a
-    hard failure. Only the verdict's centers become ElementSets.
-    """
-    from .constructions import decompose
-
-    g = c.geometry
-    if g.params.k != 4:
-        raise InvariantError("classification is defined for the k = 4 geometry")
-    if len(c) != g.params.n:
-        raise InvariantError(f"clique has {len(c)} points, expected {g.params.n}")
-
-    center_bits, lines, planes = _structure(c)
-    centers = tuple(ElementSet(b, g.params.n) for b in center_bits)
-
-    if not centers:
-        tag_structural = CliqueTag.NON_CENTERED
-        index = None
-    else:
-        index = decompose(c, centers[0]).bijection_index()
-        if index not in TAG_BY_INDEX:
-            raise InternalCheckError(f"impossible bijection index {index}")
-        tag_structural = _structural_tag(c, center_bits, lines, planes)
-        if TAG_BY_INDEX[index] is not tag_structural:
-            raise InternalCheckError(
-                f"index route gives {TAG_BY_INDEX[index].value} but structure"
-                f" gives {tag_structural.value}"
-            )
-    return CliqueClass(
-        tag=tag_structural,
-        centers=centers,
-        index=index,
-        line_count=len(lines),
-        plane_count=len(planes),
-    )
-
-
-def _structural_tag(c, centers, lines, planes) -> CliqueTag:
-    """Type from the center, line and plane bitmasks that _structure returns."""
-    center_bits = set(centers)
-    line_sets = [frozenset(line) for line in lines]
-    plane_sets = [frozenset(plane) for plane in planes]
-
-    if is_singular_bits(c.geometry.params.m, c.bits):
-        if len(centers) != len(c):
-            raise InternalCheckError("singular clique without all points central")
-        return CliqueTag.C1
-
-    if len(plane_sets) == 3:
-        common = plane_sets[0] & plane_sets[1] & plane_sets[2]
-        pairwise = [a & b for a, b in combinations(plane_sets, 2)]
-        if any(pw != common for pw in pairwise) or len(common) != 3:
-            raise InternalCheckError("three planes do not share a single line")
-        if common not in line_sets or center_bits != set(common):
-            raise InternalCheckError("shared line is not the set of center points")
-        if any(not any(ls <= ps for ps in plane_sets) for ls in line_sets):
-            raise InternalCheckError("line outside the three planes")
-        return CliqueTag.C2
-
-    if len(plane_sets) == 1:
-        if len(centers) != 1 or centers[0] not in plane_sets[0]:
-            raise InternalCheckError("expected one center inside the unique plane")
-        o = centers[0]
-        for ls in line_sets:
-            if not (ls <= plane_sets[0] or o in ls):
-                raise InternalCheckError("line outside plane misses the center")
-        return CliqueTag.C3
-
-    if len(plane_sets) == 0:
-        if len(centers) != 1:
-            raise InternalCheckError("plane-free clique must have a unique center")
-        o = centers[0]
-        if any(o not in ls for ls in line_sets):
-            raise InternalCheckError("line inside does not pass through the center")
-        return CliqueTag.C4
-
-    raise InternalCheckError(f"unexpected number of internal planes: {len(plane_sets)}")

@@ -1,28 +1,34 @@
-"""Explicit clique constructions.
+"""Explicit constructions, and the classification of cliques that reads them.
 
 * the centered product of two (2m-1)-element cliques glued by a bijection,
   and its inverse decomposition at a center point, which checks its split
   by rebuilding c.bits through the product's bitmask formula (_product_bits);
+* a clique's centers, lines and Fano planes as position masks (bit i for
+  c.bits[i]) from one pass (_structure), and classify_clique, which types a
+  k = 4 clique by the index of its split, cross-checked against those masks;
 * the clique of hyperplane complements of PG(k-1,2);
 * a non-centered 15-element clique assembled from a singular subspace with
   a plane removed plus a disjoint plane.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 
-from .cliques import Clique, center_points, planes_inside
+from .cliques import Clique
 from .errors import InternalCheckError, InvariantError
 from .fano import FanoBijection, FanoPlane, representative_of_index
 from .geometry import (
     Geometry,
-    GeometryParams,
+    Line,
     geometry_for_dimension,
     geometry_for_ground,
+    hyperplane_complement_blocks,
+    is_singular_bits,
     is_singular_subspace,
     singular_span,
 )
-from .subsets import ElementSet
+from .subsets import ElementSet, set_bits
 
 
 def _check_half_clique(points, support: int, n: int, m: int, what: str) -> list[int]:
@@ -214,22 +220,187 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
     return CenteredDecomposition(center=O, z=Z, xs=xs, ys=ys)
 
 
-def hyperplane_complement_blocks(k: int) -> tuple[ElementSet, ...]:
-    """Hyperplane complements of PG(k-1,2), one per nonzero functional.
+class CliqueTag(Enum):
+    C1 = "C1"
+    C2 = "C2"
+    C3 = "C3"
+    C4 = "C4"
+    NON_CENTERED = "NON_CENTERED"
 
-    Points of PG(k-1,2) are identified with the integers 1..2^k-1 read as
-    coordinate vectors; block a consists of the points with odd inner
-    product against a. Blocks are listed in functional order a = 1..n.
+
+TAG_BY_INDEX = {7: CliqueTag.C1, 3: CliqueTag.C2, 1: CliqueTag.C3, 0: CliqueTag.C4}
+INDEX_BY_TAG = {tag: idx for idx, tag in TAG_BY_INDEX.items()}
+
+
+@dataclass(frozen=True)
+class CliqueClass:
+    """Classification verdict with the evidence that produced it."""
+
+    tag: CliqueTag
+    centers: tuple[ElementSet, ...]
+    index: int | None
+    line_count: int
+    plane_count: int
+
+    def __post_init__(self):
+        if self.tag is CliqueTag.NON_CENTERED:
+            if self.centers or self.index is not None:
+                raise InvariantError("non-centered verdicts carry no center or index")
+        else:
+            if not self.centers or self.index != INDEX_BY_TAG[self.tag]:
+                raise InvariantError(
+                    f"tag {self.tag.value} requires a center and index"
+                    f" {INDEX_BY_TAG[self.tag]}"
+                )
+
+
+def _structure(bits: tuple[int, ...]):
+    """Centers, lines and planes of a clique in one pass over its point bitmasks.
+
+    Everything is a position mask, bit i standing for bits[i]: the centers
+    as one mask, the lines as 3-bit masks ordered by their two smallest
+    points, and the planes as 7-bit masks. Every pair of clique points is
+    collinear, so a line is a pair whose sum is inside, a center is a point
+    whose sum with every other point is inside (it lies on (|c| - 1) / 2
+    lines), and a plane is a line plus one more point d whose three sums
+    with the line points are inside. Each plane is built once, from the line
+    through its two smallest points and the smallest point off that line.
     """
-    if k < 3:
-        raise InvariantError("hyperplane complements need k >= 3")
-    n = GeometryParams.for_dimension(k).n
+    at = {b: i for i, b in enumerate(bits)}
+    on_lines = [0] * len(bits)
+    lines = []
+    planes = []
+    for i, a in enumerate(bits):
+        for j in range(i + 1, len(bits)):
+            b = bits[j]
+            third = a ^ b
+            if third < b or third not in at:
+                continue
+            t = at[third]
+            line = 1 << i | 1 << j | 1 << t
+            lines.append(line)
+            on_lines[i] += 1
+            on_lines[j] += 1
+            on_lines[t] += 1
+            for d in bits[j + 1:]:
+                # third > b puts the top bit of b above that of a, so ad > d
+                # and bd > d already give third ^ d > d and rule out d == third
+                ad, bd, td = a ^ d, b ^ d, third ^ d
+                if ad > d and bd > d and ad in at and bd in at and td in at:
+                    planes.append(line | 1 << at[d] | 1 << at[ad] | 1 << at[bd] | 1 << at[td])
+    centers = sum(1 << i for i, count in enumerate(on_lines) if 2 * count == len(bits) - 1)
+    return centers, lines, planes
+
+
+def _at(bits: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The point bitmasks at the positions set in mask, ascending."""
+    return tuple([bits[i] for i in set_bits(mask)])
+
+
+def center_points(c: Clique) -> tuple[ElementSet, ...]:
+    """All points O of the clique whose line to every other point stays inside."""
+    n = c.geometry.params.n
+    return tuple(ElementSet(b, n) for b in _at(c.bits, _structure(c.bits)[0]))
+
+
+def lines_inside(c: Clique) -> tuple[Line, ...]:
+    """All lines of the geometry with all three points in the clique.
+
+    Ordered by their two smallest points; each line lists its points ascending.
+    """
+    n = c.geometry.params.n
     return tuple(
-        ElementSet.of(
-            [j for j in range(1, n + 1) if (a & j).bit_count() % 2 == 1], n
-        )
-        for a in range(1, n + 1)
+        Line(tuple(ElementSet(b, n) for b in _at(c.bits, line)))
+        for line in _structure(c.bits)[1]
     )
+
+
+def planes_inside(c: Clique) -> tuple[frozenset[ElementSet], ...]:
+    """All 7-point singular subspaces (Fano-plane copies) inside the clique.
+
+    Ordered by their sorted point bitmasks, i.e. sorted(planes, key=sorted)
+    on the bitmask sets.
+    """
+    n = c.geometry.params.n
+    planes = sorted(_at(c.bits, plane) for plane in _structure(c.bits)[2])
+    return tuple(frozenset(ElementSet(b, n) for b in plane) for plane in planes)
+
+
+def classify_clique(c: Clique) -> CliqueClass:
+    """Classify a maximal n-element clique of the k = 4 geometry.
+
+    The bijection index of the decomposition at the smallest center point
+    is the primary route, counted on the split's bitmasks. The structural
+    description (singularity, Fano planes and lines inside) is recomputed
+    independently from the center, line and plane masks of one _structure
+    pass, whose lines the index route never reads; any disagreement is a
+    hard failure. Only the verdict's centers become ElementSets.
+    """
+    g = c.geometry
+    if g.params.k != 4:
+        raise InvariantError("classification is defined for the k = 4 geometry")
+    if len(c) != g.params.n:
+        raise InvariantError(f"clique has {len(c)} points, expected {g.params.n}")
+
+    center_mask, lines, planes = _structure(c.bits)
+    centers = tuple(ElementSet(b, g.params.n) for b in _at(c.bits, center_mask))
+
+    if not centers:
+        tag_structural = CliqueTag.NON_CENTERED
+        index = None
+    else:
+        index = decompose(c, centers[0]).bijection_index()
+        if index not in TAG_BY_INDEX:
+            raise InternalCheckError(f"impossible bijection index {index}")
+        tag_structural = _structural_tag(c, center_mask, lines, planes)
+        if TAG_BY_INDEX[index] is not tag_structural:
+            raise InternalCheckError(
+                f"index route gives {TAG_BY_INDEX[index].value} but structure"
+                f" gives {tag_structural.value}"
+            )
+    return CliqueClass(
+        tag=tag_structural,
+        centers=centers,
+        index=index,
+        line_count=len(lines),
+        plane_count=len(planes),
+    )
+
+
+def _structural_tag(c, centers, lines, planes) -> CliqueTag:
+    """Type from the center, line and plane position masks that _structure returns."""
+    if is_singular_bits(c.geometry.params.m, c.bits):
+        if centers.bit_count() != len(c):
+            raise InternalCheckError("singular clique without all points central")
+        return CliqueTag.C1
+
+    if len(planes) == 3:
+        p, q, r = planes
+        common = p & q & r
+        if p & q != common or p & r != common or q & r != common or common.bit_count() != 3:
+            raise InternalCheckError("three planes do not share a single line")
+        if common not in lines or centers != common:
+            raise InternalCheckError("shared line is not the set of center points")
+        if any(line & ~p and line & ~q and line & ~r for line in lines):
+            raise InternalCheckError("line outside the three planes")
+        return CliqueTag.C2
+
+    if len(planes) == 1:
+        (plane,) = planes
+        if centers.bit_count() != 1 or not centers & plane:
+            raise InternalCheckError("expected one center inside the unique plane")
+        if any(line & ~plane and not line & centers for line in lines):
+            raise InternalCheckError("line outside plane misses the center")
+        return CliqueTag.C3
+
+    if not planes:
+        if centers.bit_count() != 1:
+            raise InternalCheckError("plane-free clique must have a unique center")
+        if any(not line & centers for line in lines):
+            raise InternalCheckError("line inside does not pass through the center")
+        return CliqueTag.C4
+
+    raise InternalCheckError(f"unexpected number of internal planes: {len(planes)}")
 
 
 def hyperplane_complement_clique(k: int) -> Clique:
@@ -294,7 +465,7 @@ def non_centered_blocks() -> tuple[ElementSet, ...]:
 def non_centered_clique() -> Clique:
     """A maximal 15-element clique without any center point."""
     c = Clique.from_points(geometry_for_dimension(4), non_centered_blocks())
-    if center_points(c):
+    if _structure(c.bits)[0]:
         raise InternalCheckError("non-centered construction produced a center")
     return c
 
@@ -317,12 +488,12 @@ def split_non_centered(c: Clique) -> NonCenteredParts:
     form a plane disjoint from the clique.
     """
     g = c.geometry
-    planes = planes_inside(c)
+    planes = _structure(c.bits)[2]
     if len(planes) != 1:
         raise InvariantError(
             f"expected exactly one plane inside the clique, found {len(planes)}"
         )
-    plane = planes[0]
+    plane = frozenset(ElementSet(b, g.params.n) for b in _at(c.bits, planes[0]))
     rest = [p for p in c.points if p not in plane]
     subspace = singular_span(g, rest)
     if len(subspace) != g.params.n:

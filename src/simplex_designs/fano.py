@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 from operator import attrgetter
 
 from .errors import InternalCheckError, InvariantError
+from .geometry import hyperplane_complement_blocks
 from .subsets import ElementSet, map_bits
 
 INDEX_VALUES = (0, 1, 3, 7)
@@ -95,8 +96,6 @@ def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
     ascending support elements, which generate S7. The planes come sorted
     by their ascending point bitmasks.
     """
-    from .constructions import hyperplane_complement_blocks
-
     if len(ground) != 7:
         raise InvariantError("ground set must have exactly 7 elements")
     n = ground.ground_size

@@ -3,7 +3,8 @@
 Points are all 2m-subsets of the ground set; two points are collinear when
 their intersection has exactly m elements, and the third point on their line
 is the symmetric difference. Maximal singular subspaces are copies of
-PG(k-1,2) with 2^k - 1 points and correspond to binary simplex codes.
+PG(k-1,2) with 2^k - 1 points and correspond to binary simplex codes;
+hyperplane_complement_blocks builds one from the hyperplanes of PG(k-1,2).
 """
 
 from dataclasses import dataclass
@@ -35,8 +36,6 @@ class GeometryParams:
 
     @classmethod
     def for_dimension(cls, k: int) -> "GeometryParams":
-        if k < 2:
-            raise InvariantError("k must be at least 2")
         return cls(k, 2 ** (k - 2), 2**k - 1)
 
     @property
@@ -130,6 +129,24 @@ def geometry_for_ground(n: int) -> Geometry:
     if 2**k - 1 != n:
         raise InvariantError(f"ground size {n} is not of the form 2^k - 1")
     return geometry_for_dimension(k)
+
+
+def hyperplane_complement_blocks(k: int) -> tuple[ElementSet, ...]:
+    """Hyperplane complements of PG(k-1,2), one per nonzero functional.
+
+    Points of PG(k-1,2) are identified with the integers 1..2^k-1 read as
+    coordinate vectors; block a consists of the points with odd inner
+    product against a. Blocks are listed in functional order a = 1..n.
+    """
+    if k < 3:
+        raise InvariantError("hyperplane complements need k >= 3")
+    n = GeometryParams.for_dimension(k).n
+    return tuple(
+        ElementSet.of(
+            [j for j in range(1, n + 1) if (a & j).bit_count() % 2 == 1], n
+        )
+        for a in range(1, n + 1)
+    )
 
 
 def is_collinear(g: Geometry, x: ElementSet, y: ElementSet) -> bool:

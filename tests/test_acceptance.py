@@ -9,17 +9,13 @@ import time
 from itertools import combinations, permutations
 
 
-from simplex_designs.cliques import (
-    Clique,
-    CliqueTag,
-    build_graph,
-    center_points,
-    classify_clique,
-    enumerate_maximal_cliques,
-)
+from simplex_designs.cliques import Clique, build_graph, enumerate_maximal_cliques
 from simplex_designs.constructions import (
+    CliqueTag,
     canonical_centered_blocks,
     canonical_center,
+    center_points,
+    classify_clique,
     hyperplane_complement_blocks,
     non_centered_blocks,
     non_centered_clique,

@@ -11,17 +11,23 @@ from simplex_designs.cliques import (
     _colex_columns,
     _renumber,
     Clique,
-    CliqueTag,
     CollinearityGraph,
     build_graph,
+    enumerate_maximal_cliques,
+    maximal_cliques,
+)
+from simplex_designs.constructions import (
+    CliqueTag,
+    canonical_center,
     center_points,
     classify_clique,
-    enumerate_maximal_cliques,
+    default_z,
     lines_inside,
-    maximal_cliques,
     planes_inside,
+    product_clique,
 )
 from simplex_designs.designs import automorphism_group
+from simplex_designs.fano import FanoBijection, fano_planes_on
 from simplex_designs.errors import InvariantError
 from simplex_designs.geometry import geometry_for_dimension, is_collinear, is_singular_subspace
 from simplex_designs.subsets import ElementSet, Permutation, apply, complement_in, subsets_of
@@ -97,18 +103,22 @@ class TestGraph:
         for u, row in enumerate(gr15.adjacency):
             assert row.bit_count() == 2450 and not row >> u & 1
 
+    @pytest.fixture
+    def no_columns(self, monkeypatch):
+        # a regression then fails with a report, not while it builds 3 * 10^8-bit columns
+        def fail(n, t):
+            raise AssertionError("columns built before the roster guard")
+
+        monkeypatch.setattr("simplex_designs.cliques._colex_columns", fail)
+
     @pytest.mark.parametrize("k", [5, 6])
-    def test_refuses_a_graph_without_a_roster(self, k):
+    def test_refuses_a_graph_without_a_roster(self, k, no_columns):
         # the roster guard fails before any column or counter is built
         with pytest.raises(InvariantError, match=f"k = {k} point roster"):
             build_graph(geometry_for_dimension(k))
 
     @pytest.mark.parametrize("k", [5, 6])
-    def test_roster_guard_comes_before_the_columns(self, k, monkeypatch):
-        def fail(n, t):
-            raise AssertionError("columns built before the roster guard")
-
-        monkeypatch.setattr("simplex_designs.cliques._colex_columns", fail)
+    def test_roster_guard_comes_before_the_columns(self, k, no_columns):
         with pytest.raises(InvariantError, match=f"k = {k} point roster"):
             build_graph(geometry_for_dimension(k))
 
@@ -489,6 +499,32 @@ class TestClassification:
                     g15, [apply(p, q) for q in fixture_cliques[name].points]
                 )
                 assert classify_clique(moved).tag is base
+
+    def test_centered_line_count_follows_the_index(self, g15, gr15, fixture_cliques):
+        # 7 lines through the center, and 4 more for each X-line that delta keeps
+        vertices, graph = slice_graph(g15, gr15, planes_inside(fixture_cliques["c1"])[0])
+        rng = random.Random(11)
+        O = canonical_center()
+        xs = fano_planes_on(complement_in(O, ElementSet.full(15)))
+        ys = fano_planes_on(default_z(O))
+        products = []
+        for _ in range(200):
+            X, Y = rng.choice(xs), rng.choice(ys)
+            delta = FanoBijection(X, Y, tuple(rng.sample(range(7), 7)))
+            products.append(product_clique(O, X, Y, delta, g15))
+        verdicts = [
+            classify_clique(c)
+            for c in (
+                *fixture_cliques.values(),
+                *enumerate_maximal_cliques(graph, containing=vertices[0], min_size=15),
+                *products,
+            )
+        ]
+        centered = [v for v in verdicts if v.tag is not CliqueTag.NON_CENTERED]
+        # 4 centered fixtures, the 480 - 128 centered slice cliques, every product
+        assert len(centered) == 4 + 352 + 200
+        assert {v.index for v in centered} == {0, 1, 3, 7}
+        assert [v.line_count for v in centered] == [7 + 4 * v.index for v in centered]
 
     def test_rejects_wrong_size(self, g15, fixture_cliques):
         c = fixture_cliques["c1"]

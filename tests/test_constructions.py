@@ -5,22 +5,19 @@ from itertools import combinations, permutations
 import pytest
 
 import simplex_designs.constructions as constructions
-from simplex_designs.cliques import (
-    Clique,
-    CliqueTag,
-    build_graph,
-    center_points,
-    classify_clique,
-    lines_inside,
-)
+from simplex_designs.cliques import Clique, build_graph
 from simplex_designs.constructions import (
     CenteredDecomposition,
+    CliqueTag,
     canonical_centered_blocks,
     canonical_center,
+    center_points,
+    classify_clique,
     decompose,
     default_z,
     hyperplane_complement_blocks,
     hyperplane_complement_clique,
+    lines_inside,
     non_centered_blocks,
     non_centered_clique,
     product_clique,

@@ -16,9 +16,13 @@ enumerate_maximal_cliques and product_clique, whose outputs are proved
 cliques by construction; every other clique goes through the full check.
 Likewise CollinearityGraph._unchecked, which skips the edge check, is
 called only by build_graph, whose rows are collinearity by construction.
+Modules import their siblings at module level only, and those imports form
+no cycle: an import inside a function hides a dependency, and runs on every
+call.
 """
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,59 @@ def private_sibling_imports(tree):
         for alias in node.names
         if alias.name.startswith("_")
     ]
+
+
+def imported_siblings(node):
+    """Names of the package modules an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [
+            alias.name.split(".")[1]
+            for alias in node.names
+            if alias.name.startswith("simplex_designs.")
+        ]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 1:
+        module = node.module or ""
+    elif node.level == 0 and (node.module or "").split(".")[0] == "simplex_designs":
+        module = node.module.partition(".")[2]
+    else:
+        return []
+    # from . import name loads the sibling module name
+    return [module.split(".")[0]] if module else [alias.name for alias in node.names]
+
+
+def sibling_imports(tree):
+    """Imports of package modules as (line, module, inside a function) triples."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_function = True
+        for module in imported_siblings(node):
+            found.append((node.lineno, module, in_function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(tree, False)
+    return found
+
+
+def import_cycle(graph):
+    """A cycle of the module graph as a closed list of modules, or [] if it has none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as error:
+        return error.args[1]
+    return []
+
+
+def module_import_graph():
+    """Each package module and the siblings it imports at module level."""
+    return {
+        path.stem: {module for _, module, inside in sibling_imports(parse(path)) if not inside}
+        for path in MODULES
+    }
 
 
 def lowest_bit_idioms(tree):
@@ -185,6 +242,45 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_from_siblings(path):
     assert private_sibling_imports(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sibling_imported_inside_a_function(path):
+    assert [
+        f"line {line}: {module}" for line, module, inside in sibling_imports(parse(path)) if inside
+    ] == []
+
+
+def test_module_level_sibling_imports_form_no_cycle():
+    assert import_cycle(module_import_graph()) == []
+
+
+def test_import_rules_catch_the_patterns():
+    tree = ast.parse(
+        "from .cliques import Clique\n"
+        "from . import fano\n"
+        "import simplex_designs.geometry as geometry\n"
+        "from simplex_designs.subsets import ElementSet\n"
+        "from collections import Counter\n"
+        "def classify(c):\n"
+        "    from .constructions import decompose\n"
+        "class Lazy:\n"
+        "    def load(self):\n"
+        "        import simplex_designs.designs\n"
+    )
+    assert sibling_imports(tree) == [
+        (1, "cliques", False),
+        (2, "fano", False),
+        (3, "geometry", False),
+        (4, "subsets", False),
+        (7, "constructions", True),
+        (10, "designs", True),
+    ]
+    cycle = import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}})
+    assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["a", "b", "c"]
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+    # the package's modules do import each other, so the graph rule is not vacuous
+    assert module_import_graph()["constructions"] >= {"cliques", "fano", "geometry"}
 
 
 @pytest.mark.parametrize(
