@@ -99,32 +99,24 @@ def _flat(value) -> str:
     return str(value)
 
 
-def _fixture_dir(args) -> Path | None:
-    if args.fixture_dir:
-        return Path(args.fixture_dir)
-    return None
-
-
 def _read_design(path_text: str, args) -> Design:
-    """Resolve an argument as a file path or a packaged fixture name."""
+    """Resolve an argument as a file path or a fixture name and parse it."""
     path = Path(path_text)
-    if path.exists():
-        return parse_incidence(path.read_text())
-    name = FIXTURE_NAMES.get(path_text)
-    override = _fixture_dir(args)
-    if name is not None:
-        if override is not None:
-            candidate = override / f"{name}.incidence.txt"
-            if not candidate.exists():
-                raise ParseError(f"fixture {path_text!r} not found in {override}")
-            return parse_incidence(candidate.read_text())
-        text = (
-            resources.files("simplex_designs.fixtures")
-            .joinpath(f"{name}.incidence.txt")
-            .read_text()
-        )
-        return parse_incidence(text)
-    raise ParseError(f"no such file or fixture: {path_text!r}")
+    if not path.exists():
+        name = FIXTURE_NAMES.get(path_text)
+        if name is None:
+            raise ParseError(f"no such file or fixture: {path_text!r}")
+        folder = resources.files("simplex_designs.fixtures")
+        if args.fixture_dir:
+            folder = Path(args.fixture_dir)
+            if not (folder / f"{name}.incidence.txt").exists():
+                raise ParseError(f"fixture {path_text!r} not found in {folder}")
+        path = folder / f"{name}.incidence.txt"
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not a readable UTF-8 text file") from exc
+    return parse_incidence(text)
 
 
 def _write_out(args, stem: str, incidence: str, hadamard: str, style: str):

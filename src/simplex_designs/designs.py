@@ -21,7 +21,9 @@ from typing import NamedTuple
 from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
 from .geometry import geometry_for_ground
-from .subsets import MAX_GROUND_SIZE, ElementSet, Permutation, apply, map_bits, set_bits
+from .subsets import (
+    MAX_GROUND_SIZE, ElementSet, Permutation, apply, compose, invert, map_bits, set_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,21 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # (m + low) & high != high when some row is empty, as the sum reaches the
 # guard of every nonempty row; and ~((((m | high) - ones) & m) + low) & high
 # marks the rows with at most one bit, as ((m | high) - ones) & m clears
-# the lowest bit of each row. Each narrowing rule is one AND on a side.
-# The rules only clear bits and stay true in narrower states, so applying
-# them in any order until none changes anything ends in the same state,
-# the largest below the start in which all of them hold. Batches of
-# decided rows thus give the states, the search tree and the work counts
-# of a row-by-row queue.
+# the lowest bit of each row. Each narrowing rule is one AND on the other
+# side: a decided point x -> y keeps every block on the blocks through y or
+# off them, as x lies in it or not, and a decided block does the same to
+# the points. The rules only clear bits and stay true in narrower states,
+# so applying them in any order until neither changes anything ends in the
+# same state, the largest below the start in which both hold; batches of
+# decided rows give the states and work counts of a row-by-row queue.
+# The all-different rule is applied once, as fix clears y from the other
+# point rows, and adds nothing elsewhere. A block row is its class cut by
+# the pattern of the decided points, so blocks a != a' that share a
+# candidate c have equal rows, are decided in one batch and send every
+# point of a ^ a', which is not empty, both into c and out of it: the same
+# call wipes out. Points that fix did not set go the same way, as some
+# block holds one of two points and not the other (k > lambda); a point
+# decided at the root is alone in its class when the profiles agree.
 
 logger = logging.getLogger(__name__)
 
@@ -389,18 +400,17 @@ class _Search:
 
     @cached_property
     def _tables(self):
-        """The AND masks of the narrowing rules, built on first use.
+        """The AND masks of the incidence rules, built on first use.
 
-        clear[y] clears column y. For point x sent to y, in_points[x] fills
-        the fields of the blocks through x with ones and rep_points[y] puts
-        the blocks of ctx2 missing y in every field, so their XOR keeps the
-        blocks through x on blocks through y and the rest off them. The
-        block tables do the same for a block sent to a block.
+        For point x sent to y, in_points[x] fills the fields of the blocks
+        through x with ones and rep_points[y] puts the blocks of ctx2
+        missing y in every field, so their XOR keeps the blocks through x on
+        blocks through y and the rest off them. The block tables do the same
+        for a block sent to a block.
         """
         ctx1, ctx2, fields = self.ctx1, self.ctx2, self.fields
         full, ones = fields.full, fields.ones
         return (
-            [fields.low ^ ones << y for y in range(self.v)],
             [fields.spread(blocks) * full for blocks in ctx1.point_in_blocks],
             [ones * (full ^ blocks) for blocks in ctx2.point_in_blocks],
             [fields.spread(points) * full for points in ctx1.block_bits],
@@ -424,11 +434,13 @@ class _Search:
         return self.propagate(p, b, decided_p, decided_b, decided_p, decided_b)
 
     def fix(self, state, x: int, y: int):
-        """The state with point x sent to y, propagated; None on a wipe-out."""
+        """The state with point x sent to its candidate y, propagated; None on
+        a wipe-out. One AND keeps y alone in row x and clears it elsewhere."""
         p, b, decided_p, decided_b = state
-        shift = x * self.fields.w
-        guard = 1 << shift + self.v
-        p = p & ~(self.fields.full << shift) | 1 << shift + y
+        f = self.fields
+        shift = x * f.w
+        guard = 1 << shift + f.v
+        p &= f.low ^ f.ones << y ^ f.full << shift
         return self.propagate(p, b, decided_p | guard, decided_b, guard, 0)
 
     def branch_point(self, state) -> int | None:
@@ -464,31 +476,27 @@ class _Search:
         """The narrowed state; None when some candidate set empties.
 
         new_p and new_b are the guard bits of the decided rows whose rules p
-        and b do not carry yet. A decided point x -> y drops y from every
-        other point and keeps each block's candidates inside or outside the
-        blocks through y, as x lies in that block or not; a decided block
-        does the same with the roles of points and blocks swapped.
+        and b do not carry yet. A decided point x -> y keeps each block's
+        candidates inside or outside the blocks through y, as x lies in that
+        block or not; a decided block does the same with the roles of points
+        and blocks swapped. No rule narrows its own side.
         """
         self.propagations += 1
         f = self.fields
         v, w, full, ones, low, high = f.v, f.w, f.full, f.ones, f.low, f.high
-        clear, in_points, rep_points, in_blocks, rep_blocks = self._tables
+        in_points, rep_points, in_blocks, rep_blocks = self._tables
         while new_p or new_b:
-            # a batch reads its images off the state it was found in, as a
-            # rule of the batch may empty a row decided in the same batch
-            p0, b0 = p, b
-            if new_p:
-                for guard in set_bits(new_p):
-                    shift = guard - v
-                    y = (p0 >> shift & full).bit_length() - 1
-                    p &= clear[y] | 1 << shift + y
-                    b &= rep_points[y] ^ in_points[shift // w]
-            if new_b:
-                for guard in set_bits(new_b):
-                    shift = guard - v
-                    c = (b0 >> shift & full).bit_length() - 1
-                    b &= clear[c] | 1 << shift + c
-                    p &= rep_blocks[c] ^ in_blocks[shift // w]
+            # a point rule may empty a block decided in the same batch, so
+            # the batch reads block images off the state it was found in
+            b0 = b
+            for guard in set_bits(new_p):
+                shift = guard - v
+                y = (p >> shift & full).bit_length() - 1
+                b &= rep_points[y] ^ in_points[shift // w]
+            for guard in set_bits(new_b):
+                shift = guard - v
+                c = (b0 >> shift & full).bit_length() - 1
+                p &= rep_blocks[c] ^ in_blocks[shift // w]
             if (p + low) & high != high or (b + low) & high != high:
                 return None
             # _Fields.decided of both sides, inline on the hot path
@@ -576,18 +584,6 @@ def _permutation(images) -> Permutation:
     return Permutation(tuple(i + 1 for i in images))
 
 
-def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """p then q on 0-based image tuples, as ``Permutation.__mul__``."""
-    return tuple([q[i] for i in p])
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = [0] * len(p)
-    for i, j in enumerate(p):
-        inverse[j] = i
-    return tuple(inverse)
-
-
 def _sift(g: tuple[int, ...], base, transversals, level: int = 0):
     """Strip coset representatives off g from ``level`` down the chain.
 
@@ -598,7 +594,7 @@ def _sift(g: tuple[int, ...], base, transversals, level: int = 0):
         entry = transversals[level].get(g[base[level]])
         if entry is None:
             break
-        g = _mul(g, entry[1])
+        g = compose(g, entry[1])
         level += 1
     return g, level
 
@@ -635,8 +631,8 @@ def _schreier_sims(generators, degree: int):
             for s in strong[level]:
                 y = s[x]
                 if y not in table:
-                    w = _mul(u, s)
-                    table[y] = (w, _inverse(w))
+                    w = compose(u, s)
+                    table[y] = (w, invert(w))
                     frontier.append(y)
         transversals[level] = table
 
@@ -654,7 +650,7 @@ def _schreier_sims(generators, degree: int):
         table = transversals[level]
         for x, (u, _) in table.items():
             for s in strong[level]:
-                h = _mul(_mul(u, s), table[s[x]][1])
+                h = compose(compose(u, s), table[s[x]][1])
                 residue, drop = _sift(h, base, transversals, level + 1)
                 if residue != identity:
                     return residue, drop
@@ -707,7 +703,7 @@ class _ChainElements(Sequence):
             picked.append(reps[digit])
         element = self._identity
         for u in reversed(picked):
-            element = _mul(element, u)
+            element = compose(element, u)
         return _permutation(element)
 
     def __contains__(self, p) -> bool:

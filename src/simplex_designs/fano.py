@@ -18,7 +18,7 @@ from operator import attrgetter
 
 from .errors import InternalCheckError, InvariantError
 from .geometry import hyperplane_complement_blocks
-from .subsets import ElementSet, map_bits
+from .subsets import ElementSet, compose, map_bits
 
 INDEX_VALUES = (0, 1, 3, 7)
 
@@ -228,11 +228,6 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     }
 
 
-def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    # point i goes through inner first, then outer
-    return tuple(outer[inner[i]] for i in range(7))
-
-
 def are_equivalent(d1: FanoBijection, d2: FanoBijection) -> bool:
     """Whether d2 = g2 . d1 . g1 for automorphisms g1, g2 of the two planes.
 
@@ -246,9 +241,9 @@ def are_equivalent(d1: FanoBijection, d2: FanoBijection) -> bool:
     auts2 = automorphisms(d1.target)
     found = False
     for g1 in auts1:
-        pre = _compose(d1.images, g1)
+        pre = compose(g1, d1.images)
         for g2 in auts2:
-            if _compose(g2, pre) == d2.images:
+            if compose(pre, g2) == d2.images:
                 found = True
                 break
         if found:
@@ -277,9 +272,9 @@ def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
         # the product set {g2 . rep . g1} is already closed, hence the orbit
         orbit = set()
         for g1 in auts1:
-            pre = _compose(rep, g1)
+            pre = compose(g1, rep)
             for g2 in auts2:
-                orbit.add(_compose(g2, pre))
+                orbit.add(compose(pre, g2))
         remaining -= orbit
         classes.append(
             (FanoBijection(f1, f2, rep), frozenset(orbit))

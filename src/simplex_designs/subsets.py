@@ -128,17 +128,19 @@ class Permutation:
     def from_mapping(cls, mapping: dict[int, int], n: int) -> "Permutation":
         images = list(range(1, n + 1))
         for src, dst in mapping.items():
+            # a point below 1 would index images from the end
+            for point in (src, dst):
+                if not 1 <= point <= n:
+                    raise ValueError(f"point {point} outside 1..{n}")
             images[src - 1] = dst
         return cls(tuple(images))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
-        images = list(range(1, n + 1))
+        mapping = {}
         for cycle in cycles:
-            for src, dst in zip(cycle, cycle[1:]):
-                images[src - 1] = dst
-            images[cycle[-1] - 1] = cycle[0]
-        return cls(tuple(images))
+            mapping.update(zip(cycle, (*cycle[1:], *cycle[:1])))
+        return cls.from_mapping(mapping, n)
 
     @classmethod
     def random(cls, n: int, rng) -> "Permutation":
@@ -197,6 +199,18 @@ def map_bits(mask: int, images) -> int:
         out |= 1 << images[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p then q on 0-based image tuples, as ``Permutation.__mul__``."""
+    return tuple([q[i] for i in p])
+
+
+def invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(p)
+    for i, j in enumerate(p):
+        inverse[j] = i
+    return tuple(inverse)
 
 
 def apply(p: Permutation, a: ElementSet) -> ElementSet:

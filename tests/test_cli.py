@@ -214,6 +214,39 @@ class TestIsomorphic:
         assert err == "parse error: 64 rows: incidence matrices have at most 63\n"
 
 
+def unreadable(path, kind):
+    """A directory, or a file whose bytes are not UTF-8, at path."""
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + b"0" * 15)
+    return path
+
+
+def argv_of(command, design):
+    return [command, design] if command == "classify" else [command, design, design]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize("command", ["classify", "isomorphic"])
+    def test_path_is_a_parse_error(self, capsys, tmp_path, command, kind):
+        path = unreadable(tmp_path / "design.txt", kind)
+        code, out, err = run_cli(capsys, *argv_of(command, str(path)))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {path} is not a readable UTF-8 text file\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize("command", ["classify", "isomorphic"])
+    def test_fixture_dir_file_is_a_parse_error(self, capsys, tmp_path, command, kind):
+        path = unreadable(tmp_path / "c2.incidence.txt", kind)
+        code, out, err = run_cli(
+            capsys, "--fixture-dir", str(tmp_path), *argv_of(command, "c2")
+        )
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {path} is not a readable UTF-8 text file\n"
+
+
 class TestCensus:
     def test_restricted_census_spectrum(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import re
 from itertools import accumulate, combinations, islice
 from math import comb, factorial, prod
 
@@ -17,7 +18,10 @@ from simplex_designs.cliques import (
     maximal_cliques,
 )
 from simplex_designs.constructions import (
+    CenteredDecomposition,
     CliqueTag,
+    _structural_tag,
+    _structure,
     canonical_center,
     center_points,
     classify_clique,
@@ -28,7 +32,7 @@ from simplex_designs.constructions import (
 )
 from simplex_designs.designs import automorphism_group
 from simplex_designs.fano import FanoBijection, fano_planes_on
-from simplex_designs.errors import InvariantError
+from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.geometry import geometry_for_dimension, is_collinear, is_singular_subspace
 from simplex_designs.subsets import ElementSet, Permutation, apply, complement_in, subsets_of
 
@@ -548,6 +552,103 @@ class TestClassification:
                 dec = decompose(c, center)
                 indices.add(bijection_index(dec.fano_bijection()))
             assert len(indices) == 1
+
+
+
+def lowest(mask: int) -> int:
+    return mask & -mask
+
+
+def line_of_three(mask: int) -> int:
+    """A 3-bit mask from the three lowest bits of mask."""
+    line = 0
+    for _ in range(3):
+        line |= lowest(mask & ~line)
+    return line
+
+
+def _c1_part_central(c, centers, lines, planes):
+    return centers ^ lowest(centers), lines, planes
+
+
+def _c2_planes_repeat(c, centers, lines, planes):
+    p, q, _ = planes
+    return centers, lines, [p, q, p]
+
+
+def _c2_center_off_the_line(c, centers, lines, planes):
+    return lowest(centers), lines, planes
+
+
+def _c2_shared_line_dropped(c, centers, lines, planes):
+    common = planes[0] & planes[1] & planes[2]
+    return centers, [line for line in lines if line != common], planes
+
+
+def _c2_line_across_the_planes(c, centers, lines, planes):
+    # one point of each plane off the shared line
+    common = planes[0] & planes[1] & planes[2]
+    across = sum(lowest(plane & ~common) for plane in planes)
+    return centers, [*lines, across], planes
+
+
+def _c2_two_planes(c, centers, lines, planes):
+    return centers, lines, planes[:2]
+
+
+def _c3_center_off_the_plane(c, centers, lines, planes):
+    return lowest((1 << len(c)) - 1 & ~planes[0]), lines, planes
+
+
+def _c3_line_off_the_plane_and_center(c, centers, lines, planes):
+    return centers, [*lines, line_of_three((1 << len(c)) - 1 & ~planes[0])], planes
+
+
+def _c4_two_centers(c, centers, lines, planes):
+    return centers | lowest((1 << len(c)) - 1 & ~centers), lines, planes
+
+
+def _c4_line_off_the_center(c, centers, lines, planes):
+    return centers, [*lines, line_of_three((1 << len(c)) - 1 & ~centers)], planes
+
+
+class TestInternalChecks:
+    """Every InternalCheckError of the classification, reached through
+    evidence that contradicts itself: the position masks of a fixture with
+    one perturbation, or an index route that disagrees with the structure."""
+
+    @pytest.mark.parametrize("name, perturb, message", [
+        ("c1", _c1_part_central, "singular clique without all points central"),
+        ("c2", _c2_planes_repeat, "three planes do not share a single line"),
+        ("c2", _c2_center_off_the_line, "shared line is not the set of center points"),
+        ("c2", _c2_shared_line_dropped, "shared line is not the set of center points"),
+        ("c2", _c2_line_across_the_planes, "line outside the three planes"),
+        ("c2", _c2_two_planes, "unexpected number of internal planes: 2"),
+        ("c3", _c3_center_off_the_plane, "expected one center inside the unique plane"),
+        ("c3", _c3_line_off_the_plane_and_center, "line outside plane misses the center"),
+        ("c4", _c4_two_centers, "plane-free clique must have a unique center"),
+        ("c4", _c4_line_off_the_center, "line inside does not pass through the center"),
+    ])
+    def test_structural_tag_rejects_perturbed_evidence(
+        self, fixture_cliques, name, perturb, message
+    ):
+        c = fixture_cliques[name]
+        evidence = _structure(c.bits)
+        # the unperturbed evidence gives the fixture's own tag
+        assert _structural_tag(c, *evidence) is classify_clique(c).tag
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+            _structural_tag(c, *perturb(c, *evidence))
+
+    @pytest.mark.parametrize("index, message", [
+        (5, "impossible bijection index 5"),
+        (3, "index route gives C2 but structure gives C1"),
+    ])
+    def test_classify_rejects_an_index_route_that_disagrees(
+        self, monkeypatch, fixture_cliques, index, message
+    ):
+        monkeypatch.setattr(CenteredDecomposition, "bijection_index", lambda self: index)
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+            classify_clique(fixture_cliques["c1"])
 
 
 # Brute-force oracles for the clique structure, each by its definition.

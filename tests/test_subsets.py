@@ -10,7 +10,9 @@ from simplex_designs.subsets import (
     Permutation,
     apply,
     complement_in,
+    compose,
     intersection_size,
+    invert,
     map_bits,
     parse_set,
     set_bits,
@@ -182,6 +184,25 @@ class TestPermutation:
         p = Permutation.from_cycles(5, [(1, 2, 3)])
         assert p.cycle_string() == "(1 2 3)"
         assert Permutation.identity(4).cycle_string() == "()"
+
+    @pytest.mark.parametrize("build, point", [
+        (lambda: Permutation.from_mapping({0: 3}, 3), 0),
+        (lambda: Permutation.from_mapping({5: 1}, 3), 5),
+        (lambda: Permutation.from_mapping({1: 4}, 3), 4),
+        (lambda: Permutation.from_cycles(3, [(3, 0)]), 0),
+        (lambda: Permutation.from_cycles(3, [(1, -1, 2)]), -1),
+    ])
+    def test_a_point_outside_the_ground_is_named(self, build, point):
+        # a point below 1 once indexed the images from the end
+        with pytest.raises(ValueError, match=rf"^point {point} outside 1\.\.3$"):
+            build()
+
+    @given(st.permutations(list(range(1, 16))), st.permutations(list(range(1, 16))))
+    def test_image_tuples_compose_and_invert_as_permutations(self, p_images, q_images):
+        p, q = Permutation(tuple(p_images)), Permutation(tuple(q_images))
+        zero_based = [tuple(i - 1 for i in r.images) for r in (p, q, p * q, p.inverse())]
+        assert compose(zero_based[0], zero_based[1]) == zero_based[2]
+        assert invert(zero_based[0]) == zero_based[3]
 
 
 class TestBitIteration:
