@@ -123,10 +123,13 @@ def _write_out(args, stem: str, incidence: str, hadamard: str, style: str):
     if not args.out_dir:
         return
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}.incidence.txt").write_text(incidence + "\n")
     suffix = "hadamard01" if style == "01" else "hadamardpm"
-    (out / f"{stem}.{suffix}.txt").write_text(hadamard + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{stem}.incidence.txt").write_text(incidence + "\n")
+        (out / f"{stem}.{suffix}.txt").write_text(hadamard + "\n")
+    except OSError as exc:
+        raise ParseError(f"{out} is not a writable directory") from exc
 
 
 def _write_verdict(results: dict, verdict, centers: bool):
@@ -142,7 +145,6 @@ def _write_verdict(results: dict, verdict, centers: bool):
 
 def cmd_construct(args) -> Report:
     kind = args.kind
-    started = time.perf_counter()
     if kind == "hyperplane-complement":
         blocks = hyperplane_complement_blocks(4)
     elif kind == "non-centered":
@@ -160,13 +162,11 @@ def cmd_construct(args) -> Report:
     report.results["blocks"] = [str(b) for b in design.blocks]
     report.results["incidence"] = incidence.splitlines()
     report.results["hadamard"] = rendered.splitlines()
-    report.timing = time.perf_counter() - started
     _write_out(args, kind.replace("-", "_"), incidence, rendered, args.hadamard_style)
     return report
 
 
 def cmd_classify(args) -> Report:
-    started = time.perf_counter()
     design = _read_design(args.file, args)
     if design.v != 15:
         raise InvariantError(f"classify needs a 15-point design, got {design.v} points")
@@ -179,12 +179,10 @@ def cmd_classify(args) -> Report:
     report.results["flag_orbits"] = flag_orbit_count(design, group)
     report.results["point_primitive"] = is_point_primitive(group)
     report.results["point_block_systems"] = len(point_block_systems(group))
-    report.timing = time.perf_counter() - started
     return report
 
 
 def cmd_isomorphic(args) -> Report:
-    started = time.perf_counter()
     d1 = _read_design(args.file_a, args)
     d2 = _read_design(args.file_b, args)
     witness = find_isomorphism(d1, d2)
@@ -195,12 +193,10 @@ def cmd_isomorphic(args) -> Report:
         report.results["witness_images"] = list(witness.images)
     else:
         report.results["witness"] = "none (search exhausted)"
-    report.timing = time.perf_counter() - started
     return report
 
 
 def cmd_census(args) -> Report:
-    started = time.perf_counter()
     n = 15
     # a negative limit would slice from the end of the plane or bijection list
     for flag, limit in (("--x-limit", args.x_limit), ("--y-limit", args.y_limit),
@@ -218,7 +214,7 @@ def cmd_census(args) -> Report:
     if args.delta_limit is not None:
         deltas = deltas[: args.delta_limit]
 
-    tallies = {0: 0, 1: 0, 3: 0, 7: 0}
+    tallies = dict.fromkeys(TAG_BY_INDEX, 0)
     seen = set()
     checked = {}
     for X in xs:
@@ -253,11 +249,10 @@ def cmd_census(args) -> Report:
     )
     report.results["products"] = expected
     report.results["distinct_cliques"] = len(seen)
-    for idx in (7, 3, 1, 0):
+    for idx in TAG_BY_INDEX:
         report.results[f"count_index_{idx}"] = tallies[idx]
         if idx in checked:
             report.results[f"class_of_index_{idx}"] = checked[idx]
-    report.timing = time.perf_counter() - started
     return report
 
 
@@ -301,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         report = args.func(args)
     except ParseError as exc:
@@ -312,6 +308,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    report.timing = time.perf_counter() - started
     print(report.emit(args.format, args.sorted))
     return 0
 

@@ -526,8 +526,6 @@ def canonical_centered_blocks(index: int) -> tuple[ElementSet, ...]:
     points, the center, then the seven complements; with index 7 this
     reproduces the hyperplane-complement blocks of PG(3,2) exactly.
     """
-    if index not in (0, 1, 3, 7):
-        raise InvariantError("index must be one of 0, 1, 3, 7")
     O = canonical_center()
     x_ordered = [ElementSet(x.bits, 15) for x in hyperplane_complement_blocks(3)]
     shift = {x.bits: ElementSet(x.bits << 8, 15) for x in x_ordered}

@@ -3,17 +3,17 @@ isomorphism / automorphism machinery.
 
 A design here is an ordered list of n blocks over n points; validity means
 every block has 2m points and two distinct blocks meet in exactly m points.
-Design and HadamardMatrix check themselves when built, so every value of
-either type is valid and nothing downstream checks it again. Incidence 1
-corresponds to entry -1 of the associated normalized Hadamard matrix, so the
-0/1 rendering of the matrix reproduces the incidence rows bit for bit
-inside a border of zeros.
+Design, HadamardMatrix and PermGroup check themselves when built, so every
+value of these types is valid and nothing downstream checks it again.
+Incidence 1 corresponds to entry -1 of the associated normalized Hadamard
+matrix, so the 0/1 rendering of the matrix reproduces the incidence rows
+bit for bit inside a border of zeros.
 """
 
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -98,8 +98,8 @@ class HadamardMatrix:
 
     def __post_init__(self):
         n = self.order
-        if any(len(row) != n or not set(row) <= {1, -1} for row in self.entries):
-            raise InvariantError("entries must form a square +-1 matrix")
+        if not n or any(len(row) != n or not set(row) <= {1, -1} for row in self.entries):
+            raise InvariantError("entries must form a nonempty square +-1 matrix")
         # bit j of a row's mask marks a -1 in column j; two +-1 rows of
         # order n are orthogonal exactly when they differ in n/2 places
         masks = [
@@ -715,22 +715,38 @@ class _ChainElements(Sequence):
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group of the given degree: generators and order.
+    """The permutation group of the given degree that the generators generate.
 
-    ``elements``, when set, is a sequence of all group elements. For groups
-    from ``automorphism_group`` it is a lazy view of the verified stabilizer
-    chain: ``len`` is the order, and indexing or membership costs one pass
-    down the chain, so no element list is ever built.
+    It checks itself when built: every generator must have the group's
+    degree. ``images`` holds the generators as 0-based image tuples, and
+    ``elements`` is a lazy view of their Schreier-Sims stabilizer chain:
+    ``len`` is the order, and indexing or membership costs one pass down the
+    chain, so no element list is ever built. Groups compare and hash by
+    degree and generators.
     """
 
     degree: int
     generators: tuple[Permutation, ...]
-    order: int
-    elements: Sequence[Permutation] | None = None
+    images: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    elements: Sequence[Permutation] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n, generators = self.degree, tuple(self.generators)
+        for p in generators:
+            if p.degree != n:
+                raise InvariantError(f"a generator of degree {p.degree} in a group of degree {n}")
+        images = tuple(map(_images, generators))
+        chain = _ChainElements(n, *_schreier_sims(images, n))
+        for name, value in (("generators", generators), ("images", images), ("elements", chain)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (), 1, _ChainElements(degree, (), ()))
+        return cls(degree, ())
 
 
 def automorphism_group(d: Design) -> PermGroup:
@@ -744,9 +760,8 @@ def automorphism_group(d: Design) -> PermGroup:
     automorphism fixing b_0, ..., b_{i-1}, checked block by block, and
     becomes a generator. The order is the product of the orbit sizes (the
     individualisation scheme of McKay & Piperno, "Practical graph
-    isomorphism II", 2014). An independent Schreier-Sims closure of the
-    generators, with its own base, must give the same order; its chain
-    backs the lazy ``elements`` sequence.
+    isomorphism II", 2014). The returned ``PermGroup`` closes the generators
+    by Schreier-Sims, with its own base, and must have the same order.
     """
     v = d.v
     ctx = _DesignContext(d, {})
@@ -781,10 +796,10 @@ def automorphism_group(d: Design) -> PermGroup:
     orbit_sizes.reverse()
     order = math.prod(orbit_sizes)
 
-    elements = _ChainElements(v, *_schreier_sims(generators, v))
-    if len(elements) != order:
+    group = PermGroup(v, tuple(map(_permutation, generators)))
+    if group.order != order:
         raise InternalCheckError(
-            f"Schreier-Sims gives order {len(elements)}, the search {order}"
+            f"Schreier-Sims gives order {group.order}, the search {order}"
         )
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
@@ -793,7 +808,7 @@ def automorphism_group(d: Design) -> PermGroup:
             v, [x + 1 for x, _ in path], orbit_sizes, len(generators),
             search.leaves, search.propagations,
         )
-    return PermGroup(v, tuple(map(_permutation, generators)), order, elements)
+    return group
 
 
 def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -802,13 +817,11 @@ def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, 
     Raises InvariantError when g does not act on the design's points or a
     generator does not map the blocks onto blocks.
     """
-    for degree in (g.degree, *(p.degree for p in g.generators)):
-        if degree != d.v:
-            raise InvariantError(f"degree {degree} does not act on {d.v} points")
+    if g.degree != d.v:
+        raise InvariantError(f"degree {g.degree} does not act on {d.v} points")
     index = {b.bits: i for i, b in enumerate(d.blocks)}
     actions = []
-    for p in g.generators:
-        points = _images(p)
+    for points in g.images:
         blocks = tuple(index.get(map_bits(b.bits, points)) for b in d.blocks)
         if None in blocks:
             raise InvariantError("group does not preserve the design")
@@ -854,8 +867,7 @@ def point_block_systems(g: PermGroup) -> list[tuple[frozenset[int], ...]]:
     are the minimal block systems; the trivial group gives the n(n-1)/2
     pair partitions.
     """
-    n = g.degree
-    generators = [_images(p) for p in g.generators]
+    n, generators = g.degree, g.images
     systems = set()
     remaining = set(range(n))
     while remaining:
@@ -904,7 +916,5 @@ def _finest_invariant_partition(
 
 def is_point_primitive(g: PermGroup) -> bool:
     """True when the point action is transitive and has no nontrivial block system."""
-    transitive = _orbit_count(
-        range(g.degree), [_images(p) for p in g.generators]
-    ) == 1
+    transitive = _orbit_count(range(g.degree), g.images) == 1
     return transitive and not point_block_systems(g)

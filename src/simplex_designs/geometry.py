@@ -110,7 +110,11 @@ class Geometry:
 
     def indices_of(self, bits) -> tuple[int, ...]:
         """Roster indices of the given point bitmasks, which must be points."""
-        return tuple(map(self._index.__getitem__, bits))
+        try:
+            return tuple(map(self._index.__getitem__, bits))
+        except KeyError as exc:
+            (missing,) = exc.args
+            raise InvariantError(f"bitmask {missing:#x} is not a point of this geometry") from None
 
 
 def build_geometry(params: GeometryParams) -> Geometry:

@@ -75,6 +75,16 @@ class TestConstruct:
         assert (tmp_path / "c4.incidence.txt").exists()
         assert (tmp_path / "c4.hadamard01.txt").exists()
 
+    @pytest.mark.parametrize(
+        "parts", [("taken",), ("taken", "sub")], ids=["a-file", "below-a-file"]
+    )
+    def test_out_dir_on_a_file_is_a_parse_error(self, capsys, tmp_path, parts):
+        (tmp_path / "taken").write_text("")
+        out_dir = tmp_path.joinpath(*parts)
+        code, out, err = run_cli(capsys, "--out-dir", str(out_dir), "construct", "c1")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {out_dir} is not a writable directory\n"
+
     def test_unknown_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["construct", "c9"])

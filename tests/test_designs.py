@@ -244,8 +244,9 @@ class TestHadamard:
             ((1, 1, 1), (1, -1, 1)),
             ((1, 1), (1, 0)),
             ((1, 1), (1, -2)),
+            (),
         ],
-        ids=["ragged", "not-square", "zero-entry", "non-unit-entry"],
+        ids=["ragged", "not-square", "zero-entry", "non-unit-entry", "empty"],
     )
     def test_rejects_malformed_entries(self, entries):
         with pytest.raises(InvariantError, match="square"):
@@ -407,9 +408,7 @@ class TestOrbitCounts:
         assert flag_orbit_count(d, trivial) == 120
 
     def test_rejects_non_preserving_group(self, fixture_designs):
-        alien = PermGroup(
-            15, (Permutation.from_cycles(15, [(1, 2)]),), 2, None
-        )
+        alien = PermGroup(15, (Permutation.from_cycles(15, [(1, 2)]),))
         with pytest.raises(InvariantError):
             block_orbit_count(fixture_designs["c4"], alien)
 

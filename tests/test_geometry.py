@@ -118,6 +118,12 @@ class TestRoster:
         with pytest.raises(InvariantError):
             g15.index_of(ElementSet.of([1], 15))
 
+    def test_indices_of_names_the_bitmask_that_is_not_a_point(self, g7):
+        points = [p.bits for p in g7.points[:3]]
+        assert g7.indices_of(points) == (0, 1, 2)
+        with pytest.raises(InvariantError, match="bitmask 0x7 is not a point"):
+            g7.indices_of([*points, 0b111])
+
 
 class TestCollinearity:
     def test_fixture_rows_collinear(self, g15):

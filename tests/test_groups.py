@@ -1,7 +1,8 @@
 """The generators-only automorphism search, its Schreier-Sims cross-check,
-the lazy element sequence, point block systems and primitivity, and
-search-local state."""
+PermGroup's own checks, the lazy element sequence, point block systems and
+primitivity, and search-local state."""
 
+import dataclasses
 import logging
 import random
 from itertools import combinations
@@ -157,6 +158,36 @@ class TestLazyElements:
         assert Permutation.from_cycles(15, [(1, 2)]) not in trivial.elements
 
 
+class TestPermGroup:
+    def test_order_is_sympys_on_random_generators(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            n = rng.randint(3, 10)
+            generators = [Permutation.random(n, rng) for _ in range(rng.randint(1, 3))]
+            assert PermGroup(n, generators).order == sympy_order(n, generators)
+
+    @pytest.mark.parametrize("degree, other", [(15, 7), (7, 15)])
+    def test_generator_of_another_degree_fails_at_construction(self, degree, other):
+        generators = (Permutation.identity(degree), Permutation.from_cycles(other, [(1, 2, 3)]))
+        message = f"degree {other} in a group of degree {degree}"
+        with pytest.raises(InvariantError, match=message):
+            PermGroup(degree, generators)
+
+    def test_equal_generators_give_equal_hashable_groups(self):
+        generators = [Permutation.from_cycles(15, [cycle]) for cycle in ((1, 2, 3), (4, 5))]
+        a, b = PermGroup(15, tuple(generators)), PermGroup(15, generators)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert b.generators == tuple(generators) and b.order == 6
+        assert a != PermGroup(15, generators[:1])
+
+    def test_only_degree_and_generators_are_passed_and_nothing_changes(self):
+        assert [f.name for f in dataclasses.fields(PermGroup) if f.init] == ["degree", "generators"]
+        with pytest.raises(TypeError):
+            PermGroup(15, (), 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PermGroup.trivial(15).generators = (Permutation.from_cycles(15, [(1, 2)]),)
+
+
 def explicit_orbit_counts(d: Design, g: PermGroup) -> tuple[int, int]:
     """Block and flag orbits, each orbit listed over every group element."""
     images = [(p, {b.bits: apply(p, b).bits for b in d.blocks}) for p in g.elements]
@@ -204,12 +235,9 @@ class TestGroupLayer:
 
     def test_wrong_degree_is_an_invariant_error(self, fixture_designs):
         three_cycle = Permutation.from_cycles(7, [(1, 2, 3)])
-        wrong = (
-            PermGroup(7, (three_cycle,), 3, None),
-            PermGroup(15, (three_cycle,), 3, None),
-            PermGroup.trivial(7),
-        )
-        for g in wrong:
+        with pytest.raises(InvariantError, match="degree 7 in a group of degree 15"):
+            PermGroup(15, (three_cycle,))
+        for g in (PermGroup(7, (three_cycle,)), PermGroup.trivial(7)):
             for count in (block_orbit_count, flag_orbit_count):
                 with pytest.raises(InvariantError, match="does not act on 15 points"):
                     count(fixture_designs["c1"], g)

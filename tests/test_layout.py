@@ -18,7 +18,9 @@ Likewise CollinearityGraph._unchecked, which skips the edge check, is
 called only by build_graph, whose rows are collinearity by construction.
 Modules import their siblings at module level only, and those imports form
 no cycle: an import inside a function hides a dependency, and runs on every
-call.
+call. Every dataclass outside cli.py is frozen: a value that checks itself
+when built must not change after the check. cli.Report, a builder filled in
+by each command, is the one mutable dataclass.
 """
 
 import ast
@@ -190,6 +192,21 @@ def functools_caches(tree):
         f"line {node.lineno}: {decorated.get(id(node), ast.unparse(node))}"
         for node in ast.walk(tree)
         if is_cache(node)
+    ]
+
+
+def mutable_dataclasses(tree):
+    """Classes decorated with dataclass, bare or called, but not with frozen=True."""
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if ast.unparse(getattr(decorator, "func", decorator)).split(".")[-1] == "dataclass"
+        and not any(
+            keyword.arg == "frozen" and getattr(keyword.value, "value", None) is True
+            for keyword in getattr(decorator, "keywords", ())
+        )
     ]
 
 
@@ -383,6 +400,34 @@ def test_rules_catch_the_patterns():
     ]
     (shared,) = functools_caches(parse(PACKAGE / "geometry.py"))
     assert shared.endswith(": @lru_cache(maxsize=None) on geometry_for_dimension")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_dataclasses_are_frozen_outside_the_cli(path):
+    assert mutable_dataclasses(parse(path)) == []
+
+
+def test_frozen_rule_catches_the_patterns():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A: pass\n"
+        "@dataclasses.dataclass(order=True)\n"
+        "class B: pass\n"
+        "@dataclass(frozen=False)\n"
+        "class C: pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D: pass\n"
+        "@dataclasses.dataclass(eq=False, frozen=True)\n"
+        "class E: pass\n"
+        "@total_ordering\n"
+        "class F: pass\n"
+    )
+    assert sorted(mutable_dataclasses(tree)) == ["line 2: A", "line 4: B", "line 6: C"]
+    # cli.Report is the one mutable dataclass, so the rule is not vacuous
+    (report,) = mutable_dataclasses(parse(PACKAGE / "cli.py"))
+    assert report.endswith(": Report")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
