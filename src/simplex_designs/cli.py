@@ -2,15 +2,15 @@
 
 Subcommands construct the reference cliques, classify incidence-matrix
 files, search for design isomorphisms, and run a census of centered
-products over a fixed center. Reports are plain text or key=value lines;
-exit codes: 0 ok, 1 invariant violation, 2 parse error, 3 internal
-inconsistency.
+products over a fixed center. Reports are plain text or key=value lines,
+ending with the elapsed time unless --sorted; exit codes: 0 ok, 1 invariant
+violation, 2 parse error, 3 internal inconsistency.
 """
 
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations
 from pathlib import Path
@@ -51,29 +51,34 @@ KIND_TO_INDEX = {
 FIXTURE_NAMES = {kind: kind.replace("-", "_") for kind in CONSTRUCT_KINDS[:5]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
+    """What one command found, complete when the command returns it.
+
+    The elapsed time is not part of it: main passes that to emit.
+    """
+
     command: str
-    parameters: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    timing: float = 0.0
+    parameters: dict
+    results: dict
 
-    def emit(self, fmt: str, sorted_output: bool) -> str:
+    def emit(self, fmt: str, timing: float | None) -> str:
+        """The report as text or kv lines, ending with the timing unless it is None."""
         if fmt == "kv":
-            return self._emit_kv(sorted_output)
-        return self._emit_text(sorted_output)
+            return self._emit_kv(timing)
+        return self._emit_text(timing)
 
-    def _emit_kv(self, sorted_output: bool) -> str:
+    def _emit_kv(self, timing: float | None) -> str:
         lines = [f"command={self.command}"]
         for key, value in self.parameters.items():
             lines.append(f"param.{key}={_flat(value)}")
         for key, value in self.results.items():
             lines.append(f"{key}={_flat(value)}")
-        if not sorted_output:
-            lines.append(f"timing_seconds={self.timing:.3f}")
+        if timing is not None:
+            lines.append(f"timing_seconds={timing:.3f}")
         return "\n".join(lines)
 
-    def _emit_text(self, sorted_output: bool) -> str:
+    def _emit_text(self, timing: float | None) -> str:
         lines = [f"command: {self.command}"]
         if self.parameters:
             lines.append("parameters:")
@@ -86,8 +91,8 @@ class Report:
                     lines.append(f"  {item}")
             else:
                 lines.append(f"{key}: {_flat(value)}")
-        if not sorted_output:
-            lines.append(f"elapsed: {self.timing:.3f}s")
+        if timing is not None:
+            lines.append(f"elapsed: {timing:.3f}s")
         return "\n".join(lines)
 
 
@@ -132,15 +137,18 @@ def _write_out(args, stem: str, incidence: str, hadamard: str, style: str):
         raise ParseError(f"{out} is not a writable directory") from exc
 
 
-def _write_verdict(results: dict, verdict, centers: bool):
+def _verdict_fields(verdict, centers: bool) -> dict:
     """The classification fields of construct and classify; construct also lists centers."""
-    results["class"] = verdict.tag.value
-    results["bijection_index"] = verdict.index if verdict.index is not None else "none"
-    results["center_count"] = len(verdict.centers)
+    results = {
+        "class": verdict.tag.value,
+        "bijection_index": verdict.index if verdict.index is not None else "none",
+        "center_count": len(verdict.centers),
+    }
     if centers:
         results["centers"] = [str(o) for o in verdict.centers]
     results["lines_inside"] = verdict.line_count
     results["planes_inside"] = verdict.plane_count
+    return results
 
 
 def cmd_construct(args) -> Report:
@@ -157,13 +165,13 @@ def cmd_construct(args) -> Report:
 
     incidence = render_incidence(design)
     rendered = hadamard.render(args.hadamard_style)
-    report = Report("construct", {"kind": kind})
-    _write_verdict(report.results, verdict, centers=True)
-    report.results["blocks"] = [str(b) for b in design.blocks]
-    report.results["incidence"] = incidence.splitlines()
-    report.results["hadamard"] = rendered.splitlines()
     _write_out(args, kind.replace("-", "_"), incidence, rendered, args.hadamard_style)
-    return report
+    return Report("construct", {"kind": kind}, {
+        **_verdict_fields(verdict, centers=True),
+        "blocks": [str(b) for b in design.blocks],
+        "incidence": incidence.splitlines(),
+        "hadamard": rendered.splitlines(),
+    })
 
 
 def cmd_classify(args) -> Report:
@@ -172,28 +180,29 @@ def cmd_classify(args) -> Report:
         raise InvariantError(f"classify needs a 15-point design, got {design.v} points")
     verdict = classify_clique(clique_from_design(design))
     group = automorphism_group(design)
-    report = Report("classify", {"file": args.file})
-    _write_verdict(report.results, verdict, centers=False)
-    report.results["automorphism_order"] = group.order
-    report.results["block_orbits"] = block_orbit_count(design, group)
-    report.results["flag_orbits"] = flag_orbit_count(design, group)
-    report.results["point_primitive"] = is_point_primitive(group)
-    report.results["point_block_systems"] = len(point_block_systems(group))
-    return report
+    return Report("classify", {"file": args.file}, {
+        **_verdict_fields(verdict, centers=False),
+        "automorphism_order": group.order,
+        "block_orbits": block_orbit_count(design, group),
+        "flag_orbits": flag_orbit_count(design, group),
+        "point_primitive": is_point_primitive(group),
+        "point_block_systems": len(point_block_systems(group)),
+    })
 
 
 def cmd_isomorphic(args) -> Report:
     d1 = _read_design(args.file_a, args)
     d2 = _read_design(args.file_b, args)
     witness = find_isomorphism(d1, d2)
-    report = Report("isomorphic", {"a": args.file_a, "b": args.file_b})
-    report.results["isomorphic"] = witness is not None
-    if witness is not None:
-        report.results["witness"] = witness.cycle_string()
-        report.results["witness_images"] = list(witness.images)
+    if witness is None:
+        results = {"isomorphic": False, "witness": "none (search exhausted)"}
     else:
-        report.results["witness"] = "none (search exhausted)"
-    return report
+        results = {
+            "isomorphic": True,
+            "witness": witness.cycle_string(),
+            "witness_images": list(witness.images),
+        }
+    return Report("isomorphic", {"a": args.file_a, "b": args.file_b}, results)
 
 
 def cmd_census(args) -> Report:
@@ -204,6 +213,8 @@ def cmd_census(args) -> Report:
         if limit is not None and limit < 0:
             raise ParseError(f"{flag} must be non-negative, got {limit}")
     O = parse_set(args.center, n) if args.center else canonical_center()
+    if len(O) != 8:
+        raise InvariantError(f"center {O} must have 8 elements, got {len(O)}")
     Z = parse_set(args.z, n) if args.z else default_z(O)
     if not Z <= O or len(Z) != 7:
         raise InvariantError("z must be a 7-element subset of the center")
@@ -237,23 +248,19 @@ def cmd_census(args) -> Report:
         raise InternalCheckError(
             f"{expected} parameter triples produced {len(seen)} distinct cliques"
         )
-    report = Report(
-        "census",
-        {
-            "center": str(O),
-            "z": str(Z),
-            "x_choices": len(xs),
-            "y_choices": len(ys),
-            "bijections": len(deltas),
-        },
-    )
-    report.results["products"] = expected
-    report.results["distinct_cliques"] = len(seen)
+    results = {"products": expected, "distinct_cliques": len(seen)}
     for idx in TAG_BY_INDEX:
-        report.results[f"count_index_{idx}"] = tallies[idx]
+        results[f"count_index_{idx}"] = tallies[idx]
         if idx in checked:
-            report.results[f"class_of_index_{idx}"] = checked[idx]
-    return report
+            results[f"class_of_index_{idx}"] = checked[idx]
+    parameters = {
+        "center": str(O),
+        "z": str(Z),
+        "x_choices": len(xs),
+        "y_choices": len(ys),
+        "bijections": len(deltas),
+    }
+    return Report("census", parameters, results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,8 +315,8 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    report.timing = time.perf_counter() - started
-    print(report.emit(args.format, args.sorted))
+    elapsed = None if args.sorted else time.perf_counter() - started
+    print(report.emit(args.format, elapsed))
     return 0
 
 

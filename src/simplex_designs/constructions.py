@@ -6,6 +6,7 @@
 * a clique's centers, lines and Fano planes as position masks (bit i for
   c.bits[i]) from one pass (_structure), and classify_clique, which types a
   k = 4 clique by the index of its split, cross-checked against those masks;
+  its verdict, a CliqueClass, stores the index and reads its type off it;
 * the clique of hyperplane complements of PG(k-1,2);
 * a non-centered 15-element clique assembled from a singular subspace with
   a plane removed plus a disjoint plane.
@@ -234,24 +235,26 @@ INDEX_BY_TAG = {tag: idx for idx, tag in TAG_BY_INDEX.items()}
 
 @dataclass(frozen=True)
 class CliqueClass:
-    """Classification verdict with the evidence that produced it."""
+    """Classification verdict with the evidence that produced it.
 
-    tag: CliqueTag
+    The type is read off the bijection index: a clique with no center is
+    NON_CENTERED, and a centered one has the tag TAG_BY_INDEX gives its index.
+    """
+
     centers: tuple[ElementSet, ...]
     index: int | None
     line_count: int
     plane_count: int
 
     def __post_init__(self):
-        if self.tag is CliqueTag.NON_CENTERED:
-            if self.centers or self.index is not None:
-                raise InvariantError("non-centered verdicts carry no center or index")
-        else:
-            if not self.centers or self.index != INDEX_BY_TAG[self.tag]:
-                raise InvariantError(
-                    f"tag {self.tag.value} requires a center and index"
-                    f" {INDEX_BY_TAG[self.tag]}"
-                )
+        if bool(self.centers) != (self.index is not None):
+            raise InvariantError("a verdict carries an index exactly when it has centers")
+        if self.index is not None and self.index not in TAG_BY_INDEX:
+            raise InvariantError(f"{self.index} is not the index of a centered type")
+
+    @property
+    def tag(self) -> CliqueTag:
+        return CliqueTag.NON_CENTERED if self.index is None else TAG_BY_INDEX[self.index]
 
 
 def _structure(bits: tuple[int, ...]):
@@ -345,10 +348,8 @@ def classify_clique(c: Clique) -> CliqueClass:
     center_mask, lines, planes = _structure(c.bits)
     centers = tuple(ElementSet(b, g.params.n) for b in _at(c.bits, center_mask))
 
-    if not centers:
-        tag_structural = CliqueTag.NON_CENTERED
-        index = None
-    else:
+    index = None
+    if centers:
         index = decompose(c, centers[0]).bijection_index()
         if index not in TAG_BY_INDEX:
             raise InternalCheckError(f"impossible bijection index {index}")
@@ -359,7 +360,6 @@ def classify_clique(c: Clique) -> CliqueClass:
                 f" gives {tag_structural.value}"
             )
     return CliqueClass(
-        tag=tag_structural,
         centers=centers,
         index=index,
         line_count=len(lines),

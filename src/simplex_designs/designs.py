@@ -50,19 +50,17 @@ class Design:
         v = self.v
         if v < 3 or (v + 1) % 4 != 0:
             raise InvariantError(f"{v} points do not fit the 4t-1 pattern")
-        t = (v + 1) // 4
+        size, lam = self.block_size, self.lambda_
         for i, b in enumerate(self.blocks):
             if b.ground_size != v:
                 raise InvariantError(f"block {i + 1} lives on the wrong ground set")
-            if len(b) != 2 * t:
-                raise InvariantError(
-                    f"block {i + 1} has {len(b)} points, expected {2 * t}"
-                )
+            if len(b) != size:
+                raise InvariantError(f"block {i + 1} has {len(b)} points, expected {size}")
         for i, j in combinations(range(v), 2):
             got = (self.blocks[i].bits & self.blocks[j].bits).bit_count()
-            if got != t:
+            if got != lam:
                 raise InvariantError(
-                    f"blocks {i + 1} and {j + 1} meet in {got} points, expected {t}"
+                    f"blocks {i + 1} and {j + 1} meet in {got} points, expected {lam}"
                 )
 
     def block_set(self) -> frozenset[int]:

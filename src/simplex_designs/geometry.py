@@ -5,9 +5,12 @@ their intersection has exactly m elements, and the third point on their line
 is the symmetric difference. Maximal singular subspaces are copies of
 PG(k-1,2) with 2^k - 1 points and correspond to binary simplex codes;
 hyperplane_complement_blocks builds one from the hyperplanes of PG(k-1,2).
+
+The dimension k alone fixes a geometry: GeometryParams(k) sets m and n
+from it when built.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -18,25 +21,29 @@ from .subsets import MAX_GROUND_SIZE, ElementSet, subsets_of
 
 @dataclass(frozen=True, slots=True)
 class GeometryParams:
-    """Parameter triple (k, m, n) with m = 2^(k-2) and n = 4m - 1 = 2^k - 1."""
+    """The dimension k, and the m = 2^(k-2) and n = 4m - 1 = 2^k - 1 it fixes.
+
+    Only k is passed in; m and n are set when built, as stored fields so
+    that reading them stays an attribute load. Parameters compare and hash
+    by k alone.
+    """
 
     k: int
-    m: int
-    n: int
+    m: int = field(init=False, compare=False, repr=False)
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise InvariantError("k must be at least 2")
-        if self.m * 4 != 2**self.k or self.n != 4 * self.m - 1:
-            raise InvariantError(
-                f"({self.k}, {self.m}, {self.n}) is not a simplex-code triple"
-            )
-        if self.n > MAX_GROUND_SIZE:
-            raise InvariantError(f"ground size {self.n} exceeds {MAX_GROUND_SIZE} (k <= 6)")
+        n = 2**self.k - 1
+        if n > MAX_GROUND_SIZE:
+            raise InvariantError(f"ground size {n} exceeds {MAX_GROUND_SIZE} (k <= 6)")
+        object.__setattr__(self, "m", 2 ** (self.k - 2))
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def for_dimension(cls, k: int) -> "GeometryParams":
-        return cls(k, 2 ** (k - 2), 2**k - 1)
+        return cls(k)
 
     @property
     def point_size(self) -> int:
@@ -159,6 +166,7 @@ def is_collinear(g: Geometry, x: ElementSet, y: ElementSet) -> bool:
     if a == b:
         raise InvariantError("collinearity is defined for distinct points")
     return (a & b).bit_count() == g.params.m
+
 
 def line_through(g: Geometry, x: ElementSet, y: ElementSet) -> Line:
     if not is_collinear(g, x, y):

@@ -1,9 +1,10 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from simplex_designs.cli import main
+from simplex_designs.cli import Report, main
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import Design, render_incidence
 
@@ -324,6 +325,21 @@ class TestCensus:
         assert code == 1
         assert "invariant" in err
 
+    @pytest.mark.parametrize("center, z", [
+        ("{1,2,3,4,5,6,7}", None),
+        ("{1,2,3,4,5,6,7}", "{1,2,3,4,5,6,7}"),
+        ("{1,2,3,4,5,6,7,8,9}", None),
+        ("{1,2,3,4,5,6,7,8,9}", "{2,3,4,5,6,7,8}"),
+    ], ids=["7", "7-with-z", "9", "9-with-z"])
+    def test_census_names_a_center_of_the_wrong_size(self, capsys, center, z):
+        argv = ["census", "--center", center] + (["--z", z] if z else [])
+        code, out, err = run_cli(capsys, *argv)
+        size = center.count(",") + 1
+        assert (code, out) == (1, "")
+        assert err == (
+            f"invariant violation: center {center} must have 8 elements, got {size}\n"
+        )
+
     @pytest.mark.parametrize("option,value", [("--center", "a,b"), ("--z", "{99}")])
     def test_census_unparsable_set_is_a_parse_error(self, capsys, option, value):
         code, _, err = run_cli(capsys, "census", option, value)
@@ -367,6 +383,17 @@ class TestTextFormat:
         code, out, _ = run_cli(capsys, "construct", "c3")
         assert code == 0
         assert "elapsed" in out
+
+    def test_report_is_fixed_when_built(self):
+        assert [f.name for f in dataclasses.fields(Report) if f.init] == [
+            "command", "parameters", "results",
+        ]
+        report = Report("construct", {"kind": "c3"}, {"class": "C3"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.results = {}
+        assert report.emit("kv", None) == "command=construct\nparam.kind=c3\nclass=C3"
+        assert report.emit("kv", 0.25).endswith("\nclass=C3\ntiming_seconds=0.250")
+        assert report.emit("text", 1.5).endswith("\nclass: C3\nelapsed: 1.500s")
 
 
 class TestClassifyAfterConstruct:

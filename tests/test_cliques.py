@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import random
@@ -19,7 +20,9 @@ from simplex_designs.cliques import (
 )
 from simplex_designs.constructions import (
     CenteredDecomposition,
+    CliqueClass,
     CliqueTag,
+    TAG_BY_INDEX,
     _structural_tag,
     _structure,
     canonical_center,
@@ -610,6 +613,38 @@ def _c4_two_centers(c, centers, lines, planes):
 
 def _c4_line_off_the_center(c, centers, lines, planes):
     return centers, [*lines, line_of_three((1 << len(c)) - 1 & ~centers)], planes
+
+
+class TestVerdict:
+    """A CliqueClass stores its evidence; its tag is read off the index."""
+
+    def test_only_the_evidence_is_passed(self):
+        fields = [f.name for f in dataclasses.fields(CliqueClass) if f.init]
+        assert fields == ["centers", "index", "line_count", "plane_count"]
+
+    @pytest.mark.parametrize("has_centers, index, message", [
+        (True, None, "an index exactly when it has centers"),
+        (False, 7, "an index exactly when it has centers"),
+        (True, 5, "5 is not the index of a centered type"),
+    ], ids=["centers-without-index", "index-without-centers", "index-5"])
+    def test_rejects_inconsistent_evidence(self, has_centers, index, message):
+        centers = (canonical_center(),) if has_centers else ()
+        with pytest.raises(InvariantError, match=message):
+            CliqueClass(centers, index, 19, 3)
+
+    def test_tag_is_read_off_the_index(self, g15, fixture_cliques):
+        rng = random.Random(23)
+        for name in FIXTURE_NAMES:
+            c = fixture_cliques[name]
+            for _ in range(3):
+                verdict = classify_clique(c)
+                expected = (
+                    CliqueTag.NON_CENTERED if verdict.index is None
+                    else TAG_BY_INDEX[verdict.index]
+                )
+                assert verdict.tag is expected is CliqueTag[name.upper()]
+                p = Permutation.random(15, rng)
+                c = Clique.from_points(g15, [apply(p, q) for q in c.points])
 
 
 class TestInternalChecks:

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import fields
 from itertools import combinations
 from math import comb
 
@@ -38,10 +39,6 @@ class TestParams:
 
     def test_invalid_triples(self):
         with pytest.raises(InvariantError):
-            GeometryParams(4, 4, 16)
-        with pytest.raises(InvariantError):
-            GeometryParams(4, 3, 15)
-        with pytest.raises(InvariantError):
             GeometryParams.for_dimension(1)
 
     def test_ground_beyond_one_word_rejected(self):
@@ -53,7 +50,22 @@ class TestParams:
             with pytest.raises(InvariantError, match="ground size 127 exceeds 63"):
                 build(7)
         with pytest.raises(InvariantError, match="exceeds 63"):
-            GeometryParams(7, 32, 127)
+            GeometryParams(7)
+
+    def test_k_is_the_only_input(self):
+        assert [f.name for f in fields(GeometryParams) if f.init] == ["k"]
+        with pytest.raises(TypeError):
+            GeometryParams(4, 4, 15)
+        with pytest.raises(InvariantError, match="k must be at least 2"):
+            GeometryParams(1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_k_alone_equals_for_dimension(self, k):
+        p, q = GeometryParams(k), GeometryParams.for_dimension(k)
+        assert p == q and hash(p) == hash(q)
+        assert (p.m, p.n, p.point_size) == (q.m, q.n, q.point_size)
+        assert (p.m, p.n) == (2 ** (k - 2), 2**k - 1)
+        assert repr(p) == f"GeometryParams(k={k})"
 
 
 class TestRoster:

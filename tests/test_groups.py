@@ -28,6 +28,7 @@ from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.subsets import Permutation, apply
 
 from conftest import FIXTURE_NAMES
+from test_propagation import paley_design
 
 sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -256,6 +257,34 @@ class TestDimensionFive:
         assert not preserves(d, swap)
         assert swap not in g.elements
         assert is_point_primitive(g)
+
+
+# q: (automorphism order, flag orbits) of the Paley design on q points
+PALEY_GROUPS = {7: (168, 1), 11: (660, 1), 19: (171, 2), 23: (253, 2)}
+
+
+class TestPaleyDesigns:
+    """Designs of size 4t - 1 that is not 2^k - 1 (q = 11, 19, 23), beside q = 7."""
+
+    @pytest.mark.parametrize("q", sorted(PALEY_GROUPS))
+    def test_group_orbits_and_primitivity(self, q):
+        d = paley_design(q)
+        g = automorphism_group(d)
+        order, flag_orbits = PALEY_GROUPS[q]
+        assert g.order == sympy_order(q, g.generators) == order
+        assert all(preserves(d, p) for p in g.generators)
+        assert block_orbit_count(d, g) == 1
+        assert flag_orbit_count(d, g) == flag_orbits
+        assert is_point_primitive(g)
+        assert point_block_systems(g) == []
+
+    @pytest.mark.parametrize("q", sorted(PALEY_GROUPS))
+    def test_relabeling_is_found(self, q):
+        d = paley_design(q)
+        moved = d.relabeled(Permutation.random(q, random.Random(q)))
+        w = find_isomorphism(d, moved)
+        assert w is not None
+        assert {apply(w, b).bits for b in d.blocks} == moved.block_set()
 
 
 def closure_partition(g: PermGroup, a: int, b: int) -> frozenset[frozenset[int]]:

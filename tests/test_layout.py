@@ -18,9 +18,11 @@ Likewise CollinearityGraph._unchecked, which skips the edge check, is
 called only by build_graph, whose rows are collinearity by construction.
 Modules import their siblings at module level only, and those imports form
 no cycle: an import inside a function hides a dependency, and runs on every
-call. Every dataclass outside cli.py is frozen: a value that checks itself
-when built must not change after the check. cli.Report, a builder filled in
-by each command, is the one mutable dataclass.
+call. Every dataclass is frozen: a value that checks itself when built must
+not change after the check, and cli.Report is complete when a command
+returns it. object.__setattr__, which writes past the freeze, is called only
+in a __post_init__, to set the fields a value derives from its inputs, and
+in Clique._proved, which fills a clique without its check.
 """
 
 import ast
@@ -208,6 +210,34 @@ def mutable_dataclasses(tree):
             for keyword in getattr(decorator, "keywords", ())
         )
     ]
+
+
+SETATTR_CALLERS = {("cliques.py", "Clique._proved")}
+
+
+def object_setattr_uses(tree):
+    """References to object.__setattr__, as "line N: object.__setattr__ in Class.function".
+
+    "<module>" stands for code outside any function.
+    """
+    found = []
+
+    def visit(node, where, scope):
+        if isinstance(node, ast.ClassDef):
+            scope = f"{scope}{node.name}."
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{scope}{node.name}"
+            scope = f"{where}."
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ):
+            found.append(f"line {node.lineno}: object.__setattr__ in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, scope)
+
+    visit(tree, "<module>", "")
+    return found
 
 
 PROVED_CALLERS = {
@@ -425,9 +455,48 @@ def test_frozen_rule_catches_the_patterns():
         "class F: pass\n"
     )
     assert sorted(mutable_dataclasses(tree)) == ["line 2: A", "line 4: B", "line 6: C"]
-    # cli.Report is the one mutable dataclass, so the rule is not vacuous
-    (report,) = mutable_dataclasses(parse(PACKAGE / "cli.py"))
-    assert report.endswith(": Report")
+    # the rule holds in every module, cli.py included
+    assert mutable_dataclasses(parse(PACKAGE / "cli.py")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_object_setattr_only_while_building(path):
+    assert [
+        use
+        for use in object_setattr_uses(parse(path))
+        if not use.endswith(".__post_init__")
+        and (path.name, use.partition(" in ")[2]) not in SETATTR_CALLERS
+    ] == []
+
+
+def test_setattr_rule_catches_the_patterns():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'n', 1)\n"
+        "    def grow(self):\n"
+        "        object.__setattr__(self, 'n', 2)\n"
+        "def build(a):\n"
+        "    write = object.__setattr__\n"
+        "setattr(A(), 'n', 3)\n"
+        "object.__setattr__(A(), 'n', 4)\n"
+    )
+    assert object_setattr_uses(tree) == [
+        "line 3: object.__setattr__ in A.__post_init__",
+        "line 5: object.__setattr__ in A.grow",
+        "line 7: object.__setattr__ in build",
+        "line 9: object.__setattr__ in <module>",
+    ]
+    # the values that derive fields, and the unchecked clique, use it, so the rule is not vacuous
+    assert {
+        (path.name, use.partition(" in ")[2])
+        for path in MODULES
+        for use in object_setattr_uses(parse(path))
+    } == SETATTR_CALLERS | {
+        ("designs.py", "PermGroup.__post_init__"),
+        ("fano.py", "FanoPlane.__post_init__"),
+        ("geometry.py", "GeometryParams.__post_init__"),
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
