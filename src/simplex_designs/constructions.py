@@ -211,7 +211,13 @@ def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> Centered
         raise InvariantError(f"Z lies on ground {Z.ground_size}, the clique on {n}")
     if not Z <= O or len(Z) != 2 * m - 1:
         raise InvariantError(f"Z must be a {2 * m - 1}-element subset of the center")
+    return _split(c, O, Z)
 
+
+def _split(c: Clique, O: ElementSet, Z: ElementSet) -> CenteredDecomposition:
+    """The split of decompose at a center O of c and a (2m-1)-subset Z of O,
+    which the caller has checked; the rebuild through _product_bits stays."""
+    o = O.bits
     spare = o & ~Z.bits
     plus = [b for b in c.bits if b != o and not b & spare]
     xs, ys = tuple([b & ~o for b in plus]), tuple([b & o for b in plus])
@@ -350,7 +356,8 @@ def classify_clique(c: Clique) -> CliqueClass:
 
     index = None
     if centers:
-        index = decompose(c, centers[0]).bijection_index()
+        # _structure has just proved the center, so decompose's checks are skipped
+        index = _split(c, centers[0], default_z(centers[0])).bijection_index()
         if index not in TAG_BY_INDEX:
             raise InternalCheckError(f"impossible bijection index {index}")
         tag_structural = _structural_tag(c, center_mask, lines, planes)

@@ -22,7 +22,7 @@ from .cliques import Clique
 from .errors import InternalCheckError, InvariantError, ParseError
 from .geometry import geometry_for_ground
 from .subsets import (
-    MAX_GROUND_SIZE, ElementSet, Permutation, apply, compose, invert, map_bits, set_bits,
+    MAX_GROUND_SIZE, ElementSet, Permutation, apply, compose, invert, set_bits,
 )
 
 
@@ -339,6 +339,24 @@ class _Fields:
     def row(self, packed: int, x: int) -> int:
         return packed >> x * self.w & self.full
 
+    def rows(self, packed: int) -> list[int]:
+        """Every row of packed, the inverse of pack."""
+        w, full = self.w, self.full
+        return [packed >> x * w & full for x in range(self.v)]
+
+    def pack(self, rows) -> int:
+        """One int with rows[x] in field x."""
+        w = self.w
+        return sum(r << x * w for x, r in enumerate(rows))
+
+    def move(self, packed: int, images) -> int:
+        """Every row with each bit i moved to bit images[i] (a 0-based point
+        map): one column of all rows at a time, so v steps for v rows."""
+        ones, out = self.ones, 0
+        for i, y in enumerate(images):
+            out |= (packed >> i & ones) << y
+        return out
+
     def decided(self, packed: int) -> int:
         """The guard bits of the rows with at most one bit."""
         return ~((((packed | self.high) - self.ones) & packed) + self.low) & self.high
@@ -362,12 +380,13 @@ class _DesignContext:
         self.labels = labels
         self.fields = fields = _Fields(v)
         self.block_bits = [b.bits for b in d.blocks]
+        self.incidence = fields.pack(self.block_bits)
         # field x of the sum of the spread blocks a, each shifted by a,
         # holds the blocks through point x
         packed = 0
         for a, bits in enumerate(self.block_bits):
             packed |= fields.spread(bits) << a
-        self.point_in_blocks = [fields.row(packed, x) for x in range(v)]
+        self.point_in_blocks = fields.rows(packed)
 
     @cached_property
     def points(self) -> _Classes:
@@ -417,7 +436,7 @@ class _Search:
 
     def root(self):
         """The propagated state the refined classes allow; None if it is empty."""
-        ctx1, ctx2, w = self.ctx1, self.ctx2, self.fields.w
+        ctx1, ctx2 = self.ctx1, self.ctx2
         sides = []
         for classes1, classes2 in ((ctx1.points, ctx2.points), (ctx1.blocks, ctx2.blocks)):
             images = {}
@@ -426,7 +445,7 @@ class _Search:
             rows = [images.get(code, 0) for code in classes1.codes]
             if 0 in rows:
                 return None
-            sides.append(sum(c << x * w for x, c in enumerate(rows)))
+            sides.append(self.fields.pack(rows))
         p, b = sides
         decided_p, decided_b = self.fields.decided(p), self.fields.decided(b)
         return self.propagate(p, b, decided_p, decided_b, decided_p, decided_b)
@@ -446,18 +465,17 @@ class _Search:
         p, undecided = state[0], self.fields.high & ~state[2]
         if not undecided:
             return None
-        v, w, row = self.v, self.fields.w, self.fields.row
-        return min([
-            (row(p, u).bit_count(), u) for u in range(v) if undecided >> u * w + v & 1
-        ])[1]
+        v, full = self.v, self.fields.full
+        # the guard bit g of row x sits v bits above the row, at x * w + v
+        guard = min([((p >> g - v & full).bit_count(), g) for g in set_bits(undecided)])[1]
+        return guard // self.fields.w
 
     def first_hit(self, state) -> tuple[int, ...] | None:
         """Point images (0-based) of the first isomorphism below state."""
         x = self.branch_point(state)
         if x is None:
             self.leaves += 1
-            row = self.fields.row
-            images = tuple(row(state[0], u).bit_length() - 1 for u in range(self.v))
+            images = tuple([r.bit_length() - 1 for r in self.fields.rows(state[0])])
             if len(set(images)) == self.v and _is_isomorphism(self.ctx1, self.ctx2, images):
                 return images
             return None
@@ -506,8 +524,9 @@ class _Search:
 
 
 def _is_isomorphism(ctx1, ctx2, images) -> bool:
-    target = set(ctx2.block_bits)
-    return all(map_bits(bits, images) in target for bits in ctx1.block_bits)
+    """Whether the bijection images carries the blocks of ctx1 onto those of ctx2."""
+    moved = ctx1.fields.move(ctx1.incidence, images)
+    return set(ctx1.fields.rows(moved)) == set(ctx2.block_bits)
 
 
 def _rounds(ctx1: _DesignContext, ctx2: _DesignContext, side: str) -> str:
@@ -603,11 +622,17 @@ def _schreier_sims(generators, degree: int):
     Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
     2003, section 4.2): it stops only when every Schreier generator of every
     level sifts to the identity through the levels below, so the product of
-    the transversal sizes is the group order. Its base is its own: each new
-    base point is the lowest point moved by a residue that fixes the base
-    so far. The generators and the chain are 0-based image tuples.
-    transversals[i] maps each point of the orbit of base[i] under the
-    stabilizer of base[:i] to (u, u^-1), where u carries base[i] there.
+    the transversal sizes is the group order. The Schreier generator
+    u s (u')^-1 of a point x with representative u, a strong generator s and
+    the representative u' of s(x) is the identity exactly when u s == u'.
+    That holds on every edge of the transversal's tree, where u' was built
+    as u s (Schreier's lemma), so such a generator is skipped: it would sift
+    to the identity. Every other one is sifted, so the chain is still
+    verified in full. Its base is its own: each new base point is the
+    lowest point moved by a residue that fixes the base so far. The
+    generators and the chain are 0-based image tuples. transversals[i]
+    maps each point of the orbit of base[i] under the stabilizer of
+    base[:i] to (u, u^-1), where u carries base[i] there.
     """
     identity = tuple(range(degree))
     base: list[int] = []
@@ -648,8 +673,10 @@ def _schreier_sims(generators, degree: int):
         table = transversals[level]
         for x, (u, _) in table.items():
             for s in strong[level]:
-                h = compose(compose(u, s), table[s[x]][1])
-                residue, drop = _sift(h, base, transversals, level + 1)
+                us, (rep, rep_inverse) = compose(u, s), table[s[x]]
+                if us == rep:
+                    continue
+                residue, drop = _sift(compose(us, rep_inverse), base, transversals, level + 1)
                 if residue != identity:
                     return residue, drop
         return None, level
@@ -817,10 +844,13 @@ def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, 
     """
     if g.degree != d.v:
         raise InvariantError(f"degree {g.degree} does not act on {d.v} points")
-    index = {b.bits: i for i, b in enumerate(d.blocks)}
+    fields = _Fields(d.v)
+    bits = [b.bits for b in d.blocks]
+    index = {b: i for i, b in enumerate(bits)}
+    incidence = fields.pack(bits)
     actions = []
     for points in g.images:
-        blocks = tuple(index.get(map_bits(b.bits, points)) for b in d.blocks)
+        blocks = tuple([index.get(b) for b in fields.rows(fields.move(incidence, points))])
         if None in blocks:
             raise InvariantError("group does not preserve the design")
         actions.append((points, blocks))
@@ -838,7 +868,7 @@ def flag_orbit_count(d: Design, g: PermGroup) -> int:
     # the flag (x, a) of point x and block index a is the int x * v + a
     flags = [x * v + a for a, b in enumerate(d.blocks) for x in set_bits(b.bits)]
     actions = [
-        tuple(points[x] * v + blocks[a] for x in range(v) for a in range(v))
+        tuple([y + c for y in [x * v for x in points] for c in blocks])
         for points, blocks in _actions(d, g)
     ]
     return _orbit_count(flags, actions)

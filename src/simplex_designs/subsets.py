@@ -7,6 +7,7 @@ sets (e.g. signed labels) are handled by explicit label maps at the caller.
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import GroundMismatchError, ParseError
 
@@ -203,7 +204,10 @@ def map_bits(mask: int, images) -> int:
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """p then q on 0-based image tuples, as ``Permutation.__mul__``."""
-    return tuple([q[i] for i in p])
+    if len(p) < 2:
+        # itemgetter of one index returns a bare item, and of none raises
+        return tuple([q[i] for i in p])
+    return itemgetter(*p)(q)
 
 
 def invert(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -590,3 +590,19 @@ class TestEquivalentProductsArePermutationEquivalent:
                 Design.from_blocks(c1.points), Design.from_blocks(c2.points)
             )
             assert witness is not None
+
+
+class TestClassifySplit:
+    def test_classify_splits_without_decompose(self, monkeypatch, fixture_designs, g15):
+        # _structure proves the center, so classify_clique skips decompose's checks
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose was called")
+
+        monkeypatch.setattr(constructions, "decompose", refuse)
+        rng = random.Random(31)
+        for name, tag in FIXTURE_TAGS.items():
+            c = Clique.from_points(g15, fixture_designs[name].blocks)
+            assert classify_clique(c).tag is tag
+        for _ in range(10):
+            O, _, X, Y, delta = random_parameters(rng)
+            assert classify_clique(product_clique(O, X, Y, delta)).index == bijection_index(delta)

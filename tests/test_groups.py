@@ -477,3 +477,25 @@ class TestLogging:
         with caplog.at_level(logging.INFO, logger="simplex_designs.designs"):
             automorphism_group(fixture_designs["c4"])
         assert not caplog.records
+
+
+@st.composite
+def generator_sets(draw):
+    """A degree in 1..10 and 0 to 4 permutations of that degree."""
+    n = draw(st.integers(1, 10))
+    images = st.permutations(range(1, n + 1)).map(lambda p: Permutation(tuple(p)))
+    return n, draw(st.lists(images, max_size=4))
+
+
+class TestGroupOrderOracle:
+    """Schreier-Sims skips the Schreier generators that equal the identity
+    and sifts the rest; sympy's own Schreier-Sims checks the orders that
+    come out on groups well beyond the fixtures."""
+
+    @given(generator_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_order_and_membership_agree_with_sympy(self, case):
+        n, generators = case
+        g = PermGroup(n, generators)
+        assert g.order == sympy_order(n, generators)
+        assert all(p in g.elements for p in generators)

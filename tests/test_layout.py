@@ -22,7 +22,9 @@ call. Every dataclass is frozen: a value that checks itself when built must
 not change after the check, and cli.Report is complete when a command
 returns it. object.__setattr__, which writes past the freeze, is called only
 in a __post_init__, to set the fields a value derives from its inputs, and
-in Clique._proved, which fills a clique without its check.
+in Clique._proved, which fills a clique without its check. designs.py
+neither imports nor calls map_bits: it maps a whole design through
+_Fields.move, every row at once, and a single set through apply.
 """
 
 import ast
@@ -146,6 +148,19 @@ def numpy_imports(tree):
     """Imports of numpy anywhere in the module, function bodies included."""
     found = [node for node in ast.walk(tree) if imports_numpy(node)]
     found.sort(key=lambda node: node.lineno)
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def map_bits_uses(tree):
+    """Imports of map_bits and references to it, as "line N: source", in line order."""
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "map_bits" for a in node.names)
+        or isinstance(node, ast.Name) and node.id == "map_bits"
+        or isinstance(node, ast.Attribute) and node.attr == "map_bits"
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
     return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
 
 
@@ -364,6 +379,29 @@ def test_numpy_only_in_cliques(path):
 )
 def test_roster_numbering_only_in_geometry_and_cliques(path):
     assert roster_numbering_uses(parse(path)) == []
+
+
+def test_designs_maps_no_set_with_map_bits():
+    # whole designs move through _Fields.move, single sets through apply
+    assert map_bits_uses(parse(PACKAGE / "designs.py")) == []
+
+
+def test_map_bits_rule_catches_the_patterns():
+    tree = ast.parse(
+        "from .subsets import apply, map_bits as move_bits\n"
+        "import simplex_designs.subsets as subsets\n"
+        "def image(b, p):\n"
+        "    return subsets.map_bits(b, p)\n"
+        "rows = [map_bits(r, p) for r in rows]\n"
+        "doc = 'map_bits maps one set'\n"
+    )
+    assert map_bits_uses(tree) == [
+        "line 1: from .subsets import apply, map_bits as move_bits",
+        "line 4: subsets.map_bits",
+        "line 5: map_bits",
+    ]
+    # apply maps its set through map_bits, so the rule is not vacuous
+    assert map_bits_uses(parse(PACKAGE / "subsets.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
