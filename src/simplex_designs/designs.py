@@ -742,12 +742,12 @@ class _ChainElements(Sequence):
 class PermGroup:
     """The permutation group of the given degree that the generators generate.
 
-    It checks itself when built: every generator must have the group's
-    degree. ``images`` holds the generators as 0-based image tuples, and
-    ``elements`` is a lazy view of their Schreier-Sims stabilizer chain:
-    ``len`` is the order, and indexing or membership costs one pass down the
-    chain, so no element list is ever built. Groups compare and hash by
-    degree and generators.
+    It checks itself when built: the degree must not be negative, and every
+    generator must have the group's degree. ``images`` holds the generators
+    as 0-based image tuples, and ``elements`` is a lazy view of their
+    Schreier-Sims stabilizer chain: ``len`` is the order, and indexing or
+    membership costs one pass down the chain, so no element list is ever
+    built. Groups compare and hash by degree and generators.
     """
 
     degree: int
@@ -757,6 +757,8 @@ class PermGroup:
 
     def __post_init__(self):
         n, generators = self.degree, tuple(self.generators)
+        if n < 0:
+            raise InvariantError(f"a group of negative degree {n}")
         for p in generators:
             if p.degree != n:
                 raise InvariantError(f"a generator of degree {p.degree} in a group of degree {n}")

@@ -9,6 +9,10 @@ depend on the points alone.
 A bijection between two planes carries an index: the number of lines it
 maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
 invariant for equivalence under composition with plane automorphisms.
+
+A plane's group is designs.automorphism_group of its simplices, and a class
+is a product set of two such groups. The representative of each index is
+the label-matching isomorphism after one label cycle from one table.
 """
 
 from collections import Counter
@@ -16,11 +20,15 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from operator import attrgetter
 
+from .designs import Design, automorphism_group
 from .errors import InternalCheckError, InvariantError
 from .geometry import hyperplane_complement_blocks
 from .subsets import ElementSet, compose, map_bits
 
-INDEX_VALUES = (0, 1, 3, 7)
+# per index, the cycle of canonical labels composed before the label-matching
+# isomorphism: (a, b, ...) sends a to b, b to the next label, the last to a
+_LABEL_CYCLES = {7: (), 3: ("12", "13"), 1: ("12", "13", "23"), 0: ("123", "23", "12", "13")}
+INDEX_VALUES = tuple(sorted(_LABEL_CYCLES))
 
 # the 35 triples of point positions, shared by the lines of every plane
 _TRIPLES = {t: frozenset(t) for t in combinations(range(7), 3)}
@@ -183,28 +191,19 @@ def bijection_index(d: FanoBijection) -> int:
 
 
 def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
-    """All 168 automorphisms as index permutations of f.points.
+    """All 168 automorphisms as index permutations of f.points, sorted.
 
-    Each ordered simplex is the image of a fixed base simplex under exactly
-    one automorphism; extending those correspondences generates the group.
+    The simplices form a symmetric (7, 4, 2) design on positions 1..7, and a
+    permutation keeps the lines exactly when it keeps their complements, so
+    the plane's group is that design's automorphism group.
     """
-    labels = canonical_labeling(f)
-    base = (labels["1"], labels["2"], labels["3"], labels["123"])
-    bits = f.bits
-    thirds = [f.index[bits[base[0]] ^ bits[b]] for b in base[1:]]
-    out = []
-    for simplex in f.simplices():
-        for ordered in permutations(sorted(simplex)):
-            images = [-1] * 7
-            for src, dst in zip(base, ordered):
-                images[src] = dst
-            for src, t in zip(thirds, ordered[1:]):
-                images[src] = f.index[bits[ordered[0]] ^ bits[t]]
-            out.append(tuple(images))
-    result = tuple(sorted(set(out)))
-    if len(result) != 168:
-        raise InternalCheckError(f"expected 168 plane automorphisms, got {len(result)}")
-    return result
+    simplices = Design.from_blocks(
+        ElementSet.of([i + 1 for i in s], 7) for s in f.simplices()
+    )
+    group = automorphism_group(simplices)
+    if group.order != 168:
+        raise InternalCheckError(f"expected 168 plane automorphisms, got {group.order}")
+    return tuple(sorted(tuple(i - 1 for i in g.images) for g in group.elements))
 
 
 def canonical_labeling(f: FanoPlane) -> dict[str, int]:
@@ -228,57 +227,47 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     }
 
 
+def _class(f1: FanoPlane, f2: FanoPlane, images) -> frozenset[tuple[int, ...]]:
+    """The product set {g2 . images . g1} over automorphisms g1 of f1, g2 of f2.
+
+    The set is already closed under both groups, so it is the class of images.
+    """
+    auts2 = automorphisms(f2)
+    return frozenset(
+        compose(pre, g2)
+        for pre in (compose(g1, images) for g1 in automorphisms(f1))
+        for g2 in auts2
+    )
+
+
 def are_equivalent(d1: FanoBijection, d2: FanoBijection) -> bool:
     """Whether d2 = g2 . d1 . g1 for automorphisms g1, g2 of the two planes.
 
-    Runs the full 168 x 168 conjugation search and compares the outcome with
-    index equality; a disagreement would falsify the index invariant and
-    aborts loudly.
+    Looks d2 up in the class of d1 and compares the outcome with index
+    equality; a disagreement would falsify the index invariant and aborts
+    loudly.
     """
     if d1.source != d2.source or d1.target != d2.target:
         raise InvariantError("bijections must share source and target planes")
-    auts1 = automorphisms(d1.source)
-    auts2 = automorphisms(d1.target)
-    found = False
-    for g1 in auts1:
-        pre = compose(g1, d1.images)
-        for g2 in auts2:
-            if compose(pre, g2) == d2.images:
-                found = True
-                break
-        if found:
-            break
-    same_index = bijection_index(d1) == bijection_index(d2)
-    if found != same_index:
-        raise InternalCheckError(
-            "conjugation search and index comparison disagree"
-        )
+    found = d2.images in _class(d1.source, d1.target, d1.images)
+    if found != (bijection_index(d1) == bijection_index(d2)):
+        raise InternalCheckError("class membership and index comparison disagree")
     return found
 
 
 def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
     """Partition of all 5040 bijections f1 -> f2 into equivalence classes.
 
-    Each class is the orbit of a representative under composition with plane
-    automorphisms on both sides. Returns (representative, class-members) pairs
-    ordered by representative.
+    Each class is the class of its least member, its representative.
+    Returns (representative, class-members) pairs ordered by representative.
     """
-    auts1 = automorphisms(f1)
-    auts2 = automorphisms(f2)
-    remaining = {perm for perm in permutations(range(7))}
+    remaining = set(permutations(range(7)))
     classes = []
     while remaining:
         rep = min(remaining)
-        # the product set {g2 . rep . g1} is already closed, hence the orbit
-        orbit = set()
-        for g1 in auts1:
-            pre = compose(g1, rep)
-            for g2 in auts2:
-                orbit.add(compose(pre, g2))
-        remaining -= orbit
-        classes.append(
-            (FanoBijection(f1, f2, rep), frozenset(orbit))
-        )
+        members = _class(f1, f2, rep)
+        remaining -= members
+        classes.append((FanoBijection(f1, f2, rep), members))
     return classes
 
 
@@ -296,28 +285,17 @@ def representative_of_index(f1: FanoPlane, f2: FanoPlane, idx: int) -> FanoBijec
     transposition of the off-simplex points 12 and 13; 1 with the 3-cycle on
     12, 13, 23; 0 with the 4-cycle 123 -> 23 -> 12 -> 13 that fixes 1, 2, 3.
     """
-    if idx not in INDEX_VALUES:
+    if idx not in _LABEL_CYCLES:
         raise InvariantError(f"index must be one of {INDEX_VALUES}")
     lab1 = canonical_labeling(f1)
     lab2 = canonical_labeling(f2)
     iso = [-1] * 7
     for name, i in lab1.items():
         iso[i] = lab2[name]
-
+    cycle = [lab1[name] for name in _LABEL_CYCLES[idx]]
     pre = list(range(7))
-    if idx == 3:
-        pre[lab1["12"]] = lab1["13"]
-        pre[lab1["13"]] = lab1["12"]
-    elif idx == 1:
-        pre[lab1["12"]] = lab1["13"]
-        pre[lab1["13"]] = lab1["23"]
-        pre[lab1["23"]] = lab1["12"]
-    elif idx == 0:
-        pre[lab1["123"]] = lab1["23"]
-        pre[lab1["23"]] = lab1["12"]
-        pre[lab1["12"]] = lab1["13"]
-        pre[lab1["13"]] = lab1["123"]
-
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        pre[a] = b
     images = tuple(iso[pre[i]] for i in range(7))
     d = FanoBijection(f1, f2, images)
     actual = bijection_index(d)

@@ -52,11 +52,16 @@ class GeometryParams:
 
 @dataclass(frozen=True, slots=True)
 class Line:
-    """Three distinct points, each the symmetric difference of the other two."""
+    """Three distinct points, each the symmetric difference of the other two.
+
+    Each member must be a point of the geometry on its ground.
+    """
 
     points: tuple[ElementSet, ElementSet, ElementSet]
 
     def __post_init__(self):
+        for p in self.points:
+            geometry_for_ground(p.ground_size).bits_of(p)
         a, b, c = self.points
         if a ^ b != c:
             raise InvariantError("triple is not closed under symmetric difference")
@@ -176,18 +181,18 @@ def line_through(g: Geometry, x: ElementSet, y: ElementSet) -> Line:
 
 def is_subspace(g: Geometry, s) -> bool:
     """Whether s is closed: the third point of every internal collinear pair is in s."""
-    pts = list(s)
-    bits = {p.bits for p in pts}
+    bits = [g.bits_of(p) for p in s]
+    inside = set(bits)
     m = g.params.m
-    for a, b in combinations(pts, 2):
-        if (a.bits & b.bits).bit_count() == m and a.bits ^ b.bits not in bits:
+    for a, b in combinations(bits, 2):
+        if (a & b).bit_count() == m and a ^ b not in inside:
             return False
     return True
 
 
 def is_singular_subspace(g: Geometry, s) -> bool:
     """A subspace whose points are pairwise collinear."""
-    return is_singular_bits(g.params.m, [p.bits for p in s])
+    return is_singular_bits(g.params.m, [g.bits_of(p) for p in s])
 
 
 def is_singular_bits(m: int, bits) -> bool:

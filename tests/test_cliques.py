@@ -1111,7 +1111,7 @@ class TestEnumerationAgainstNetworkx:
             assert {frozenset(c) for c in ours} == {c for c in theirs if v in c}
 
     def test_core_on_the_fano_plane_graph(self, nx):
-        # 4-subsets of [7] meeting in 2 elements: the graph fano_planes_on searches
+        # 4-subsets of [7] meeting in 2 elements; the 30 Fano planes are its maximal cliques
         bits = [s.bits for s in subsets_of(ElementSet.full(7), 4)]
         adj = [
             sum(1 << j for j, b in enumerate(bits) if (a & b).bit_count() == 2)

@@ -5,9 +5,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+from simplex_designs import fano
 from simplex_designs.constructions import hyperplane_complement_blocks
-from simplex_designs.errors import InvariantError
+from simplex_designs.designs import PermGroup
+from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
+    INDEX_VALUES,
     FanoBijection,
     FanoPlane,
     are_equivalent,
@@ -49,6 +52,15 @@ def lifted_plane_images(support):
 
 
 OTHER_SUPPORT = ElementSet.of([2, 3, 5, 7, 11, 13, 14], 15)
+
+
+def line_keeping_permutations(f):
+    """Oracle: the permutations of range(7) that map the plane's line set onto itself."""
+    lines = set(f.lines())
+    return tuple(
+        perm for perm in permutations(range(7))
+        if all(frozenset(perm[i] for i in line) in lines for line in lines)
+    )
 
 
 def xor_lines(f):
@@ -221,11 +233,22 @@ class TestAutomorphisms:
     def test_count_168(self, planes):
         assert len(automorphisms(planes[0])) == 168
 
+    def test_group_of_another_order_aborts(self, planes, monkeypatch):
+        monkeypatch.setattr(fano, "automorphism_group", lambda d: PermGroup.trivial(7))
+        with pytest.raises(InternalCheckError, match="168 plane automorphisms, got 1"):
+            automorphisms(planes[0])
+
     def test_all_preserve_lines(self, planes):
         f = planes[0]
         lines = set(f.lines())
         for g in automorphisms(f):
             assert {frozenset(g[i] for i in line) for line in lines} == lines
+
+    @pytest.mark.parametrize("support", [ElementSet.full(7), OTHER_SUPPORT], ids=str)
+    def test_equal_the_line_keeping_permutations(self, support):
+        planes = fano_planes_on(support)
+        for f in (planes[0], planes[-1]):
+            assert automorphisms(f) == line_keeping_permutations(f)
 
 
 class TestIndex:
@@ -238,6 +261,19 @@ class TestIndex:
         f1, f2 = pair
         for idx in (0, 1, 3, 7):
             assert bijection_index(representative_of_index(f1, f2, idx)) == idx
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (5, 29)])
+    def test_representatives_are_pinned(self, planes, i, j):
+        # canonical labels sit at the same positions in every plane whose
+        # points are sorted, so both pairs give the same images
+        images = {
+            0: (0, 1, 4, 3, 6, 2, 5),
+            1: (0, 1, 4, 3, 5, 2, 6),
+            3: (0, 1, 4, 3, 2, 5, 6),
+            7: (0, 1, 2, 3, 4, 5, 6),
+        }
+        f1, f2 = planes[i], planes[j]
+        assert {idx: representative_of_index(f1, f2, idx).images for idx in INDEX_VALUES} == images
 
     def test_representative_rejects_bad_index(self, pair):
         with pytest.raises(InvariantError):
@@ -341,6 +377,41 @@ class TestEquivalence:
                 assert bijection_index(FanoBijection(f1, f2, images)) == idx
         assert total == 5040
         assert seen_indices == {0, 1, 3, 7}
+
+    def test_representatives_are_the_least_bijection_of_each_index(self, pair):
+        f1, f2 = pair
+        least = {}
+        for perm in permutations(range(7)):
+            least.setdefault(bijection_index(FanoBijection(f1, f2, perm)), perm)
+        assert {bijection_index(rep): rep.images for rep, _ in equivalence_classes(f1, f2)} == least
+
+    def test_agrees_with_the_double_search_over_line_keeping_maps(self, planes):
+        other = fano_planes_on(OTHER_SUPPORT)
+        pairs = [(planes[0], planes[1]), (planes[5], planes[29]), (other[11], other[3])]
+        groups = {f: line_keeping_permutations(f) for pair in pairs for f in pair}
+        rng = random.Random(31)
+        outcomes = Counter()
+        for trial in range(100):
+            f1, f2 = pairs[trial % len(pairs)]
+            auts1, auts2 = groups[f1], groups[f2]
+            d = tuple(rng.sample(range(7), 7))
+            if trial % 2:
+                g1, g2 = rng.choice(auts1), rng.choice(auts2)
+                e = tuple(g2[d[g1[i]]] for i in range(7))
+            else:
+                e = tuple(rng.sample(range(7), 7))
+            searched = any(
+                tuple(g2[d[g1[i]]] for i in range(7)) == e for g1 in auts1 for g2 in auts2
+            )
+            assert are_equivalent(FanoBijection(f1, f2, d), FanoBijection(f1, f2, e)) == searched
+            outcomes[searched] += 1
+        assert outcomes[True] >= 50 and outcomes[False] > 0
+
+    def test_index_disagreement_aborts(self, pair, monkeypatch):
+        d3, d1 = (representative_of_index(*pair, idx) for idx in (3, 1))
+        monkeypatch.setattr(fano, "bijection_index", lambda d: 0)
+        with pytest.raises(InternalCheckError, match="index comparison disagree"):
+            are_equivalent(d3, d1)
 
     def test_mismatched_planes_rejected(self, planes):
         d1 = FanoBijection(planes[0], planes[1], tuple(range(7)))

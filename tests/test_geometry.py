@@ -194,6 +194,22 @@ class TestLines:
         with pytest.raises(InvariantError):
             Line((pts[0], pts[1], pts[2]))
 
+    @pytest.mark.parametrize(
+        "a,b,n,message",
+        [
+            # meet in 3: the third member has 10 elements
+            (range(1, 9), [1, 2, 3, 9, 10, 11, 12, 13], 15, "not a point"),
+            ([1], [2], 15, "not a point"),
+            # x ^ x is the empty set
+            (range(1, 9), range(1, 9), 15, "not a point"),
+            # closed under xor, but 11 is no 2^k - 1
+            (range(1, 7), range(4, 10), 11, "not of the form 2\\^k - 1"),
+        ],
+    )
+    def test_members_must_be_points(self, a, b, n, message):
+        with pytest.raises(InvariantError, match=message):
+            Line.through(ElementSet.of(a, n), ElementSet.of(b, n))
+
     def test_sampled_lines_at_n15_have_intersection_m(self, g15):
         rng = random.Random(13)
         checked = 0
@@ -217,6 +233,14 @@ class TestSubspaces:
 
     def test_empty_is_singular(self, g15):
         assert is_singular_subspace(g15, [])
+
+    @pytest.mark.parametrize(
+        "point", [ElementSet.of([1, 2], 15), ElementSet.of([1, 2, 3, 4], 7)], ids=str
+    )
+    @pytest.mark.parametrize("check", [is_subspace, is_singular_subspace])
+    def test_non_points_rejected(self, g15, check, point):
+        with pytest.raises(InvariantError, match="not a point"):
+            check(g15, [point])
 
     def test_c1_fixture_is_maximal_singular(self, g15):
         rows = blocks_of("c1")

@@ -174,6 +174,18 @@ class TestPermGroup:
         with pytest.raises(InvariantError, match=message):
             PermGroup(degree, generators)
 
+    @pytest.mark.parametrize(
+        "build, degree", [(lambda: PermGroup(-1, ()), -1), (lambda: PermGroup.trivial(-2), -2)]
+    )
+    def test_negative_degree_fails_at_construction(self, build, degree):
+        with pytest.raises(InvariantError, match=f"negative degree {degree}$"):
+            build()
+
+    def test_degree_zero_is_the_trivial_group(self):
+        g = PermGroup(0, ())
+        assert g.order == 1
+        assert g.elements[0] == Permutation(()) and g.elements[0] in g.elements
+
     def test_equal_generators_give_equal_hashable_groups(self):
         generators = [Permutation.from_cycles(15, [cycle]) for cycle in ((1, 2, 3), (4, 5))]
         a, b = PermGroup(15, tuple(generators)), PermGroup(15, generators)

@@ -25,6 +25,9 @@ in a __post_init__, to set the fields a value derives from its inputs, and
 in Clique._proved, which fills a clique without its check. designs.py
 neither imports nor calls map_bits: it maps a whole design through
 _Fields.move, every row at once, and a single set through apply.
+Module-level functions of geometry.py that take a Geometry read point
+bitmasks through Geometry.bits_of alone, never through a .bits attribute,
+so a set that is not a point raises InvariantError instead of passing as one.
 """
 
 import ast
@@ -162,6 +165,29 @@ def map_bits_uses(tree):
     ]
     found.sort(key=lambda node: (node.lineno, node.col_offset))
     return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def geometry_functions(tree):
+    """Module-level functions with a parameter annotated Geometry."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            arg.annotation is not None and ast.unparse(arg.annotation).strip("'\"") == "Geometry"
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    ]
+
+
+def point_bits_reads(tree):
+    """Reads of a .bits attribute in geometry_functions, as "line N: expr in function"."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)} in {function.name}"
+        for function in geometry_functions(tree)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "bits"
+    ]
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
@@ -402,6 +428,26 @@ def test_map_bits_rule_catches_the_patterns():
     ]
     # apply maps its set through map_bits, so the rule is not vacuous
     assert map_bits_uses(parse(PACKAGE / "subsets.py"))
+
+
+def test_geometry_functions_read_points_through_bits_of():
+    assert point_bits_reads(parse(PACKAGE / "geometry.py")) == []
+
+
+def test_point_reads_catch_the_patterns():
+    tree = ast.parse(
+        "def closed(g: Geometry, s):\n"
+        "    return {p.bits for p in s}\n"
+        "def span(g: 'Geometry', s):\n"
+        "    return [g.bits_of(p) for p in s]\n"
+        "def loose(s):\n"
+        "    return [p.bits for p in s]\n"
+    )
+    assert point_bits_reads(tree) == ["line 2: p.bits in closed"]
+    # the checks on point families take a Geometry, so the rule is not vacuous
+    assert {f.name for f in geometry_functions(parse(PACKAGE / "geometry.py"))} >= {
+        "is_collinear", "is_subspace", "is_singular_subspace", "singular_span",
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
