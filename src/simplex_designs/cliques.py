@@ -8,7 +8,12 @@ down the walk, so rows share the adds of their common larger elements
 (12,869 adds for the 6435 k = 4 rows, not 8 each). maximal_cliques is the
 package's one Bron-Kerbosch: it works on any list of adjacency bitsets and
 yields sorted vertex tuples under a fixed pivot rule, so the stream is
-deterministic. The whole graph is searched from the root; a search through
+deterministic. It runs as one loop over an explicit stack of open nodes, so
+it makes no generator per search node, and it drops a node whose candidates
+hold too few vertices of high enough degree among themselves to reach
+min_size; that bound is read off the pivot scores and cuts only subtrees
+that emit nothing, so the stream is the unpruned one less its cliques below
+min_size. The whole graph is searched from the root; a search through
 one vertex v starts at v on N[v] renumbered in ascending order (_renumber),
 so a slice of the 6435-vertex k = 4 graph works on bitsets as wide as the
 slice; the stream is the same. enumerate_maximal_cliques is the wrapper
@@ -190,10 +195,24 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
     tuple of vertices, ascending. Bron-Kerbosch with pivoting (Tomita,
     Tanaka & Takahashi 2006) under a fixed rule: the pivot maximizes
     |P & N(u)|, ties to the smallest vertex, and candidates are scanned in
-    ascending order, so the stream is deterministic. Subtrees that cannot
-    reach min_size are pruned. Without containing, the search starts at the
-    root with every vertex a candidate; the pivot rule alone is worst-case
-    optimal, and on graphs as dense as these no vertex order helps.
+    ascending order, so the stream is deterministic. Without containing,
+    the search starts at the root with every vertex a candidate; the pivot
+    rule alone is worst-case optimal, and on graphs as dense as these no
+    vertex order helps.
+
+    The search is one loop over an explicit stack. Each open node is
+    [r, p, x, its branches], the set bits of P minus the pivot's
+    neighbours. The loop takes the deepest node's next branch v, builds the
+    child (r + [v], P & N(v), X & N(v)) and then moves v from the node's P
+    to its X, so no generator is made per node and an emitted clique climbs
+    no generator chain. Subtrees that cannot reach min_size are pruned. With
+    need = min_size - |r|, a node needs |P| >= need, and, since a clique of
+    size need inside P has need vertices each with need - 1 neighbours in
+    P, it needs need vertices of P whose pivot score |P & N(u)| is at least
+    need - 1; the vertices of X are scored only for a node that passes. Both
+    bounds drop only subtrees that emit no clique of min_size, and a node
+    that is kept has the pivot and branch order it has without them, so the
+    stream is the unpruned stream less its cliques below min_size.
 
     With containing=v only cliques through v are emitted. The search then
     runs on N[v] (v and its neighbours) renumbered 0..|N[v]| - 1 in
@@ -204,24 +223,48 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
     """
 
     def expand(adj: list[int], r: list[int], p: int, x: int):
-        if p == 0 and x == 0:
-            if len(r) >= min_size:
-                yield tuple(sorted(r))
-            return
-        if len(r) + p.bit_count() < min_size:
-            return
-        pivot = -1
-        best = -1
-        for u in set_bits(p | x):
-            score = (p & adj[u]).bit_count()
-            if score > best:
-                best = score
-                pivot = u
-        for v in set_bits(p & ~adj[pivot]):
-            mask = 1 << v
-            yield from expand(adj, r + [v], p & adj[v], x & adj[v])
-            p &= ~mask
-            x |= mask
+        # enter the node (r, p, x), then take the next branch of the deepest open node
+        stack = []
+        while True:
+            need = min_size - len(r)
+            if p == 0 and x == 0:
+                if need <= 0:
+                    yield tuple(sorted(r))
+            elif p.bit_count() >= need:
+                # a score over P is a degree in P: a clique of size need in P
+                # has need vertices of degree need - 1 or more there
+                pivot = -1
+                best = -1
+                enough = 0
+                for u in set_bits(p):
+                    score = (p & adj[u]).bit_count()
+                    if score > best:
+                        best = score
+                        pivot = u
+                    if score >= need - 1:
+                        enough += 1
+                if enough >= need:
+                    for u in set_bits(x):
+                        score = (p & adj[u]).bit_count()
+                        if score > best or score == best and u < pivot:
+                            best = score
+                            pivot = u
+                    stack.append([r, p, x, set_bits(p & ~adj[pivot])])
+            # close the exhausted nodes, then branch on the deepest open one
+            while stack:
+                node = stack[-1]
+                for v in node[3]:
+                    break
+                else:
+                    stack.pop()
+                    continue
+                r, p, x = node[0] + [v], node[1] & adj[v], node[2] & adj[v]
+                mask = 1 << v
+                node[1] &= ~mask
+                node[2] |= mask
+                break
+            else:
+                return
 
     if containing is not None:
         if not 0 <= containing < len(adj):
@@ -241,7 +284,8 @@ def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = 
             )
         return
     if adj:
-        yield from expand(adj, [], (1 << len(adj)) - 1, 0)
+        for clique in expand(adj, [], (1 << len(adj)) - 1, 0):
+            yield clique
 
 
 def _renumber(adj: list[int], v: int) -> tuple[list[int], list[int]]:

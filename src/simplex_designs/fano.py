@@ -11,8 +11,9 @@ maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
 invariant for equivalence under composition with plane automorphisms.
 
 A plane's group is designs.automorphism_group of its simplices, and a class
-is a product set of two such groups. The representative of each index is
-the label-matching isomorphism after one label cycle from one table.
+is a product set of two such groups. The canonical labels sit at the same
+positions in every plane, so the representative of each index is one label
+cycle from one table, read as a permutation of positions.
 """
 
 from collections import Counter
@@ -25,8 +26,10 @@ from .errors import InternalCheckError, InvariantError
 from .geometry import hyperplane_complement_blocks
 from .subsets import ElementSet, compose, map_bits
 
-# per index, the cycle of canonical labels composed before the label-matching
-# isomorphism: (a, b, ...) sends a to b, b to the next label, the last to a
+# the position of each canonical label in every plane; see canonical_labeling
+_CANONICAL_LABELS = {"1": 0, "2": 1, "12": 2, "3": 3, "13": 4, "23": 5, "123": 6}
+# per index, the cycle of canonical labels of its representative:
+# (a, b, ...) sends a to b, b to the next label, the last to a
 _LABEL_CYCLES = {7: (), 3: ("12", "13"), 1: ("12", "13", "23"), 0: ("123", "23", "12", "13")}
 INDEX_VALUES = tuple(sorted(_LABEL_CYCLES))
 
@@ -210,32 +213,30 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     """Deterministic labels 1,2,3,12,13,23,123 as indices into f.points.
 
     Points 1, 2, 3 are not on a common plane line, ij marks the third point
-    on the line through i and j, and 123 is the remaining point.
+    on the line through i and j, and 123 is the remaining point: 1 and 2 are
+    positions 0 and 1, and 3 is the least position off their line.
+
+    The positions are the same in every plane, since the points are sorted
+    by bitmask; write b0..b6 for them. Let t > s be the two largest support
+    elements. The three points without t form a line and come first, and b0
+    is its one point without s. Next come the two points with t but not s,
+    then the two with both. The pairs b1, b2 and b3, b4 and b5, b6 each
+    differ by b0, so b1, b3 and b5 lack the largest element of b0. Hence
+    b0 ^ b1 = b2 and b0 ^ b3 = b4, and b1 ^ b3, which holds s and t, is b5
+    rather than b6 = b1 ^ b3 ^ b0, since it lacks that element.
     """
-    bits = f.bits
-    p1, p2 = 0, 1
-    p12 = f.index[bits[p1] ^ bits[p2]]
-    p3 = min(i for i in range(7) if i not in (p1, p2, p12))
-    p13 = f.index[bits[p1] ^ bits[p3]]
-    p23 = f.index[bits[p2] ^ bits[p3]]
-    p123 = next(
-        i for i in range(7) if i not in (p1, p2, p3, p12, p13, p23)
-    )
-    return {
-        "1": p1, "2": p2, "3": p3,
-        "12": p12, "13": p13, "23": p23, "123": p123,
-    }
+    return dict(_CANONICAL_LABELS)
 
 
-def _class(f1: FanoPlane, f2: FanoPlane, images) -> frozenset[tuple[int, ...]]:
-    """The product set {g2 . images . g1} over automorphisms g1 of f1, g2 of f2.
+def _class(auts1, auts2, images) -> frozenset[tuple[int, ...]]:
+    """The product set {g2 . images . g1} over g1 in auts1, g2 in auts2.
 
-    The set is already closed under both groups, so it is the class of images.
+    Given the automorphisms of the source and target planes, the set is
+    already closed under both groups, so it is the class of images.
     """
-    auts2 = automorphisms(f2)
     return frozenset(
         compose(pre, g2)
-        for pre in (compose(g1, images) for g1 in automorphisms(f1))
+        for pre in (compose(g1, images) for g1 in auts1)
         for g2 in auts2
     )
 
@@ -249,7 +250,7 @@ def are_equivalent(d1: FanoBijection, d2: FanoBijection) -> bool:
     """
     if d1.source != d2.source or d1.target != d2.target:
         raise InvariantError("bijections must share source and target planes")
-    found = d2.images in _class(d1.source, d1.target, d1.images)
+    found = d2.images in _class(automorphisms(d1.source), automorphisms(d1.target), d1.images)
     if found != (bijection_index(d1) == bijection_index(d2)):
         raise InternalCheckError("class membership and index comparison disagree")
     return found
@@ -261,11 +262,12 @@ def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
     Each class is the class of its least member, its representative.
     Returns (representative, class-members) pairs ordered by representative.
     """
+    auts1, auts2 = automorphisms(f1), automorphisms(f2)
     remaining = set(permutations(range(7)))
     classes = []
     while remaining:
         rep = min(remaining)
-        members = _class(f1, f2, rep)
+        members = _class(auts1, auts2, rep)
         remaining -= members
         classes.append((FanoBijection(f1, f2, rep), members))
     return classes
@@ -284,20 +286,16 @@ def representative_of_index(f1: FanoPlane, f2: FanoPlane, idx: int) -> FanoBijec
     Index 7 is the label-matching isomorphism; 3 composes it with the
     transposition of the off-simplex points 12 and 13; 1 with the 3-cycle on
     12, 13, 23; 0 with the 4-cycle 123 -> 23 -> 12 -> 13 that fixes 1, 2, 3.
+    Both planes carry their labels at the same positions, so the
+    label-matching isomorphism is the identity on positions.
     """
     if idx not in _LABEL_CYCLES:
         raise InvariantError(f"index must be one of {INDEX_VALUES}")
-    lab1 = canonical_labeling(f1)
-    lab2 = canonical_labeling(f2)
-    iso = [-1] * 7
-    for name, i in lab1.items():
-        iso[i] = lab2[name]
-    cycle = [lab1[name] for name in _LABEL_CYCLES[idx]]
-    pre = list(range(7))
+    cycle = [_CANONICAL_LABELS[name] for name in _LABEL_CYCLES[idx]]
+    images = list(range(7))
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        pre[a] = b
-    images = tuple(iso[pre[i]] for i in range(7))
-    d = FanoBijection(f1, f2, images)
+        images[a] = b
+    d = FanoBijection(f1, f2, tuple(images))
     actual = bijection_index(d)
     if actual != idx:
         raise InternalCheckError(

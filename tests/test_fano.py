@@ -7,7 +7,7 @@ import pytest
 
 from simplex_designs import fano
 from simplex_designs.constructions import hyperplane_complement_blocks
-from simplex_designs.designs import PermGroup
+from simplex_designs.designs import PermGroup, automorphism_group
 from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
     INDEX_VALUES,
@@ -70,6 +70,23 @@ def xor_lines(f):
         frozenset(t) for t in combinations(range(7), 3)
         if bits[t[0]] ^ bits[t[1]] ^ bits[t[2]] == 0
     )
+
+
+def derived_labeling(f):
+    """Oracle: the canonical labels derived from the plane's lines.
+
+    1 and 2 are the first two points, 12 the third point on their line, 3
+    the least point off that line, 13 and 23 the third points on the lines
+    through 1, 3 and 2, 3, and 123 the point left over.
+    """
+    bits = f.bits
+    p1, p2 = 0, 1
+    p12 = f.index[bits[p1] ^ bits[p2]]
+    p3 = min(i for i in range(7) if i not in (p1, p2, p12))
+    p13 = f.index[bits[p1] ^ bits[p3]]
+    p23 = f.index[bits[p2] ^ bits[p3]]
+    p123 = next(i for i in range(7) if i not in (p1, p2, p3, p12, p13, p23))
+    return {"1": p1, "2": p2, "3": p3, "12": p12, "13": p13, "23": p23, "123": p123}
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +215,19 @@ class TestPlaneEnumeration:
         assert all(len(c) == 3 for c in comps)
         for a, b in combinations(comps, 2):
             assert (a.bits & b.bits).bit_count() == 1
+
+
+class TestCanonicalLabeling:
+    @pytest.mark.parametrize("support", [ElementSet.full(7), OTHER_SUPPORT], ids=str)
+    def test_matches_the_derivation_on_every_plane(self, support):
+        planes = fano_planes_on(support)
+        assert len(planes) == 30
+        for f in planes:
+            assert canonical_labeling(f) == derived_labeling(f)
+
+    def test_returns_a_fresh_table(self, planes):
+        canonical_labeling(planes[0])["1"] = 6
+        assert canonical_labeling(planes[0])["1"] == 0
 
 
 class TestSimplex:
@@ -412,6 +442,17 @@ class TestEquivalence:
         monkeypatch.setattr(fano, "bijection_index", lambda d: 0)
         with pytest.raises(InternalCheckError, match="index comparison disagree"):
             are_equivalent(d3, d1)
+
+    def test_classes_build_each_group_once(self, pair, monkeypatch):
+        calls = []
+
+        def counted(design):
+            calls.append(design)
+            return automorphism_group(design)
+
+        monkeypatch.setattr(fano, "automorphism_group", counted)
+        assert len(equivalence_classes(*pair)) == 4
+        assert len(calls) == 2
 
     def test_mismatched_planes_rejected(self, planes):
         d1 = FanoBijection(planes[0], planes[1], tuple(range(7)))

@@ -28,6 +28,10 @@ _Fields.move, every row at once, and a single set through apply.
 Module-level functions of geometry.py that take a Geometry read point
 bitmasks through Geometry.bits_of alone, never through a .bits attribute,
 so a set that is not a point raises InvariantError instead of passing as one.
+cliques.py has no yield from and no function that calls itself, apart from
+build_graph's walk, which recurses once per element of a point (2m deep):
+the maximal-clique search runs on an explicit stack, so it makes no
+generator per search node and an emitted clique climbs no generator chain.
 """
 
 import ast
@@ -188,6 +192,49 @@ def point_bits_reads(tree):
         for node in ast.walk(function)
         if isinstance(node, ast.Attribute) and node.attr == "bits"
     ]
+
+
+def yield_froms(tree):
+    """yield from expressions, as "line N: source"."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.YieldFrom)
+    ]
+
+
+def self_calls(tree):
+    """Calls of a function by its own name inside its body, as "line N: call in Class.function".
+
+    A call counts whether the name stands alone or after a dot, as a method
+    calls itself through self, and whether it sits in the function or in a
+    function nested in it.
+    """
+    found = []
+
+    def visit(node, scope, enclosing):
+        if isinstance(node, ast.ClassDef):
+            scope = f"{scope}{node.name}."
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = [*enclosing, (node.name, f"{scope}{node.name}")]
+            scope = f"{scope}{node.name}."
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found.extend(
+                f"line {node.lineno}: {ast.unparse(node.func)} in {where}"
+                for name, where in enclosing
+                if name == called
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, enclosing)
+
+    visit(tree, "", [])
+    return found
+
+
+# build_graph's walk recurses once per element of a point, 2m levels deep
+SELF_CALLERS = {"build_graph.walk"}
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
@@ -448,6 +495,41 @@ def test_point_reads_catch_the_patterns():
     assert {f.name for f in geometry_functions(parse(PACKAGE / "geometry.py"))} >= {
         "is_collinear", "is_subspace", "is_singular_subspace", "singular_span",
     }
+
+
+def test_clique_search_runs_on_an_explicit_stack():
+    tree = parse(PACKAGE / "cliques.py")
+    assert yield_froms(tree) == []
+    assert [
+        call for call in self_calls(tree) if call.split(" in ")[-1] not in SELF_CALLERS
+    ] == []
+
+
+def test_stack_rule_catches_the_patterns():
+    tree = ast.parse(
+        "def expand(r, p):\n"
+        "    yield from expand(r + [0], p)\n"
+        "def search(adj):\n"
+        "    def descend(p):\n"
+        "        return [descend(q) for q in p] + search(q)\n"
+        "    return descend(adj)\n"
+        "class Walker:\n"
+        "    def walk(self, node):\n"
+        "        return [self.walk(child) for child in node]\n"
+        "def flat(adj):\n"
+        "    return expand([], adj)\n"
+    )
+    assert yield_froms(tree) == ["line 2: (yield from expand(r + [0], p))"]
+    assert self_calls(tree) == [
+        "line 2: expand in expand",
+        "line 5: descend in search.descend",
+        "line 5: search in search",
+        "line 9: self.walk in Walker.walk",
+    ]
+    # build_graph's walk calls itself, so the rule is not vacuous
+    assert [call.split(" in ")[-1] for call in self_calls(parse(PACKAGE / "cliques.py"))] == [
+        "build_graph.walk"
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
