@@ -69,6 +69,16 @@ class Design:
     def relabeled(self, p: Permutation) -> "Design":
         return Design(tuple(apply(p, b) for b in self.blocks))
 
+    @cached_property
+    def _context(self) -> "_DesignContext":
+        """The search's view of the design, its classes refined on first use.
+
+        It depends on the blocks alone, which never change, so it is built
+        once per design and lives as long as the design; it is not a field,
+        so equality, hashing and repr ignore it.
+        """
+        return _DesignContext(self)
+
 
 def design_from_clique(c: Clique) -> Design:
     """The design whose blocks are the clique points, in ascending bitmask order."""
@@ -192,7 +202,9 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # isomorphism and automorphism search
 #
 # Each side of a design, its points and its blocks, is refined on its own
-# and only when first asked for. The base invariant of a point triple is
+# and only when first asked for, at most once per Design: a class code is a
+# rank among the sorted keys of its round, so it depends on the design
+# alone and stays valid for every later comparison. The base invariant of a point triple is
 # the number of blocks containing all three, and dually the size of a
 # triple block intersection. Pair signatures over these invariants seed a
 # colour refinement that stops at the first round splitting no class, so
@@ -227,9 +239,9 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 
 logger = logging.getLogger(__name__)
 
-# a class code is packed above a pair code in one int while refining; both
-# are codes of one label table, far below 2**32 entries
-_CODE_SHIFT = 32
+# a class code is packed above a pair code in one int while refining; a
+# pair code ranks at most v(v-1)/2 < 2**11 signatures, as v <= 63
+_CODE_SHIFT = 16
 
 
 def _subset_sums(items: list[int]) -> list[int]:
@@ -245,17 +257,34 @@ _BYTE_LANES = tuple(_subset_sums([1 << 8 * j for j in range(8)]))
 
 
 class _Classes(NamedTuple):
-    """Refined classes of one side: a code per index and the rounds run."""
+    """Refined classes of one side: a code per index, and the sorted tables
+    the codes rank, the distinct pair signatures and then the distinct keys
+    of each round."""
 
     codes: list[int]
-    rounds: int
+    tables: tuple[tuple, ...]
 
     @property
-    def profile(self) -> list[int]:
-        return sorted(self.codes)
+    def rounds(self) -> int:
+        return len(self.tables) - 1
+
+    @property
+    def profile(self) -> tuple:
+        return self.tables, sorted(self.codes)
 
 
-def _refine(masks: list[int], transpose: list[int], labels: dict) -> _Classes:
+def _rank(keys: list) -> tuple[tuple, list[int]]:
+    """The distinct keys in sorted order, and the rank of each key among them."""
+    ids: dict = {}
+    local = [ids.setdefault(key, len(ids)) for key in keys]
+    table = sorted(ids)
+    rank = [0] * len(table)
+    for r, key in enumerate(table):
+        rank[ids[key]] = r
+    return tuple(table), [rank[i] for i in local]
+
+
+def _refine(masks: list[int], transpose: list[int]) -> _Classes:
     """Classes of the indices of masks under their triple intersection counts.
 
     The pair signature of x and y is the sorted list of the sizes of
@@ -264,14 +293,15 @@ def _refine(masks: list[int], transpose: list[int], labels: dict) -> _Classes:
     the indices by their multisets of pair signatures, and each later round
     by the multiset of (class, pair signature) over the other indices. The
     refinement stops after the first round that splits no class, after at
-    most 3 rounds; one class after round 1 is already stable. Codes come
-    from ``labels`` by value, so contexts that share it give equal codes to
-    equal structures, and codes of different rounds never coincide.
+    most 3 rounds; one class after round 1 is already stable. A pair code
+    is the rank of its signature among the distinct signatures in sorted
+    order, and a class code the rank of its round's key among that round's
+    distinct keys, so the codes depend on the structure alone: two sides
+    with equal ``tables`` give equal codes exactly to equal structures.
     ``transpose`` is the incidence read the other way: bit z of
     transpose[i] is bit i of masks[z].
     """
     v = len(masks)
-    intern = labels.setdefault
     # lanes[i] has a 1 in byte z when masks[z] has bit i, so summing the
     # lanes over the bits of masks[x] & masks[y] counts the triple
     # intersection of x, y and z in byte z. A triple count is at most
@@ -288,34 +318,33 @@ def _refine(masks: list[int], transpose: list[int], labels: dict) -> _Classes:
     # sums[k][b] is the sum of lanes[8k + j] over the bits j of the byte b,
     # so the lane sum of a mask is one lookup per byte
     sums = [_subset_sums(lanes[k:k + 8]) for k in range(0, v, 8)]
-    pair = [[0] * v for _ in range(v)]
+    signatures = []
     for x, y in combinations(range(v), 2):
         m = masks[x] & masks[y]
         total = 0
         for table in sums:
             total += table[m & 255]
             m >>= 8
-        signature = bytes(sorted(total.to_bytes(v, "little")))
-        pair[x][y] = pair[y][x] = intern(signature, len(labels))
+        signatures.append(bytes(sorted(total.to_bytes(v, "little"))))
+    signature_table, pair_codes = _rank(signatures)
+    pair = [[0] * v for _ in range(v)]
+    for (x, y), code in zip(combinations(range(v), 2), pair_codes):
+        pair[x][y] = pair[y][x] = code
 
-    codes = [
-        intern(tuple(sorted(row[:x] + row[x + 1:])), len(labels))
-        for x, row in enumerate(pair)
-    ]
-    rounds = 1
-    count = len(set(codes))
-    while 1 < count and rounds < 3:
-        codes = [
-            intern((codes[x], tuple(sorted([
+    table, codes = _rank([tuple(sorted(row[:x] + row[x + 1:])) for x, row in enumerate(pair)])
+    tables = [signature_table, table]
+    while 1 < len(table) and len(tables) < 4:
+        count = len(table)
+        table, codes = _rank([
+            (codes[x], tuple(sorted([
                 codes[y] << _CODE_SHIFT | row[y] for y in range(v) if y != x
-            ]))), len(labels))
+            ])))
             for x, row in enumerate(pair)
-        ]
-        rounds += 1
-        count, before = len(set(codes)), count
-        if count == before:
+        ])
+        tables.append(table)
+        if len(table) == count:
             break
-    return _Classes(codes, rounds)
+    return _Classes(codes, tuple(tables))
 
 
 class _Fields:
@@ -368,16 +397,15 @@ class _DesignContext:
     ``points`` and ``blocks`` are refined separately and lazily, so a caller
     that compares the point classes first pays for the blocks only when the
     points agree. Each side stops refining at its first round that splits
-    no class, and records how many rounds it ran. Class codes come from
-    ``labels``, a table owned by the caller: contexts that share it give
-    equal codes to equal signature structures, so their classes can be
-    compared.
+    no class, and records how many rounds it ran. The codes of a side are
+    canonical: they depend on the design alone, so a context refines once
+    and is compared with any other, and ``Design._context`` keeps one per
+    design.
     """
 
-    def __init__(self, d: Design, labels: dict):
+    def __init__(self, d: Design):
         v = d.v
         self.v = v
-        self.labels = labels
         self.fields = fields = _Fields(v)
         self.block_bits = [b.bits for b in d.blocks]
         self.incidence = fields.pack(self.block_bits)
@@ -390,11 +418,11 @@ class _DesignContext:
 
     @cached_property
     def points(self) -> _Classes:
-        return _refine(self.point_in_blocks, self.block_bits, self.labels)
+        return _refine(self.point_in_blocks, self.block_bits)
 
     @cached_property
     def blocks(self) -> _Classes:
-        return _refine(self.block_bits, self.point_in_blocks, self.labels)
+        return _refine(self.block_bits, self.point_in_blocks)
 
 
 class _Search:
@@ -505,12 +533,18 @@ class _Search:
             # a point rule may empty a block decided in the same batch, so
             # the batch reads block images off the state it was found in
             b0 = b
-            for guard in set_bits(new_p):
-                shift = guard - v
+            # the guard bits lowest first, inline: a set_bits generator here
+            # resumes once per decided row of every call
+            while new_p:
+                guard = new_p & -new_p
+                new_p ^= guard
+                shift = guard.bit_length() - 1 - v
                 y = (p >> shift & full).bit_length() - 1
                 b &= rep_points[y] ^ in_points[shift // w]
-            for guard in set_bits(new_b):
-                shift = guard - v
+            while new_b:
+                guard = new_b & -new_b
+                new_b ^= guard
+                shift = guard.bit_length() - 1 - v
                 c = (b0 >> shift & full).bit_length() - 1
                 p &= rep_blocks[c] ^ in_blocks[shift // w]
             if (p + low) & high != high or (b + low) & high != high:
@@ -530,19 +564,15 @@ def _is_isomorphism(ctx1, ctx2, images) -> bool:
 
 
 def _rounds(ctx1: _DesignContext, ctx2: _DesignContext, side: str) -> str:
-    """Refinement rounds of one side in each context, "-" where it was not refined."""
-    return "/".join(
-        "-" if classes is None else str(classes.rounds)
-        for classes in (vars(ctx1).get(side), vars(ctx2).get(side))
-    )
+    """Refinement rounds of one side in each context."""
+    return f"{getattr(ctx1, side).rounds}/{getattr(ctx2, side).rounds}"
 
 
 def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
     """A point permutation carrying the blocks of d1 onto those of d2."""
     if d1.v != d2.v:
         raise InvariantError("designs have different point counts")
-    labels: dict = {}
-    ctx1, ctx2 = _DesignContext(d1, labels), _DesignContext(d2, labels)
+    ctx1, ctx2 = d1._context, d2._context
     search = _Search(ctx1, ctx2)
     images = None
     # the cheapest invariant first: blocks are refined only when the point
@@ -556,11 +586,14 @@ def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
         state = search.root()
         images = None if state is None else search.first_hit(state)
     if logger.isEnabledFor(logging.DEBUG):
+        # a side the call did not compare prints "-", whatever an earlier
+        # call left refined on the designs
         logger.debug(
             "find_isomorphism v=%d stage=%s point_rounds=%s block_rounds=%s"
             " leaves=%d propagations=%d",
             d1.v, stage, _rounds(ctx1, ctx2, "points"),
-            _rounds(ctx1, ctx2, "blocks"), search.leaves, search.propagations,
+            "-/-" if stage == "points" else _rounds(ctx1, ctx2, "blocks"),
+            search.leaves, search.propagations,
         )
     if images is None:
         return None
@@ -791,7 +824,7 @@ def automorphism_group(d: Design) -> PermGroup:
     by Schreier-Sims, with its own base, and must have the same order.
     """
     v = d.v
-    ctx = _DesignContext(d, {})
+    ctx = d._context
     search = _Search(ctx, ctx)
     state = search.root()
     path = []

@@ -485,6 +485,24 @@ class TestLogging:
             found[name] = record.getMessage().removeprefix("automorphism_group ")
         assert found == self.SEARCH_RECORDS
 
+    def test_search_work_is_pinned_after_an_isomorphism_search(
+        self, fixture_designs, pg42, caplog
+    ):
+        # find_isomorphism leaves both sides refined on the design, and the
+        # group search that reuses them walks the same tree
+        rng = random.Random(113)
+        found = {}
+        for name, d in {**fixture_designs, "pg42": pg42[0]}.items():
+            d = Design(d.blocks)
+            assert find_isomorphism(d, d.relabeled(Permutation.random(d.v, rng))) is not None
+            assert {"points", "blocks"} <= vars(d._context).keys()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="simplex_designs.designs"):
+                automorphism_group(d)
+            (record,) = caplog.records
+            found[name] = record.getMessage().removeprefix("automorphism_group ")
+        assert found == self.SEARCH_RECORDS
+
     def test_silent_when_disabled(self, fixture_designs, caplog):
         with caplog.at_level(logging.INFO, logger="simplex_designs.designs"):
             automorphism_group(fixture_designs["c4"])

@@ -135,10 +135,7 @@ def walk(search, rng: random.Random, steps: int) -> tuple[int, int]:
 
 
 def search_for(d1: Design, d2: Design):
-    labels: dict = {}
-    return designs._Search(
-        designs._DesignContext(d1, labels), designs._DesignContext(d2, labels)
-    )
+    return designs._Search(designs._DesignContext(d1), designs._DesignContext(d2))
 
 
 def hyperplane_complements(k: int) -> Design:

@@ -1,7 +1,8 @@
 """The refined point and block classes behind find_isomorphism: equal to the
-three-round refinement they replace, equivariant under relabeling, and
-staged so that non-isomorphic pairs are rejected on the point side; the
-witnesses it returns and its DEBUG record."""
+three-round refinement they replace, equivariant under relabeling, coded
+by the design alone so that each design is refined once, and staged so
+that non-isomorphic pairs are rejected on the point side; the witnesses it
+returns and its DEBUG record."""
 
 import logging
 import random
@@ -55,7 +56,7 @@ def oracle_classes_from(pair, labels):
 
 
 def oracle_sides(d: Design, labels: dict):
-    ctx = designs._DesignContext(d, {})
+    ctx = designs._DesignContext(d)
     return (
         oracle_classes_from(oracle_pair_signatures(ctx.point_in_blocks), labels),
         oracle_classes_from(oracle_pair_signatures(ctx.block_bits), labels),
@@ -69,15 +70,33 @@ def partition(codes) -> set[frozenset[int]]:
     return {frozenset(c) for c in classes.values()}
 
 
-def refined_sides(d: Design, labels: dict):
-    ctx = designs._DesignContext(d, labels)
+def refined_sides(d: Design):
+    ctx = designs._DesignContext(d)
     return ctx.points.codes, ctx.blocks.codes
 
 
 def assert_matches_oracle(d: Design):
-    new = refined_sides(d, {})
+    new = refined_sides(d)
     old = oracle_sides(d, {})
     assert [partition(codes) for codes in new] == [partition(codes) for codes in old]
+
+
+def transposed(masks):
+    """The incidence read the other way: bit z of entry i is bit i of masks[z]."""
+    return [
+        sum(1 << z for z, m in enumerate(masks) if m >> i & 1)
+        for i in range(len(masks))
+    ]
+
+
+def relabeled_masks(masks, rng):
+    """masks with its indices and its bits each permuted at random."""
+    n = len(masks)
+    rows, bits = rng.sample(range(n), n), rng.sample(range(n), n)
+    moved = [0] * n
+    for z, m in enumerate(masks):
+        moved[rows[z]] = sum(1 << bits[i] for i in range(n) if m >> i & 1)
+    return moved
 
 
 def hyperplane_complements(k: int) -> Design:
@@ -111,11 +130,8 @@ class TestPartitionOracle:
         rounds = set()
         for _ in range(300):
             masks = [rng.getrandbits(10) for _ in range(10)]
-            transpose = [
-                sum(1 << z for z, m in enumerate(masks) if m >> i & 1)
-                for i in range(10)
-            ]
-            classes = designs._refine(masks, transpose, {})
+            transpose = transposed(masks)
+            classes = designs._refine(masks, transpose)
             oracle = oracle_classes_from(oracle_pair_signatures(masks), {})
             assert partition(classes.codes) == partition(oracle)
             rounds.add(classes.rounds)
@@ -123,24 +139,65 @@ class TestPartitionOracle:
 
     def test_shared_table_matches_the_same_classes(self, fixture_designs):
         # the search reads which classes of one design correspond to which of
-        # the other through equal codes of the shared table
+        # the other through equal codes; contexts built apart give the codes
+        # the oracle gives under one shared table
         rng = random.Random(61)
         for d in fixture_designs.values():
             e = d.relabeled(Permutation.random(15, rng))
-            new_labels, old_labels = {}, {}
-            new = zip(refined_sides(d, new_labels), refined_sides(e, new_labels))
+            old_labels = {}
+            new = zip(refined_sides(d), refined_sides(e))
             old = zip(oracle_sides(d, old_labels), oracle_sides(e, old_labels))
             for (new1, new2), (old1, old2) in zip(new, old):
                 assert [[a == b for b in new2] for a in new1] == [
                     [a == b for b in old2] for a in old1
                 ]
 
+    def test_random_profiles_agree_with_the_shared_oracle(self):
+        # classes refined apart compare as the oracle's do under one table:
+        # equal profiles exactly when its sorted codes are equal, and then
+        # equal codes exactly where its codes are equal
+        rng = random.Random(97)
+        outcomes = set()
+        for i in range(300):
+            masks = [rng.getrandbits(10) for _ in range(10)]
+            if i % 3 == 2:
+                other = [rng.getrandbits(10) for _ in range(10)]
+            else:
+                other = relabeled_masks(masks, rng)
+                if i % 3 == 1:
+                    other[rng.randrange(10)] ^= 1 << rng.randrange(10)
+            new1 = designs._refine(masks, transposed(masks))
+            new2 = designs._refine(other, transposed(other))
+            labels = {}
+            old1 = oracle_classes_from(oracle_pair_signatures(masks), labels)
+            old2 = oracle_classes_from(oracle_pair_signatures(other), labels)
+            same = new1.profile == new2.profile
+            assert same == (sorted(old1) == sorted(old2))
+            if same:
+                assert [[a == b for b in new2.codes] for a in new1.codes] == [
+                    [a == b for b in old2] for a in old1
+                ]
+            outcomes.add((i % 3, same))
+        assert outcomes >= {(0, True), (1, False), (2, False)}
+
+    def test_relabeling_keeps_the_tables_and_moves_the_codes(self, fixture_designs):
+        # the codes are canonical: a relabeled design has the same tables,
+        # and point q(x) gets the code of point x
+        rng = random.Random(103)
+        for d in [*fixture_designs.values(), hyperplane_complements(5)]:
+            q = Permutation.random(d.v, rng)
+            ctx, moved = designs._DesignContext(d), designs._DesignContext(d.relabeled(q))
+            assert moved.points.tables == ctx.points.tables
+            assert moved.blocks.tables == ctx.blocks.tables
+            assert [moved.points.codes[q(x + 1) - 1] for x in range(d.v)] == ctx.points.codes
+            assert moved.blocks.codes == ctx.blocks.codes
+
     def test_relabeling_relabels_the_partitions(self, fixture_designs):
         rng = random.Random(67)
         for d in [*fixture_designs.values(), hyperplane_complements(5)]:
             q = Permutation.random(d.v, rng)
-            points, blocks = refined_sides(d, {})
-            moved_points, moved_blocks = refined_sides(d.relabeled(q), {})
+            points, blocks = refined_sides(d)
+            moved_points, moved_blocks = refined_sides(d.relabeled(q))
             # point x goes to q(x); relabeled keeps the block order
             assert partition(moved_points) == {
                 frozenset(q(x + 1) - 1 for x in c) for c in partition(points)
@@ -152,19 +209,46 @@ class TestPartitionOracle:
         # round 1 and round 2 splits nothing
         rounds = {}
         for name, d in fixture_designs.items():
-            ctx = designs._DesignContext(d, {})
+            ctx = designs._DesignContext(d)
             rounds[name] = (ctx.points.rounds, ctx.blocks.rounds)
         assert rounds == {
             "c1": (1, 1), "c2": (2, 2), "c3": (2, 2), "c4": (2, 2),
             "non_centered": (2, 2),
         }
-        assert designs._DesignContext(hyperplane_complements(5), {}).points.rounds == 1
+        assert designs._DesignContext(hyperplane_complements(5)).points.rounds == 1
 
     def test_sides_are_refined_on_first_use(self, fixture_designs):
-        ctx = designs._DesignContext(fixture_designs["c2"], {})
+        ctx = designs._DesignContext(fixture_designs["c2"])
         assert "points" not in vars(ctx) and "blocks" not in vars(ctx)
         ctx.points
         assert "points" in vars(ctx) and "blocks" not in vars(ctx)
+
+
+class TestContextOnTheDesign:
+    def test_each_side_is_refined_once_per_design(self, fixture_designs, monkeypatch):
+        d1 = Design(fixture_designs["c2"].blocks)
+        refined = []
+        refine = designs._refine
+
+        def counting(masks, transpose):
+            refined.append(masks)
+            return refine(masks, transpose)
+
+        monkeypatch.setattr(designs, "_refine", counting)
+        rng = random.Random(107)
+        for _ in range(10):
+            assert find_isomorphism(d1, d1.relabeled(Permutation.random(15, rng))) is not None
+        ctx = d1._context
+        assert sum(masks is ctx.point_in_blocks or masks is ctx.block_bits for masks in refined) == 2
+        # and each relabeling both of its sides once
+        assert len(refined) == 2 + 10 * 2
+
+    def test_the_cache_is_not_part_of_the_value(self, fixture_designs):
+        d = Design(fixture_designs["c3"].blocks)
+        fresh = Design(d.blocks)
+        d._context.points
+        assert "_context" in vars(d) and "_context" not in vars(fresh)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
 
 
 # Witness images of find_isomorphism from each fixture onto two relabelings
@@ -236,6 +320,19 @@ class TestIsomorphismLogging:
             " block_rounds=-/- leaves=0 propagations=0"
         )
 
+    def test_rejected_record_ignores_earlier_calls(self, fixture_designs, caplog):
+        # the blocks of d1 stay refined after a search, and a call rejected
+        # at the points still prints them as not compared
+        d1 = Design(fixture_designs["c2"].blocks)
+        witness, message = isomorphism_record(caplog, d1, relabeled(d1, 109))
+        assert witness is not None and " block_rounds=2/2 " in message
+        witness, message = isomorphism_record(caplog, d1, relabeled(fixture_designs["c1"], 127))
+        assert witness is None
+        assert message == (
+            "find_isomorphism v=15 stage=points point_rounds=2/1"
+            " block_rounds=-/- leaves=0 propagations=0"
+        )
+
     def test_v31_record(self, caplog):
         d = hyperplane_complements(5)
         witness, message = isomorphism_record(caplog, d, relabeled(d, 79))
@@ -252,6 +349,6 @@ class TestIsomorphismLogging:
 
     def test_refinement_does_not_log(self, fixture_designs, caplog):
         with caplog.at_level(logging.DEBUG, logger=LOGGER):
-            ctx = designs._DesignContext(fixture_designs["c4"], {})
+            ctx = designs._DesignContext(fixture_designs["c4"])
             ctx.points, ctx.blocks
         assert not caplog.records
