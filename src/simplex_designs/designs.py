@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import or_
 from typing import NamedTuple
 
 from .cliques import Clique
@@ -78,6 +79,11 @@ class Design:
         so equality, hashing and repr ignore it.
         """
         return _DesignContext(self)
+
+    def __getstate__(self):
+        """The blocks alone: pickle, copy and deepcopy leave the cached
+        ``_context`` behind, and the copy refines again on first use."""
+        return {"blocks": self.blocks}
 
 
 def design_from_clique(c: Clique) -> Design:
@@ -215,19 +221,23 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # each choice.
 #
 # The candidates of one side live in one int (``_Fields``): row x in bits
-# x*w to x*w + v - 1, w = v + 1, under a guard bit x*w + v that stays zero,
-# so adding up to 2**v - 1 to a row, or taking 1 from a row whose guard
-# is set, never carries into the next row. Two tests read every row at once:
+# x*w to x*w + v - 1, where w is v + 1 rounded up to a multiple of 8, under
+# a guard bit x*w + v that stays zero like the bits above it, so adding up
+# to 2**v - 1 to a row, or taking 1 from a row whose guard is set, never
+# carries into the next row. Three tests read every row at once:
 # (m + low) & high != high when some row is empty, as the sum reaches the
-# guard of every nonempty row; and ~((((m | high) - ones) & m) + low) & high
+# guard of every nonempty row; ~((((m | high) - ones) & m) + low) & high
 # marks the rows with at most one bit, as ((m | high) - ones) & m clears
-# the lowest bit of each row. Each narrowing rule is one AND on the other
-# side: a decided point x -> y keeps every block on the blocks through y or
-# off them, as x lies in it or not, and a decided block does the same to
-# the points. The rules only clear bits and stay true in narrower states,
-# so applying them in any order until neither changes anything ends in the
-# same state, the largest below the start in which both hold; batches of
-# decided rows give the states and work counts of a row-by-row queue.
+# the lowest bit of each row; and, as every row fills whole bytes, a
+# byte-wise popcount summed over each row's bytes counts every row, which
+# is how branch_point finds the row with fewest candidates without a loop.
+# Each narrowing rule is one AND on the other side: a decided point x -> y
+# keeps every block on the blocks through y or off them, as x lies in it or
+# not, and a decided block does the same to the points. The rules only
+# clear bits and stay true in narrower states, so applying them in any
+# order until neither changes anything ends in the same state, the largest
+# below the start in which both hold; batches of decided rows give the
+# states and work counts of a row-by-row queue.
 # The all-different rule is applied once, as fix clears y from the other
 # point rows, and adds nothing elsewhere. A block row is its class cut by
 # the pattern of the decided points, so blocks a != a' that share a
@@ -240,7 +250,7 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 logger = logging.getLogger(__name__)
 
 # a class code is packed above a pair code in one int while refining; a
-# pair code ranks at most v(v-1)/2 < 2**11 signatures, as v <= 63
+# pair code is at most v(v-1)/2 < 2**11, as v <= 63
 _CODE_SHIFT = 16
 
 
@@ -284,20 +294,12 @@ def _rank(keys: list) -> tuple[tuple, list[int]]:
     return tuple(table), [rank[i] for i in local]
 
 
-def _refine(masks: list[int], transpose: list[int]) -> _Classes:
-    """Classes of the indices of masks under their triple intersection counts.
-
-    The pair signature of x and y is the sorted list of the sizes of
-    masks[x] & masks[y] & masks[z] over every z; z = x and z = y add lambda
-    twice to every signature, the same constant everywhere. Round 1 splits
-    the indices by their multisets of pair signatures, and each later round
-    by the multiset of (class, pair signature) over the other indices. The
-    refinement stops after the first round that splits no class, after at
-    most 3 rounds; one class after round 1 is already stable. A pair code
-    is the rank of its signature among the distinct signatures in sorted
-    order, and a class code the rank of its round's key among that round's
-    distinct keys, so the codes depend on the structure alone: two sides
-    with equal ``tables`` give equal codes exactly to equal structures.
+def _pair_signatures(masks: list[int], transpose: list[int]) -> list[bytes]:
+    """The signature of each pair x < y, in combinations order: byte c - 1
+    counts the z with |masks[x] & masks[y] & masks[z]| >= c, for c up to
+    the largest such count. This encodes the multiset of the pair's v
+    triple counts, and orders signatures as the sorted counts would, as the
+    smallest count whose multiplicity differs decides both orders.
     ``transpose`` is the incidence read the other way: bit z of
     transpose[i] is bit i of masks[z].
     """
@@ -318,28 +320,68 @@ def _refine(masks: list[int], transpose: list[int]) -> _Classes:
     # sums[k][b] is the sum of lanes[8k + j] over the bits j of the byte b,
     # so the lane sum of a mask is one lookup per byte
     sums = [_subset_sums(lanes[k:k + 8]) for k in range(0, v, 8)]
-    signatures = []
+    totals = []
     for x, y in combinations(range(v), 2):
         m = masks[x] & masks[y]
         total = 0
         for table in sums:
             total += table[m & 255]
             m >>= 8
-        signatures.append(bytes(sorted(total.to_bytes(v, "little"))))
-    signature_table, pair_codes = _rank(signatures)
+        totals.append(total.to_bytes(v, "little"))
+    # column z holds byte z of every pair's counts, one pair to a byte
+    cube = b"".join(totals)
+    pairs = len(totals)
+    columns = [int.from_bytes(cube[z::v], "little") for z in range(v)]
+    ones = int.from_bytes(b"\1" * pairs, "little")
+    counts = []
+    for c in range(1, v + 1):
+        # a count plus 128 - c reaches bit 7 of its byte exactly when the
+        # count reaches c, and is at most 63 + 127 < 256, so no byte
+        # carries; the sum over the v columns stays below 64
+        bias = (128 - c) * ones
+        reached = sum([(column + bias) >> 7 & ones for column in columns])
+        if not reached:
+            # no pair reaches c, so none reaches a larger one
+            break
+        counts.append(reached.to_bytes(pairs, "little"))
+    # byte c - 1 of pair i is byte i of counts[c - 1]
+    grid = b"".join(counts)
+    return [grid[i::pairs] for i in range(pairs)]
+
+
+def _refine(masks: list[int], transpose: list[int]) -> _Classes:
+    """Classes of the indices of masks under their triple intersection counts.
+
+    The pair signature of x and y stands for the sorted sizes of masks[x] &
+    masks[y] & masks[z] over every z (``_pair_signatures``); z = x and z = y
+    add lambda twice to every signature, the same constant everywhere. Round
+    1 splits the indices by their multisets of pair signatures, and each
+    later round by the multiset of (class, pair signature) over the other
+    indices. The refinement stops after the first round that splits no
+    class, after at most 3 rounds; one class after round 1 is already
+    stable. A pair code is 1 plus the rank of its signature among the
+    distinct signatures in sorted order, and a class code the rank of its
+    round's key among that round's distinct keys, so the codes depend on the
+    structure alone: two sides with equal ``tables`` give equal codes
+    exactly to equal structures. ``transpose`` is the incidence read the
+    other way: bit z of transpose[i] is bit i of masks[z].
+    """
+    v = len(masks)
+    signature_table, pair_codes = _rank(_pair_signatures(masks, transpose))
+    # pair codes count from 1, so the 0 at pair[x][x] adds to the key of x
+    # an element set by the class of x alone, and keys compare as without it
     pair = [[0] * v for _ in range(v)]
     for (x, y), code in zip(combinations(range(v), 2), pair_codes):
-        pair[x][y] = pair[y][x] = code
+        pair[x][y] = pair[y][x] = code + 1
 
-    table, codes = _rank([tuple(sorted(row[:x] + row[x + 1:])) for x, row in enumerate(pair)])
+    table, codes = _rank([tuple(sorted(row)) for row in pair])
     tables = [signature_table, table]
     while 1 < len(table) and len(tables) < 4:
         count = len(table)
+        shifted = [code << _CODE_SHIFT for code in codes]
         table, codes = _rank([
-            (codes[x], tuple(sorted([
-                codes[y] << _CODE_SHIFT | row[y] for y in range(v) if y != x
-            ])))
-            for x, row in enumerate(pair)
+            (code, tuple(sorted(map(or_, shifted, row))))
+            for code, row in zip(codes, pair)
         ])
         tables.append(table)
         if len(table) == count:
@@ -348,21 +390,35 @@ def _refine(masks: list[int], transpose: list[int]) -> _Classes:
 
 
 class _Fields:
-    """v rows of v bits in one int, row x in the w = v + 1 bits from x*w,
-    the top one a guard that stays zero."""
+    """v rows of v bits in one int, row x in the w bits from x*w, where w is
+    v + 1 rounded up to whole bytes: bit v of a row is a guard that stays
+    zero, and so do the bits above it."""
 
-    __slots__ = ("v", "w", "full", "ones", "low", "high", "copies")
+    __slots__ = (
+        "v", "w", "full", "ones", "low", "high", "copies",
+        "m55", "m33", "m0f", "row_sum", "length", "tops",
+    )
 
     def __init__(self, v: int):
-        self.v, self.w, self.full = v, v + 1, (1 << v) - 1
+        w = (v + 8) // 8 * 8
+        self.v, self.w, self.full = v, w, (1 << v) - 1
         # the lowest bit, the value bits and the guard bit of every field
-        self.ones = ((1 << self.w * v) - 1) // ((1 << self.w) - 1)
+        self.ones = ((1 << w * v) - 1) // ((1 << w) - 1)
         self.low, self.high = self.ones * self.full, self.ones << v
-        # a 1 every v bits, so mask * copies holds copy i of a row at i*v
-        self.copies = ((1 << v * v) - 1) // self.full
+        # a 1 every w - 1 bits, so mask * copies holds copy i of a row at
+        # i*(w - 1), and its bit i at i*w
+        self.copies = ((1 << (w - 1) * v) - 1) // ((1 << w - 1) - 1)
+        # the SWAR masks of a byte-wise popcount, and a 1 in each byte of a
+        # row: times the byte counts, it sums each row into the top byte of
+        # its field, the bytes tops picks out of the length bytes it fills
+        bytes_ = ((1 << w * v) - 1) // 255
+        self.m55, self.m33, self.m0f = bytes_ * 0x55, bytes_ * 0x33, bytes_ * 0x0F
+        self.row_sum = ((1 << w) - 1) // 255
+        stride = w // 8
+        self.length, self.tops = (v + 1) * stride - 1, slice(stride - 1, None, stride)
 
     def spread(self, mask: int) -> int:
-        """Bit i of mask moved to the lowest bit of field i (i*v + i = i*w)."""
+        """Bit i of mask moved to the lowest bit of field i (i*(w - 1) + i = i*w)."""
         return mask * self.copies & self.ones
 
     def row(self, packed: int, x: int) -> int:
@@ -423,6 +479,10 @@ class _DesignContext:
     @cached_property
     def blocks(self) -> _Classes:
         return _refine(self.block_bits, self.point_in_blocks)
+
+
+# a byte of row counts, with the rows of at most one bit moved above any count
+_DECIDED_LAST = bytes([255, 255, *range(2, 256)])
 
 
 class _Search:
@@ -489,14 +549,20 @@ class _Search:
         return self.propagate(p, b, decided_p | guard, decided_b, guard, 0)
 
     def branch_point(self, state) -> int | None:
-        """The undecided point with fewest candidates, lowest first; None at a leaf."""
-        p, undecided = state[0], self.fields.high & ~state[2]
-        if not undecided:
-            return None
-        v, full = self.v, self.fields.full
-        # the guard bit g of row x sits v bits above the row, at x * w + v
-        guard = min([((p >> g - v & full).bit_count(), g) for g in set_bits(undecided)])[1]
-        return guard // self.fields.w
+        """The undecided point with fewest candidates, lowest first; None at a leaf.
+
+        Three SWAR steps count the bits of each byte, and the product with
+        row_sum adds each row's bytes up in its top byte, at most w <= 64,
+        so nothing carries. Decided rows read 255 after translate.
+        """
+        f = self.fields
+        p = state[0]
+        p -= p >> 1 & f.m55
+        p = (p & f.m33) + (p >> 2 & f.m33)
+        p = (p + (p >> 4)) & f.m0f
+        counts = (p * f.row_sum).to_bytes(f.length, "little")[f.tops].translate(_DECIDED_LAST)
+        fewest = min(counts)
+        return None if fewest == 255 else counts.index(fewest)
 
     def first_hit(self, state) -> tuple[int, ...] | None:
         """Point images (0-based) of the first isomorphism below state."""

@@ -35,6 +35,10 @@ cliques.py has no yield from and no function that calls itself, apart from
 build_graph's walk, which recurses once per element of a point (2m deep):
 the maximal-clique search runs on an explicit stack, so it makes no
 generator per search node and an emitted clique climbs no generator chain.
+designs._Search.branch_point has no loop and no comprehension: it runs once
+per search node and counts every row of the state with a few big-int
+operations, as a walk over the undecided rows there costs about a tenth of
+an automorphism_group call.
 """
 
 import ast
@@ -248,6 +252,22 @@ def self_calls(tree):
 
     visit(tree, "", [])
     return found
+
+
+LOOP_NODES = (
+    ast.For, ast.AsyncFor, ast.While,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def loops_in(tree, qualname: str):
+    """Loops and comprehensions in the function Class.function, as "line N: kind"."""
+    lines = function_lines(tree, qualname)
+    found = [
+        node for node in ast.walk(tree) if isinstance(node, LOOP_NODES) and node.lineno in lines
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {type(node).__name__}" for node in found]
 
 
 # build_graph's walk recurses once per element of a point, 2m levels deep
@@ -563,6 +583,33 @@ def test_stack_rule_catches_the_patterns():
     assert [call.split(" in ")[-1] for call in self_calls(parse(PACKAGE / "cliques.py"))] == [
         "build_graph.walk"
     ]
+
+
+def test_branch_point_walks_no_rows():
+    assert loops_in(parse(PACKAGE / "designs.py"), "_Search.branch_point") == []
+
+
+def test_loop_rule_catches_the_patterns():
+    tree = ast.parse(
+        "class Search:\n"
+        "    def branch_point(self, state):\n"
+        "        counts = [r.bit_count() for r in state]\n"
+        "        while counts:\n"
+        "            counts.pop()\n"
+        "        return min(c for c in {x: 1 for x in state})\n"
+        "    def first_hit(self, state):\n"
+        "        for x in state:\n"
+        "            pass\n"
+    )
+    assert loops_in(tree, "Search.branch_point") == [
+        "line 3: ListComp",
+        "line 4: While",
+        "line 6: GeneratorExp",
+        "line 6: DictComp",
+    ]
+    assert loops_in(tree, "Search.first_hit") == ["line 8: For"]
+    # the search loops over a row's candidates next door, so the rule is not vacuous
+    assert loops_in(parse(PACKAGE / "designs.py"), "_Search.first_hit")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -4,7 +4,9 @@ by the design alone so that each design is refined once, and staged so
 that non-isomorphic pairs are rejected on the point side; the witnesses it
 returns and its DEBUG record."""
 
+import copy
 import logging
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from simplex_designs import designs
 from simplex_designs.constructions import hyperplane_complement_blocks
-from simplex_designs.designs import Design, find_isomorphism
+from simplex_designs.designs import Design, automorphism_group, find_isomorphism
 from simplex_designs.subsets import Permutation
 
 from conftest import FIXTURE_NAMES
@@ -224,6 +226,55 @@ class TestPartitionOracle:
         assert "points" in vars(ctx) and "blocks" not in vars(ctx)
 
 
+def sorted_counts(masks):
+    """bytes(sorted(...)) of the v triple intersection sizes of each pair x < y."""
+    return [
+        bytes(sorted([(masks[x] & masks[y] & m).bit_count() for m in masks]))
+        for x, y in combinations(range(len(masks)), 2)
+    ]
+
+
+def column_ranks(masks):
+    return designs._rank(designs._pair_signatures(masks, transposed(masks)))[1]
+
+
+class TestPairSignatures:
+    """The column-wise signatures against the sorted counts they encode:
+    equal ranks, so the same pair partition and the same pair codes."""
+
+    @pytest.mark.parametrize("v", [3, 10, 15, 24, 31, 47, 63])
+    def test_columns_rank_pairs_as_the_sorted_counts_do(self, v):
+        rng = random.Random(400 + v)
+        for density in (0.1, 0.5, 0.9, 1.0):
+            masks = [
+                sum(1 << i for i in range(v) if rng.random() < density) for _ in range(v)
+            ]
+            assert column_ranks(masks) == designs._rank(sorted_counts(masks))[1]
+
+    def test_designs_rank_pairs_as_the_sorted_counts_do(self, fixture_designs):
+        for d in [*fixture_designs.values(), hyperplane_complements(5)]:
+            ctx = designs._DesignContext(d)
+            for masks in (ctx.point_in_blocks, ctx.block_bits):
+                assert column_ranks(masks) == designs._rank(sorted_counts(masks))[1]
+
+    def test_every_count_at_the_carry_boundary(self):
+        # every triple count is 63, and 63 + (128 - 63) is exactly 128
+        full = [(1 << 63) - 1] * 63
+        signatures = designs._pair_signatures(full, transposed(full))
+        assert signatures == [bytes([63] * 63)] * (63 * 62 // 2)
+        # one bit less in one mask: counts of 62 and 63 side by side
+        near = full[:]
+        near[5] ^= 1 << 40
+        assert column_ranks(near) == designs._rank(sorted_counts(near))[1]
+        assert len(set(column_ranks(near))) == 2
+
+    def test_no_count_reaches_one(self):
+        empty = [0] * 15
+        assert designs._pair_signatures(empty, transposed(empty)) == [b""] * (15 * 14 // 2)
+        classes = designs._refine(empty, transposed(empty))
+        assert classes.codes == [0] * 15 and classes.rounds == 1
+
+
 class TestContextOnTheDesign:
     def test_each_side_is_refined_once_per_design(self, fixture_designs, monkeypatch):
         d1 = Design(fixture_designs["c2"].blocks)
@@ -249,6 +300,20 @@ class TestContextOnTheDesign:
         d._context.points
         assert "_context" in vars(d) and "_context" not in vars(fresh)
         assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+
+    def test_pickles_and_copies_leave_the_cache_behind(self):
+        d = hyperplane_complements(5)
+        before = pickle.dumps(d)
+        automorphism_group(d)
+        assert "_context" in vars(d)
+        assert len(pickle.dumps(d)) == len(before)
+        for copied in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert copied == d and hash(copied) == hash(d)
+            assert "_context" not in vars(copied)
+            # refined again on first use, to the same classes
+            assert copied._context is not d._context
+            assert copied._context.points == d._context.points
+            assert copied._context.blocks == d._context.blocks
 
 
 # Witness images of find_isomorphism from each fixture onto two relabelings
