@@ -262,10 +262,6 @@ def _subset_sums(items: list[int]) -> list[int]:
     return table
 
 
-# entry b has a 1 in byte j for each bit j of the byte b
-_BYTE_LANES = tuple(_subset_sums([1 << 8 * j for j in range(8)]))
-
-
 class _Classes(NamedTuple):
     """Refined classes of one side: a code per index, and the sorted tables
     the codes rank, the distinct pair signatures and then the distinct keys
@@ -285,59 +281,54 @@ class _Classes(NamedTuple):
 
 def _rank(keys: list) -> tuple[tuple, list[int]]:
     """The distinct keys in sorted order, and the rank of each key among them."""
-    ids: dict = {}
-    local = [ids.setdefault(key, len(ids)) for key in keys]
-    table = sorted(ids)
-    rank = [0] * len(table)
-    for r, key in enumerate(table):
-        rank[ids[key]] = r
-    return tuple(table), [rank[i] for i in local]
+    table = sorted(set(keys))
+    rank = dict(zip(table, range(len(table))))
+    return tuple(table), [rank[key] for key in keys]
 
 
-def _pair_signatures(masks: list[int], transpose: list[int]) -> list[bytes]:
+def _pair_signatures(masks: list[int]) -> list[bytes]:
     """The signature of each pair x < y, in combinations order: byte c - 1
     counts the z with |masks[x] & masks[y] & masks[z]| >= c, for c up to
-    the largest such count. This encodes the multiset of the pair's v
-    triple counts, and orders signatures as the sorted counts would, as the
+    the largest such count. This encodes the multiset of the pair's triple
+    counts, and orders signatures as the sorted counts would, as the
     smallest count whose multiplicity differs decides both orders.
-    ``transpose`` is the incidence read the other way: bit z of
-    transpose[i] is bit i of masks[z].
+
+    Each big int below holds one byte per pair, in combinations order. A
+    triple count is at most the bit width of the masks, and the number of
+    z whose count reaches c at most len(masks), so no byte carries into the
+    next while the masks are at most 127 bits wide and at most 255 in
+    number; ElementSet caps both at 63.
     """
-    v = len(masks)
-    # lanes[i] has a 1 in byte z when masks[z] has bit i, so summing the
-    # lanes over the bits of masks[x] & masks[y] counts the triple
-    # intersection of x, y and z in byte z. A triple count is at most
-    # lambda <= 16 in a design and at most v <= 63 for any masks, as
-    # ElementSet caps ground sets at 63 points, so no byte overflows into
-    # the next one, which would make the counts depend on the labeling.
-    # lanes[i] is transpose[i] with its bits spread one to a byte.
-    lanes = []
-    for t in transpose:
-        lane = 0
-        for k in range(0, v, 8):
-            lane |= _BYTE_LANES[t >> k & 255] << 8 * k
-        lanes.append(lane)
-    # sums[k][b] is the sum of lanes[8k + j] over the bits j of the byte b,
-    # so the lane sum of a mask is one lookup per byte
-    sums = [_subset_sums(lanes[k:k + 8]) for k in range(0, v, 8)]
-    totals = []
-    for x, y in combinations(range(v), 2):
-        m = masks[x] & masks[y]
-        total = 0
-        for table in sums:
-            total += table[m & 255]
-            m >>= 8
-        totals.append(total.to_bytes(v, "little"))
-    # column z holds byte z of every pair's counts, one pair to a byte
-    cube = b"".join(totals)
-    pairs = len(totals)
-    columns = [int.from_bytes(cube[z::v], "little") for z in range(v)]
+    r = len(masks)
+    width = max(masks, default=0).bit_length()
+    pairs = r * (r - 1) // 2
     ones = int.from_bytes(b"\1" * pairs, "little")
+    size = (width + 7) // 8
+    flat = b"".join([m.to_bytes(size, "little") for m in masks])
+    # planes[i] has a 1 in the byte of each pair whose masks share bit i:
+    # byte k of the masks, written once per pair for its first member and
+    # once for its second, ANDed, holds bits 8k to 8k + 7 of every pair
+    planes = []
+    for k in range(size):
+        row = flat[k::size]
+        first = b"".join([row[x:x + 1] * (r - x - 1) for x in range(r)])
+        second = b"".join([row[x + 1:] for x in range(r)])
+        both = int.from_bytes(first, "little") & int.from_bytes(second, "little")
+        planes += [both >> j & ones for j in range(min(8, width - 8 * k))]
+    # column z sums the planes of the bits of masks[z], which counts the
+    # triple intersection of every pair with z, a nibble per lookup
+    tables = [_subset_sums(planes[i:i + 4]) for i in range(0, width, 4)]
+    columns = []
+    for m in masks:
+        column = 0
+        for table in tables:
+            column += table[m & 15]
+            m >>= 4
+        columns.append(column)
     counts = []
-    for c in range(1, v + 1):
+    for c in range(1, width + 1):
         # a count plus 128 - c reaches bit 7 of its byte exactly when the
-        # count reaches c, and is at most 63 + 127 < 256, so no byte
-        # carries; the sum over the v columns stays below 64
+        # count reaches c, and stays below 256
         bias = (128 - c) * ones
         reached = sum([(column + bias) >> 7 & ones for column in columns])
         if not reached:
@@ -349,7 +340,7 @@ def _pair_signatures(masks: list[int], transpose: list[int]) -> list[bytes]:
     return [grid[i::pairs] for i in range(pairs)]
 
 
-def _refine(masks: list[int], transpose: list[int]) -> _Classes:
+def _refine(masks: list[int]) -> _Classes:
     """Classes of the indices of masks under their triple intersection counts.
 
     The pair signature of x and y stands for the sorted sizes of masks[x] &
@@ -363,16 +354,22 @@ def _refine(masks: list[int], transpose: list[int]) -> _Classes:
     distinct signatures in sorted order, and a class code the rank of its
     round's key among that round's distinct keys, so the codes depend on the
     structure alone: two sides with equal ``tables`` give equal codes
-    exactly to equal structures. ``transpose`` is the incidence read the
-    other way: bit z of transpose[i] is bit i of masks[z].
+    exactly to equal structures.
     """
     v = len(masks)
-    signature_table, pair_codes = _rank(_pair_signatures(masks, transpose))
+    signature_table, pair_codes = _rank(_pair_signatures(masks))
+    pair_codes = [code + 1 for code in pair_codes]
     # pair codes count from 1, so the 0 at pair[x][x] adds to the key of x
-    # an element set by the class of x alone, and keys compare as without it
+    # an element set by the class of x alone, and keys compare as without it;
+    # row x takes its pairs with larger indices from the combinations order,
+    # and the rest from its column once every row has them
     pair = [[0] * v for _ in range(v)]
-    for (x, y), code in zip(combinations(range(v), 2), pair_codes):
-        pair[x][y] = pair[y][x] = code + 1
+    end = 0
+    for x, row in enumerate(pair):
+        start, end = end, end + v - x - 1
+        row[x + 1:] = pair_codes[start:end]
+    for x, column in enumerate(list(zip(*pair))):
+        pair[x][:x] = column[:x]
 
     table, codes = _rank([tuple(sorted(row)) for row in pair])
     tables = [signature_table, table]
@@ -474,11 +471,11 @@ class _DesignContext:
 
     @cached_property
     def points(self) -> _Classes:
-        return _refine(self.point_in_blocks, self.block_bits)
+        return _refine(self.point_in_blocks)
 
     @cached_property
     def blocks(self) -> _Classes:
-        return _refine(self.block_bits, self.point_in_blocks)
+        return _refine(self.block_bits)
 
 
 # a byte of row counts, with the rows of at most one bit moved above any count

@@ -38,7 +38,10 @@ generator per search node and an emitted clique climbs no generator chain.
 designs._Search.branch_point has no loop and no comprehension: it runs once
 per search node and counts every row of the state with a few big-int
 operations, as a walk over the undecided rows there costs about a tenth of
-an automorphism_group call.
+an automorphism_group call. designs._pair_signatures and designs._refine
+call no combinations: they treat every pair of indices at once, through
+joined bytes, big ints and slices, as a loop over the pairs there took most
+of the refinement's time.
 """
 
 import ast
@@ -268,6 +271,19 @@ def loops_in(tree, qualname: str):
     ]
     found.sort(key=lambda node: (node.lineno, node.col_offset))
     return [f"line {node.lineno}: {type(node).__name__}" for node in found]
+
+
+def calls_in(tree, qualname: str, name: str):
+    """Calls of name, bare or after a dot, in the function Class.function, as "line N: call"."""
+    lines = function_lines(tree, qualname)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.lineno in lines:
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.append((node.lineno, node.col_offset, ast.unparse(func)))
+    return [f"line {line}: {call}" for line, _, call in sorted(found)]
 
 
 # build_graph's walk recurses once per element of a point, 2m levels deep
@@ -610,6 +626,29 @@ def test_loop_rule_catches_the_patterns():
     assert loops_in(tree, "Search.first_hit") == ["line 8: For"]
     # the search loops over a row's candidates next door, so the rule is not vacuous
     assert loops_in(parse(PACKAGE / "designs.py"), "_Search.first_hit")
+
+
+@pytest.mark.parametrize("function", ["_pair_signatures", "_refine"])
+def test_refinement_visits_no_pairs(function):
+    assert calls_in(parse(PACKAGE / "designs.py"), function, "combinations") == []
+
+
+def test_pair_rule_catches_the_patterns():
+    tree = ast.parse(
+        "def _refine(masks):\n"
+        "    for x, y in combinations(range(len(masks)), 2):\n"
+        "        pass\n"
+        "    return [m for m in itertools.combinations(masks, 2)]\n"
+        "def _pair_signatures(masks):\n"
+        "    return combinations\n"
+    )
+    assert calls_in(tree, "_refine", "combinations") == [
+        "line 2: combinations",
+        "line 4: itertools.combinations",
+    ]
+    assert calls_in(tree, "_pair_signatures", "combinations") == []
+    # the design check visits every pair of blocks, so the rule is not vacuous
+    assert calls_in(parse(PACKAGE / "designs.py"), "Design.__post_init__", "combinations")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

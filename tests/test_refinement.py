@@ -19,6 +19,7 @@ from simplex_designs.designs import Design, automorphism_group, find_isomorphism
 from simplex_designs.subsets import Permutation
 
 from conftest import FIXTURE_NAMES
+from test_propagation import paley_design
 
 LOGGER = "simplex_designs.designs"
 
@@ -83,14 +84,6 @@ def assert_matches_oracle(d: Design):
     assert [partition(codes) for codes in new] == [partition(codes) for codes in old]
 
 
-def transposed(masks):
-    """The incidence read the other way: bit z of entry i is bit i of masks[z]."""
-    return [
-        sum(1 << z for z, m in enumerate(masks) if m >> i & 1)
-        for i in range(len(masks))
-    ]
-
-
 def relabeled_masks(masks, rng):
     """masks with its indices and its bits each permuted at random."""
     n = len(masks)
@@ -132,8 +125,7 @@ class TestPartitionOracle:
         rounds = set()
         for _ in range(300):
             masks = [rng.getrandbits(10) for _ in range(10)]
-            transpose = transposed(masks)
-            classes = designs._refine(masks, transpose)
+            classes = designs._refine(masks)
             oracle = oracle_classes_from(oracle_pair_signatures(masks), {})
             assert partition(classes.codes) == partition(oracle)
             rounds.add(classes.rounds)
@@ -168,8 +160,8 @@ class TestPartitionOracle:
                 other = relabeled_masks(masks, rng)
                 if i % 3 == 1:
                     other[rng.randrange(10)] ^= 1 << rng.randrange(10)
-            new1 = designs._refine(masks, transposed(masks))
-            new2 = designs._refine(other, transposed(other))
+            new1 = designs._refine(masks)
+            new2 = designs._refine(other)
             labels = {}
             old1 = oracle_classes_from(oracle_pair_signatures(masks), labels)
             old2 = oracle_classes_from(oracle_pair_signatures(other), labels)
@@ -235,7 +227,7 @@ def sorted_counts(masks):
 
 
 def column_ranks(masks):
-    return designs._rank(designs._pair_signatures(masks, transposed(masks)))[1]
+    return designs._rank(designs._pair_signatures(masks))[1]
 
 
 class TestPairSignatures:
@@ -260,7 +252,7 @@ class TestPairSignatures:
     def test_every_count_at_the_carry_boundary(self):
         # every triple count is 63, and 63 + (128 - 63) is exactly 128
         full = [(1 << 63) - 1] * 63
-        signatures = designs._pair_signatures(full, transposed(full))
+        signatures = designs._pair_signatures(full)
         assert signatures == [bytes([63] * 63)] * (63 * 62 // 2)
         # one bit less in one mask: counts of 62 and 63 side by side
         near = full[:]
@@ -270,9 +262,123 @@ class TestPairSignatures:
 
     def test_no_count_reaches_one(self):
         empty = [0] * 15
-        assert designs._pair_signatures(empty, transposed(empty)) == [b""] * (15 * 14 // 2)
-        classes = designs._refine(empty, transposed(empty))
+        assert designs._pair_signatures(empty) == [b""] * (15 * 14 // 2)
+        classes = designs._refine(empty)
         assert classes.codes == [0] * 15 and classes.rounds == 1
+
+
+def subset_sums(items):
+    """Entry b is the sum of items[j] over the bits j of b."""
+    table = [0]
+    for item in items:
+        table += [t + item for t in table]
+    return table
+
+
+# entry b has a 1 in byte j for each bit j of the byte b
+BYTE_LANES = tuple(subset_sums([1 << 8 * j for j in range(8)]))
+
+
+def transposed(masks):
+    """The incidence read the other way: bit z of entry i is bit i of masks[z]."""
+    return [
+        sum(1 << z for z, m in enumerate(masks) if m >> i & 1)
+        for i in range(len(masks))
+    ]
+
+
+def reference_pair_signatures(masks, transpose):
+    """The lane-sum pair signatures that the bit planes replaced, as they were.
+
+    One table lookup per byte of masks[x] & masks[y] and one to_bytes per
+    pair; for square incidences their bytes are the oracle for the planes.
+    """
+    v = len(masks)
+    # lanes[i] has a 1 in byte z when masks[z] has bit i, so summing the
+    # lanes over the bits of masks[x] & masks[y] counts the triple
+    # intersection of x, y and z in byte z. A triple count is at most
+    # lambda <= 16 in a design and at most v <= 63 for any masks, as
+    # ElementSet caps ground sets at 63 points, so no byte overflows into
+    # the next one, which would make the counts depend on the labeling.
+    # lanes[i] is transpose[i] with its bits spread one to a byte.
+    lanes = []
+    for t in transpose:
+        lane = 0
+        for k in range(0, v, 8):
+            lane |= BYTE_LANES[t >> k & 255] << 8 * k
+        lanes.append(lane)
+    # sums[k][b] is the sum of lanes[8k + j] over the bits j of the byte b,
+    # so the lane sum of a mask is one lookup per byte
+    sums = [subset_sums(lanes[k:k + 8]) for k in range(0, v, 8)]
+    totals = []
+    for x, y in combinations(range(v), 2):
+        m = masks[x] & masks[y]
+        total = 0
+        for table in sums:
+            total += table[m & 255]
+            m >>= 8
+        totals.append(total.to_bytes(v, "little"))
+    # column z holds byte z of every pair's counts, one pair to a byte
+    cube = b"".join(totals)
+    pairs = len(totals)
+    columns = [int.from_bytes(cube[z::v], "little") for z in range(v)]
+    ones = int.from_bytes(b"\1" * pairs, "little")
+    counts = []
+    for c in range(1, v + 1):
+        # a count plus 128 - c reaches bit 7 of its byte exactly when the
+        # count reaches c, and is at most 63 + 127 < 256, so no byte
+        # carries; the sum over the v columns stays below 64
+        bias = (128 - c) * ones
+        reached = sum([(column + bias) >> 7 & ones for column in columns])
+        if not reached:
+            # no pair reaches c, so none reaches a larger one
+            break
+        counts.append(reached.to_bytes(pairs, "little"))
+    # byte c - 1 of pair i is byte i of counts[c - 1]
+    grid = b"".join(counts)
+    return [grid[i::pairs] for i in range(pairs)]
+
+
+def random_masks(rows, width, density, rng):
+    return [
+        sum(1 << i for i in range(width) if rng.random() < density) for _ in range(rows)
+    ]
+
+
+class TestPlanesAgainstLanes:
+    """The bit-plane signatures byte for byte against the lane sums."""
+
+    @pytest.mark.parametrize("v", range(2, 64))
+    def test_random_incidences(self, v):
+        # widths 2..63 end in byte chunks of 1 to 8 bits and nibbles of 1 to 4
+        rng = random.Random(500 + v)
+        for density in (0.1, 0.5, 0.9, 1.0):
+            masks = random_masks(v, v, density, rng)
+            assert designs._pair_signatures(masks) == reference_pair_signatures(
+                masks, transposed(masks)
+            )
+
+    def test_both_sides_of_designs(self, fixture_designs):
+        ds = [
+            *fixture_designs.values(), hyperplane_complements(5), hyperplane_complements(6),
+            *[paley_design(q) for q in (7, 11, 19, 23, 31, 43, 47, 59)],
+        ]
+        for d in ds:
+            ctx = designs._DesignContext(d)
+            for masks in (ctx.point_in_blocks, ctx.block_bits):
+                assert designs._pair_signatures(masks) == reference_pair_signatures(
+                    masks, transposed(masks)
+                )
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8, 9, 20, 31, 40, 63])
+    def test_rectangular_incidences_rank_as_the_sorted_counts(self, n):
+        # r masks of n bits: the counts reach up to n and the planes run to
+        # bit n - 1 whether n is below r or above it
+        rng = random.Random(600 + n)
+        for r in range(2, 40):
+            for density in (0.3, 0.7, 1.0):
+                masks = random_masks(r, n, density, rng)
+                assert column_ranks(masks) == designs._rank(sorted_counts(masks))[1]
 
 
 class TestContextOnTheDesign:
@@ -281,9 +387,9 @@ class TestContextOnTheDesign:
         refined = []
         refine = designs._refine
 
-        def counting(masks, transpose):
+        def counting(masks):
             refined.append(masks)
-            return refine(masks, transpose)
+            return refine(masks)
 
         monkeypatch.setattr(designs, "_refine", counting)
         rng = random.Random(107)
