@@ -4,10 +4,11 @@ Subcommands construct the reference cliques, classify incidence-matrix
 files, search for design isomorphisms, and run a census of centered
 products over a fixed center. Reports are plain text or key=value lines,
 ending with the elapsed time unless --sorted; exit codes: 0 ok, 1 invariant
-violation, 2 parse error, 3 internal inconsistency.
+violation, 2 parse error, 3 internal inconsistency, 141 output closed early.
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ KIND_TO_INDEX = {
     for tag, idx in INDEX_BY_TAG.items()
 }
 FIXTURE_NAMES = {kind: kind.replace("-", "_") for kind in CONSTRUCT_KINDS[:5]}
+# what a shell reports for a writer killed by SIGPIPE, 128 + 13
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,14 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     elapsed = None if args.sorted else time.perf_counter() - started
-    print(report.emit(args.format, elapsed))
+    try:
+        print(report.emit(args.format, elapsed))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: stdout goes to devnull, so the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return 0
 
 

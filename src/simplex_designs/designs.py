@@ -393,7 +393,7 @@ class _Fields:
 
     __slots__ = (
         "v", "w", "full", "ones", "low", "high", "copies",
-        "m55", "m33", "m0f", "row_sum", "length", "tops",
+        "m55", "m33", "m0f", "row_sum", "length", "tops", "folds",
     )
 
     def __init__(self, v: int):
@@ -413,6 +413,8 @@ class _Fields:
         self.row_sum = ((1 << w) - 1) // 255
         stride = w // 8
         self.length, self.tops = (v + 1) * stride - 1, slice(stride - 1, None, stride)
+        # after packed |= packed >> s for each s, field 0 ORs 2**len(folds) >= v rows
+        self.folds = [w << j for j in range((v - 1).bit_length())]
 
     def spread(self, mask: int) -> int:
         """Bit i of mask moved to the lowest bit of field i (i*(w - 1) + i = i*w)."""
@@ -438,6 +440,12 @@ class _Fields:
         for i, y in enumerate(images):
             out |= (packed >> i & ones) << y
         return out
+
+    def union(self, packed: int) -> int:
+        """The OR of every row."""
+        for shift in self.folds:
+            packed |= packed >> shift
+        return packed & self.full
 
     def decided(self, packed: int) -> int:
         """The guard bits of the rows with at most one bit."""
@@ -489,7 +497,7 @@ class _Search:
     ``fields.row``, is the bitmask of the points of ctx2 that point x of
     ctx1 may still map to; b holds the blocks the same way. decided_p and
     decided_b are the guard bits of the rows with one candidate.
-    ``propagations`` and ``leaves`` count the work.
+    ``propagations``, ``leaves`` and ``cuts`` count the work.
     """
 
     def __init__(self, ctx1: _DesignContext, ctx2: _DesignContext):
@@ -499,6 +507,7 @@ class _Search:
         self.fields = ctx1.fields
         self.propagations = 0
         self.leaves = 0
+        self.cuts = 0
 
     @cached_property
     def _tables(self):
@@ -569,6 +578,11 @@ class _Search:
             images = tuple([r.bit_length() - 1 for r in self.fields.rows(state[0])])
             if len(set(images)) == self.v and _is_isomorphism(self.ctx1, self.ctx2, images):
                 return images
+            return None
+        # some block must go to each block of ctx2, which propagation misses as
+        # no row empties; uncovered blocks were seen only before any block is decided
+        if not state[3] and self.fields.union(state[1]) != self.fields.full:
+            self.cuts += 1
             return None
         for y in set_bits(self.fields.row(state[0], x)):
             child = self.fix(state, x, y)

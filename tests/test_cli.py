@@ -1,10 +1,13 @@
 import dataclasses
+import errno
+import io
+import os
 import subprocess
 import sys
 
 import pytest
 
-from simplex_designs.cli import Report, main
+from simplex_designs.cli import EXIT_BROKEN_PIPE, Report, main
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import Design, render_incidence
 
@@ -425,6 +428,49 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "class: C1" in proc.stdout
+
+
+class BrokenStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+class TestClosedOutput:
+    def test_broken_pipe_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", BrokenStdout(fd))
+            code = main(["--sorted", "classify", "c2"])
+            # the descriptor now writes to devnull, so a later flush cannot fail
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_reader_ends_without_a_traceback(self):
+        # the reading end is closed before the command writes, as when
+        # `| head -2` has exited; the interpreter's own flush at exit must
+        # not raise again
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "simplex_designs", "classify", "c2"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == ""
 
 
 NUMPY_SCRIPT = """

@@ -471,7 +471,7 @@ class TestLogging:
                         " generators=3 leaves=3 propagations=38",
         "pg42": "v=31 base=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16]"
                 " orbits=[31, 30, 1, 28, 1, 1, 1, 24, 1, 1, 1, 1, 1, 1, 16]"
-                " generators=14 leaves=14 propagations=297",
+                " generators=14 leaves=14 propagations=213",
     }
 
     def test_search_work_is_pinned(self, fixture_designs, pg42, caplog):
