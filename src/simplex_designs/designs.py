@@ -956,13 +956,12 @@ def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, 
     """
     if g.degree != d.v:
         raise InvariantError(f"degree {g.degree} does not act on {d.v} points")
-    fields = _Fields(d.v)
-    bits = [b.bits for b in d.blocks]
-    index = {b: i for i, b in enumerate(bits)}
-    incidence = fields.pack(bits)
+    ctx = d._context
+    fields = ctx.fields
+    index = {b: i for i, b in enumerate(ctx.block_bits)}
     actions = []
     for points in g.images:
-        blocks = tuple([index.get(b) for b in fields.rows(fields.move(incidence, points))])
+        blocks = tuple([index.get(b) for b in fields.rows(fields.move(ctx.incidence, points))])
         if None in blocks:
             raise InvariantError("group does not preserve the design")
         actions.append((points, blocks))

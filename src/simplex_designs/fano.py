@@ -1,19 +1,20 @@
 """Fano planes as 7-point cliques of 4-subsets of a 7-element support.
 
 A FanoPlane checks its points when built (7 distinct ascending 4-subsets of
-one ground, closed under symmetric difference) and stores what every other
-function here reads: bitmasks, support, point index (bitmask -> position),
-the 7 lines and their masks (bit i = position i). Equality and hashing
-depend on the points alone.
+one ground, closed under symmetric difference) and stores their bitmasks,
+support and point index (bitmask -> position); equality and hashing depend
+on the points alone. Sorted by bitmask, position p of every plane holds the
+vector p + 1 of PG(2,2), so all planes share the 7 position lines _LINES.
 
 A bijection between two planes carries an index: the number of lines it
 maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
 invariant for equivalence under composition with plane automorphisms.
 
-A plane's group is designs.automorphism_group of its simplices, and a class
-is a product set of two such groups. The canonical labels sit at the same
-positions in every plane, so the representative of each index is one label
-cycle from one table, read as a permutation of positions.
+A plane's group is designs.automorphism_group of its simplices, one group
+of position permutations for every plane, and a class is a product set
+over it on both sides. The canonical labels sit at the same positions in
+every plane, so the representative of each index is one label cycle from
+one table, read as a permutation of positions.
 """
 
 from collections import Counter
@@ -26,15 +27,23 @@ from .errors import InternalCheckError, InvariantError
 from .geometry import hyperplane_complement_blocks
 from .subsets import ElementSet, compose, map_bits
 
-# the position of each canonical label in every plane; see canonical_labeling
+# The lines of every plane as sorted position triples, and their position
+# masks. A plane is the nonzero vectors of a 3-dimensional space of bitmasks
+# with reduced echelon basis u1, u2, u3: only u_i holds its highest bit h_i,
+# and h1 < h2 < h3. Points x, y compare at the highest bit of x ^ y, which
+# is h_i for the last coordinate c_i where they differ, so the points sort
+# as the binary numbers c3 c2 c1: position p holds the vector p + 1, and
+# {a, b, c} is a line exactly when (a + 1) ^ (b + 1) == c + 1.
+_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+_LINE_MASKS = frozenset(1 << a | 1 << b | 1 << c for a, b, c in _LINES)
+
+# the position of each canonical label in every plane: label 12 is the
+# vector e1 + e2 = 3, at position 2, and so on
 _CANONICAL_LABELS = {"1": 0, "2": 1, "12": 2, "3": 3, "13": 4, "23": 5, "123": 6}
 # per index, the cycle of canonical labels of its representative:
 # (a, b, ...) sends a to b, b to the next label, the last to a
 _LABEL_CYCLES = {7: (), 3: ("12", "13"), 1: ("12", "13", "23"), 0: ("123", "23", "12", "13")}
 INDEX_VALUES = tuple(sorted(_LABEL_CYCLES))
-
-# the 35 triples of point positions, shared by the lines of every plane
-_TRIPLES = {t: frozenset(t) for t in combinations(range(7), 3)}
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,6 @@ class FanoPlane:
     bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
     support: ElementSet = field(init=False, compare=False, repr=False)
     index: dict[int, int] = field(init=False, compare=False, repr=False)
-    _lines: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
-    _line_masks: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -61,22 +68,16 @@ class FanoPlane:
         if support.bit_count() != 7:
             raise InvariantError("plane points must cover a 7-element support")
         index = {b: i for i, b in enumerate(bits)}
-        # a ^ b is a 4-subset only if |a & b| = 2, so a closed plane is collinear;
-        # pairs in lexicographic order emit each line once, at its two smallest points
-        lines, masks = [], []
-        for i, j in combinations(range(7), 2):
-            third = index.get(bits[i] ^ bits[j])
-            if third is None:
-                if (bits[i] & bits[j]).bit_count() != 2:
-                    raise InvariantError(f"{pts[i]} and {pts[j]} are not collinear in the plane")
-                raise InvariantError("plane is not closed under symmetric difference")
-            if j < third:
-                lines.append(_TRIPLES[i, j, third])
-                masks.append(1 << i | 1 << j | 1 << third)
-        for name, value in (
-            ("points", pts), ("bits", bits), ("support", ElementSet(support, n)),
-            ("index", index), ("_lines", tuple(lines)), ("_line_masks", frozenset(masks)),
-        ):
+        # every pair lies on one line, so 7 sums decide closure; a ^ b is a
+        # 4-subset only if |a & b| = 2, so a closed plane is collinear
+        if any(bits[a] ^ bits[b] != bits[c] for a, b, c in _LINES):
+            pairs = combinations(range(7), 2)
+            i, j = next((i, j) for i, j in pairs if bits[i] ^ bits[j] not in index)
+            if (bits[i] & bits[j]).bit_count() != 2:
+                raise InvariantError(f"{pts[i]} and {pts[j]} are not collinear in the plane")
+            raise InvariantError("plane is not closed under symmetric difference")
+        values = {"points": pts, "bits": bits, "support": ElementSet(support, n), "index": index}
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -91,11 +92,11 @@ class FanoPlane:
 
     def lines(self) -> tuple[frozenset[int], ...]:
         """The 7 lines as frozensets of point indices into .points, sorted."""
-        return self._lines
+        return tuple(map(frozenset, _LINES))
 
     def simplices(self) -> tuple[frozenset[int], ...]:
         """The 7 simplices (4 points, no 3 on a line) = complements of lines."""
-        return tuple(frozenset(range(7)) - line for line in self._lines)
+        return tuple(frozenset(range(7)).difference(line) for line in _LINES)
 
 
 def fano_planes_on(ground: ElementSet) -> tuple[FanoPlane, ...]:
@@ -150,7 +151,8 @@ def is_simplex(f: FanoPlane, s) -> bool:
 class FanoBijection:
     """A bijection between the point sets of two Fano planes.
 
-    images[i] is the index in target.points of the image of source.points[i].
+    images[i] is the index in target.points of the image of source.points[i];
+    any other sequence given as images is stored as a tuple.
     """
 
     source: FanoPlane
@@ -158,6 +160,8 @@ class FanoBijection:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.images, tuple):
+            object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(7)):
             raise InvariantError("images must be a permutation of 0..6")
 
@@ -179,18 +183,18 @@ class FanoBijection:
         return self.target.points[self.images[self.source.position(p)]]
 
 
-def _lines_kept(images, source_lines, target_masks: frozenset[int]) -> int:
-    """Number of source lines whose image under images is one of target_masks."""
+def _lines_kept(images) -> int:
+    """Number of lines whose image under the position permutation images is a line."""
     count = 0
-    for a, b, c in source_lines:
-        if (1 << images[a] | 1 << images[b] | 1 << images[c]) in target_masks:
+    for a, b, c in _LINES:
+        if (1 << images[a] | 1 << images[b] | 1 << images[c]) in _LINE_MASKS:
             count += 1
     return count
 
 
 def bijection_index(d: FanoBijection) -> int:
     """Number of source lines whose image is a line of the target."""
-    return _lines_kept(d.images, d.source._lines, d.target._line_masks)
+    return _lines_kept(d.images)
 
 
 def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
@@ -198,7 +202,7 @@ def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
 
     The simplices form a symmetric (7, 4, 2) design on positions 1..7, and a
     permutation keeps the lines exactly when it keeps their complements, so
-    the plane's group is that design's automorphism group.
+    the plane's group is that design's automorphism group, the same for every plane.
     """
     simplices = Design.from_blocks(
         ElementSet.of([i + 1 for i in s], 7) for s in f.simplices()
@@ -216,28 +220,22 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     on the line through i and j, and 123 is the remaining point: 1 and 2 are
     positions 0 and 1, and 3 is the least position off their line.
 
-    The positions are the same in every plane, since the points are sorted
-    by bitmask; write b0..b6 for them. Let t > s be the two largest support
-    elements. The three points without t form a line and come first, and b0
-    is its one point without s. Next come the two points with t but not s,
-    then the two with both. The pairs b1, b2 and b3, b4 and b5, b6 each
-    differ by b0, so b1, b3 and b5 lack the largest element of b0. Hence
-    b0 ^ b1 = b2 and b0 ^ b3 = b4, and b1 ^ b3, which holds s and t, is b5
-    rather than b6 = b1 ^ b3 ^ b0, since it lacks that element.
+    The positions are the same in every plane: position p holds the vector
+    p + 1 (see _LINES), and the label names that vector's basis elements.
     """
     return dict(_CANONICAL_LABELS)
 
 
-def _class(auts1, auts2, images) -> frozenset[tuple[int, ...]]:
-    """The product set {g2 . images . g1} over g1 in auts1, g2 in auts2.
+def _class(auts, images) -> frozenset[tuple[int, ...]]:
+    """The product set {g2 . images . g1} over g1, g2 in auts.
 
-    Given the automorphisms of the source and target planes, the set is
-    already closed under both groups, so it is the class of images.
+    auts is the group of both planes, so the set is already closed under it
+    on both sides, and it is the class of images.
     """
     return frozenset(
         compose(pre, g2)
-        for pre in (compose(g1, images) for g1 in auts1)
-        for g2 in auts2
+        for pre in (compose(g1, images) for g1 in auts)
+        for g2 in auts
     )
 
 
@@ -250,7 +248,7 @@ def are_equivalent(d1: FanoBijection, d2: FanoBijection) -> bool:
     """
     if d1.source != d2.source or d1.target != d2.target:
         raise InvariantError("bijections must share source and target planes")
-    found = d2.images in _class(automorphisms(d1.source), automorphisms(d1.target), d1.images)
+    found = d2.images in _class(automorphisms(d1.source), d1.images)
     if found != (bijection_index(d1) == bijection_index(d2)):
         raise InternalCheckError("class membership and index comparison disagree")
     return found
@@ -262,22 +260,20 @@ def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
     Each class is the class of its least member, its representative.
     Returns (representative, class-members) pairs ordered by representative.
     """
-    auts1, auts2 = automorphisms(f1), automorphisms(f2)
+    auts = automorphisms(f1)
     remaining = set(permutations(range(7)))
     classes = []
     while remaining:
         rep = min(remaining)
-        members = _class(auts1, auts2, rep)
+        members = _class(auts, rep)
         remaining -= members
         classes.append((FanoBijection(f1, f2, rep), members))
     return classes
 
 
 def index_spectrum(f1: FanoPlane, f2: FanoPlane) -> dict[int, int]:
-    """Index histogram over all 5040 bijections between two planes."""
-    return dict(Counter(
-        _lines_kept(perm, f1._lines, f2._line_masks) for perm in permutations(range(7))
-    ))
+    """Index histogram over all 5040 bijections; every pair of planes has the same."""
+    return dict(Counter(map(_lines_kept, permutations(range(7)))))
 
 
 def representative_of_index(f1: FanoPlane, f2: FanoPlane, idx: int) -> FanoBijection:

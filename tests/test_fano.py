@@ -72,6 +72,46 @@ def xor_lines(f):
     )
 
 
+def pair_check(points):
+    """Oracle: the plane check that tries all 21 pairs in lexicographic order.
+
+    Returns the InvariantError message FanoPlane(points) should raise, or
+    None when the points form a plane.
+    """
+    pts = tuple(points)
+    bits = tuple(p.bits for p in pts)
+    if len(bits) != 7 or list(bits) != sorted(set(bits)):
+        return "a Fano plane needs 7 distinct points in ascending bitmask order"
+    support, n = 0, pts[0].ground_size
+    for p in pts:
+        if p.ground_size != n or p.bits.bit_count() != 4:
+            return f"plane points must be 4-element subsets of one ground [{n}]"
+        support |= p.bits
+    if support.bit_count() != 7:
+        return "plane points must cover a 7-element support"
+    for i, j in combinations(range(7), 2):
+        if bits[i] ^ bits[j] not in bits:
+            if (bits[i] & bits[j]).bit_count() != 2:
+                return f"{pts[i]} and {pts[j]} are not collinear in the plane"
+            return "plane is not closed under symmetric difference"
+    return None
+
+
+def construction_outcome(points):
+    """The InvariantError message of FanoPlane(points), or None when it builds."""
+    try:
+        FanoPlane(tuple(points))
+    except InvariantError as error:
+        return str(error)
+    return None
+
+
+def failure_kind(message):
+    """Which check a pair_check message comes from; None for a plane."""
+    kinds = ("not collinear", "not closed", "7-element support")
+    return message and next((kind for kind in kinds if kind in message), message)
+
+
 def derived_labeling(f):
     """Oracle: the canonical labels derived from the plane's lines.
 
@@ -144,10 +184,70 @@ class TestPlaneEnumeration:
     def test_stored_lines_and_index_match_xor_closure(self, support):
         for f in fano_planes_on(support):
             assert f.lines() == xor_lines(f)
-            assert f._line_masks == {sum(1 << i for i in line) for line in xor_lines(f)}
+            assert fano._LINE_MASKS == {sum(1 << i for i in line) for line in xor_lines(f)}
             assert f.index == {p.bits: i for i, p in enumerate(f.points)}
             assert f.bits == tuple(p.bits for p in f.points)
             assert f.support == support
+
+    @pytest.mark.parametrize("n", [15, 31, 63])
+    def test_lines_match_xor_closure_on_wider_grounds(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            support = ElementSet.of(sorted(rng.sample(range(1, n + 1), 7)), n)
+            planes = fano_planes_on(support)
+            assert len(planes) == 30
+            for f in planes:
+                assert f.lines() == xor_lines(f)
+
+    def test_closure_check_agrees_with_the_pair_check_on_one_point_replacements(self, planes):
+        quads = [ElementSet.of(q, 7) for q in combinations(range(1, 8), 4)]
+        outcomes = Counter()
+        for f in planes:
+            inputs = [f.points] + [
+                tuple(sorted(f.points[:i] + (q,) + f.points[i + 1:], key=lambda p: p.bits))
+                for i in range(7)
+                for q in quads
+                if q not in f.points
+            ]
+            for points in inputs:
+                expected = pair_check(points)
+                assert construction_outcome(points) == expected
+                outcomes[failure_kind(expected)] += 1
+        # every plane builds; each replacement fails, as not closed or not collinear
+        assert outcomes[None] == 30
+        assert outcomes["not collinear"] > 0 and outcomes["not closed"] > 0
+        assert sum(outcomes.values()) == 30 * (1 + 7 * 28)
+
+    def test_closure_check_agrees_with_the_pair_check_on_three_lines_through_a_point(self):
+        # a point b with three of the pairs {x, x ^ b} of 4-subsets of [7]
+        # holds three lines through b, so only the other lines can fail
+        quads = [ElementSet.of(q, 7).bits for q in combinations(range(1, 8), 4)]
+        kinds = Counter()
+        for b in quads:
+            joined = [x for x in quads if (x & b).bit_count() == 2]
+            pairs = sorted({(min(x, x ^ b), max(x, x ^ b)) for x in joined})
+            assert len(pairs) == 9
+            for chosen in combinations(pairs, 3):
+                points = [ElementSet(bits, 7) for bits in sorted({b}.union(*chosen))]
+                expected = pair_check(points)
+                assert construction_outcome(points) == expected
+                kinds[failure_kind(expected)] += 1
+        # each plane arises once per point
+        assert kinds[None] == 30 * 7
+        assert kinds["not collinear"] > 0 and kinds["not closed"] > 0
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_closure_check_agrees_with_the_pair_check_on_random_sets(self, n):
+        rng = random.Random(40 + n)
+        quads = [ElementSet.of(q, n) for q in combinations(range(1, n + 1), 4)]
+        kinds = Counter()
+        for _ in range(3000):
+            points = sorted(rng.sample(quads, 7), key=lambda p: p.bits)
+            expected = pair_check(points)
+            assert construction_outcome(points) == expected
+            kinds[failure_kind(expected)] += 1
+        assert kinds["not collinear"] > 0 and kinds["not closed"] > 0
+        assert kinds["7-element support"] > 0
 
     def test_from_points_ignores_point_order(self, planes):
         rng = random.Random(5)
@@ -443,7 +543,8 @@ class TestEquivalence:
         with pytest.raises(InternalCheckError, match="index comparison disagree"):
             are_equivalent(d3, d1)
 
-    def test_classes_build_each_group_once(self, pair, monkeypatch):
+    def test_one_group_search_per_call(self, pair, monkeypatch):
+        # both planes have the same group on positions, so one search serves both sides
         calls = []
 
         def counted(design):
@@ -452,7 +553,12 @@ class TestEquivalence:
 
         monkeypatch.setattr(fano, "automorphism_group", counted)
         assert len(equivalence_classes(*pair)) == 4
+        assert len(calls) == 1
+        d3, d1 = (representative_of_index(*pair, idx) for idx in (3, 1))
+        assert not are_equivalent(d3, d1)
         assert len(calls) == 2
+        assert are_equivalent(d3, d3)
+        assert len(calls) == 3
 
     def test_mismatched_planes_rejected(self, planes):
         d1 = FanoBijection(planes[0], planes[1], tuple(range(7)))
@@ -491,6 +597,15 @@ class TestBijectionType:
         partial = dict(zip(f1.points[:-1], f2.points))
         with pytest.raises(InvariantError, match=re.escape(f"no image for {f1.points[-1]}")):
             FanoBijection.from_mapping(f1, f2, partial)
+
+    def test_list_images_are_stored_as_a_tuple(self, planes):
+        f = planes[0]
+        listed = FanoBijection(f, f, list(range(7)))
+        plain = FanoBijection(f, f, tuple(range(7)))
+        assert type(listed.images) is tuple
+        assert listed == plain
+        assert hash(listed) == hash(plain)
+        assert are_equivalent(plain, listed)
 
     def test_invalid_images(self, pair):
         with pytest.raises(InvariantError):

@@ -791,6 +791,7 @@ def test_setattr_rule_catches_the_patterns():
         for use in object_setattr_uses(parse(path))
     } == SETATTR_CALLERS | {
         ("designs.py", "PermGroup.__post_init__"),
+        ("fano.py", "FanoBijection.__post_init__"),
         ("fano.py", "FanoPlane.__post_init__"),
         ("geometry.py", "GeometryParams.__post_init__"),
     }
