@@ -230,7 +230,10 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 # marks the rows with at most one bit, as ((m | high) - ones) & m clears
 # the lowest bit of each row; and, as every row fills whole bytes, a
 # byte-wise popcount summed over each row's bytes counts every row, which
-# is how branch_point finds the row with fewest candidates without a loop.
+# is how branch_point finds the row with most candidates without a loop.
+# The largest cell goes first: all 168 collineations of the Fano plane on
+# C4's 7-point class survive propagation, 21 extend, and fixing those 7
+# points first walked each to the bottom (371 propagations, now 14).
 # Each narrowing rule is one AND on the other side: a decided point x -> y
 # keeps every block on the blocks through y or off them, as x lies in it or
 # not, and a decided block does the same to the points. The rules only
@@ -486,10 +489,6 @@ class _DesignContext:
         return _refine(self.block_bits)
 
 
-# a byte of row counts, with the rows of at most one bit moved above any count
-_DECIDED_LAST = bytes([255, 255, *range(2, 256)])
-
-
 class _Search:
     """First-hit backtracking from ctx1 onto ctx2 over packed candidate sets.
 
@@ -555,23 +554,23 @@ class _Search:
         return self.propagate(p, b, decided_p | guard, decided_b, guard, 0)
 
     def branch_point(self, state) -> int | None:
-        """The undecided point with fewest candidates, lowest first; None at a leaf.
+        """The undecided point with most candidates, lowest first; None at a leaf.
 
         Three SWAR steps count the bits of each byte, and the product with
         row_sum adds each row's bytes up in its top byte, at most w <= 64,
-        so nothing carries. Decided rows read 255 after translate.
+        so nothing carries. A row of two or more is undecided.
         """
         f = self.fields
         p = state[0]
         p -= p >> 1 & f.m55
         p = (p & f.m33) + (p >> 2 & f.m33)
         p = (p + (p >> 4)) & f.m0f
-        counts = (p * f.row_sum).to_bytes(f.length, "little")[f.tops].translate(_DECIDED_LAST)
-        fewest = min(counts)
-        return None if fewest == 255 else counts.index(fewest)
+        counts = (p * f.row_sum).to_bytes(f.length, "little")[f.tops]
+        most = max(counts)
+        return counts.index(most) if most > 1 else None
 
     def first_hit(self, state) -> tuple[int, ...] | None:
-        """Point images (0-based) of the first isomorphism below state."""
+        """Point images (0-based) of the first isomorphism below state, largest cell first."""
         x = self.branch_point(state)
         if x is None:
             self.leaves += 1
@@ -667,10 +666,10 @@ def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
         # call left refined on the designs
         logger.debug(
             "find_isomorphism v=%d stage=%s point_rounds=%s block_rounds=%s"
-            " leaves=%d propagations=%d",
+            " leaves=%d propagations=%d cuts=%d",
             d1.v, stage, _rounds(ctx1, ctx2, "points"),
             "-/-" if stage == "points" else _rounds(ctx1, ctx2, "blocks"),
-            search.leaves, search.propagations,
+            search.leaves, search.propagations, search.cuts,
         )
     if images is None:
         return None
@@ -890,7 +889,8 @@ def automorphism_group(d: Design) -> PermGroup:
     """Automorphism group of d, found one coset of a point stabilizer at a time.
 
     The identity path of the search gives a base b_0, ..., b_{r-1}: b_i is
-    the branch point once b_0, ..., b_{i-1} are fixed and propagated, and
+    the branch point (the undecided point with most candidates; C4's base
+    is [8, 1, 9]) once b_0, ..., b_{i-1} are fixed and propagated, and
     fixing them all decides every point. From the deepest level up, every
     candidate image y of b_i outside the orbit of b_i under the generators
     found so far gets one first-hit search with b_i -> y. A hit is an
@@ -941,9 +941,9 @@ def automorphism_group(d: Design) -> PermGroup:
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "automorphism_group v=%d base=%s orbits=%s generators=%d"
-            " leaves=%d propagations=%d",
+            " leaves=%d propagations=%d cuts=%d",
             v, [x + 1 for x, _ in path], orbit_sizes, len(generators),
-            search.leaves, search.propagations,
+            search.leaves, search.propagations, search.cuts,
         )
     return group
 

@@ -11,14 +11,15 @@ maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
 invariant for equivalence under composition with plane automorphisms.
 
 A plane's group is designs.automorphism_group of its simplices, one group
-of position permutations for every plane, and a class is a product set
-over it on both sides. The canonical labels sit at the same positions in
-every plane, so the representative of each index is one label cycle from
-one table, read as a permutation of positions.
+of position permutations for every plane, searched once per process, and
+a class is a product set over it on both sides. The canonical labels sit
+at the same positions in every plane, so the representative of each index
+is one label cycle from one table, read as a permutation of positions.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from operator import attrgetter
 
@@ -202,10 +203,16 @@ def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
 
     The simplices form a symmetric (7, 4, 2) design on positions 1..7, and a
     permutation keeps the lines exactly when it keeps their complements, so
-    the plane's group is that design's automorphism group, the same for every plane.
+    the plane's group is that design's automorphism group, the same for every
+    plane: it is searched once per process.
     """
+    return _position_group()
+
+
+@lru_cache(maxsize=None)
+def _position_group() -> tuple[tuple[int, ...], ...]:
     simplices = Design.from_blocks(
-        ElementSet.of([i + 1 for i in s], 7) for s in f.simplices()
+        ElementSet.of([i + 1 for i in range(7) if i not in line], 7) for line in _LINES
     )
     group = automorphism_group(simplices)
     if group.order != 168:

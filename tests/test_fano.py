@@ -365,6 +365,8 @@ class TestAutomorphisms:
 
     def test_group_of_another_order_aborts(self, planes, monkeypatch):
         monkeypatch.setattr(fano, "automorphism_group", lambda d: PermGroup.trivial(7))
+        # the group is searched once per process: forget it, so it is searched again
+        fano._position_group.cache_clear()
         with pytest.raises(InternalCheckError, match="168 plane automorphisms, got 1"):
             automorphisms(planes[0])
 
@@ -543,8 +545,9 @@ class TestEquivalence:
         with pytest.raises(InternalCheckError, match="index comparison disagree"):
             are_equivalent(d3, d1)
 
-    def test_one_group_search_per_call(self, pair, monkeypatch):
-        # both planes have the same group on positions, so one search serves both sides
+    def test_one_group_search_per_call(self, pair, planes, monkeypatch):
+        # every plane has the same group on positions, so one search serves
+        # both sides of every call
         calls = []
 
         def counted(design):
@@ -552,13 +555,15 @@ class TestEquivalence:
             return automorphism_group(design)
 
         monkeypatch.setattr(fano, "automorphism_group", counted)
+        fano._position_group.cache_clear()
         assert len(equivalence_classes(*pair)) == 4
         assert len(calls) == 1
         d3, d1 = (representative_of_index(*pair, idx) for idx in (3, 1))
         assert not are_equivalent(d3, d1)
-        assert len(calls) == 2
         assert are_equivalent(d3, d3)
-        assert len(calls) == 3
+        assert len(equivalence_classes(planes[5], planes[9])) == 4
+        assert fano.automorphisms(planes[0]) is fano.automorphisms(planes[7])
+        assert len(calls) == 1
 
     def test_mismatched_planes_rejected(self, planes):
         d1 = FanoBijection(planes[0], planes[1], tuple(range(7)))

@@ -452,26 +452,26 @@ class TestLogging:
             automorphism_group(fixture_designs["c1"])
         (record,) = caplog.records
         message = record.getMessage()
-        for field in ("base=", "orbits=", "generators=", "leaves=", "propagations="):
+        for field in ("base=", "orbits=", "generators=", "leaves=", "propagations=", "cuts="):
             assert field in message
 
     # The whole record pins the search tree: base, orbit sizes and the work
-    # counts (generators, leaves, propagations) of the packaged fixtures and
-    # of the v = 31 PG(4,2) hyperplane complements.
+    # counts (generators, leaves, propagations, cover cuts) of the packaged
+    # fixtures and of the v = 31 PG(4,2) hyperplane complements.
     SEARCH_RECORDS = {
-        "c1": "v=15 base=[1, 2, 3, 4, 5, 6, 8] orbits=[15, 14, 1, 12, 1, 1, 8]"
-              " generators=9 leaves=9 propagations=53",
-        "c2": "v=15 base=[1, 8, 2, 3, 10, 4] orbits=[3, 2, 12, 1, 1, 8]"
-              " generators=7 leaves=7 propagations=35",
-        "c3": "v=15 base=[1, 2, 3, 9, 10, 4] orbits=[6, 2, 1, 1, 1, 8]"
-              " generators=5 leaves=5 propagations=89",
-        "c4": "v=15 base=[1, 2, 3, 4, 5, 6, 8] orbits=[7, 3, 1, 1, 1, 1, 8]"
-              " generators=5 leaves=5 propagations=371",
-        "non_centered": "v=15 base=[1, 2, 3] orbits=[14, 6, 2]"
-                        " generators=3 leaves=3 propagations=38",
-        "pg42": "v=31 base=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16]"
-                " orbits=[31, 30, 1, 28, 1, 1, 1, 24, 1, 1, 1, 1, 1, 1, 16]"
-                " generators=14 leaves=14 propagations=213",
+        "c1": "v=15 base=[1, 2, 3, 4, 8] orbits=[15, 14, 1, 12, 8]"
+              " generators=9 leaves=9 propagations=31 cuts=0",
+        "c2": "v=15 base=[2, 4, 6, 1] orbits=[12, 8, 3, 2]"
+              " generators=6 leaves=6 propagations=23 cuts=0",
+        "c3": "v=15 base=[4, 5, 2] orbits=[8, 6, 2]"
+              " generators=3 leaves=3 propagations=14 cuts=0",
+        "c4": "v=15 base=[8, 1, 9] orbits=[8, 7, 3]"
+              " generators=3 leaves=3 propagations=14 cuts=0",
+        "non_centered": "v=15 base=[1, 2, 4, 3] orbits=[14, 6, 1, 2]"
+                        " generators=3 leaves=3 propagations=76 cuts=0",
+        "pg42": "v=31 base=[1, 2, 3, 4, 5, 6, 7, 8, 16]"
+                " orbits=[31, 30, 1, 28, 1, 1, 1, 24, 16]"
+                " generators=14 leaves=14 propagations=91 cuts=3",
     }
 
     def test_search_work_is_pinned(self, fixture_designs, pg42, caplog):

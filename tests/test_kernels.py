@@ -7,7 +7,7 @@ bytes, so w is v + 1 only for v = 7, 15, 23, 31, 63 and is 24 or 48 bits,
 not a power of two, for v = 19, 23 or 43. _Fields.move maps every row of a
 packed incidence at once; it must agree with map_bits row by row, also in
 the top field at v = 63. _Search.branch_point counts every row with a
-byte-wise popcount; it must pick the row min((popcount, x)) picks among
+byte-wise popcount; it must pick the row max((popcount, -x)) picks among
 the rows with two or more bits.
 """
 
@@ -99,10 +99,10 @@ def branch_point(fields, rows):
     return _Search.branch_point(SimpleNamespace(fields=fields), (p, 0, fields.decided(p), 0))
 
 
-def fewest_oracle(rows):
-    """min((popcount(row x), x)) over the undecided rows; None if every row is decided."""
-    undecided = [(r.bit_count(), x) for x, r in enumerate(rows) if r.bit_count() > 1]
-    return min(undecided)[1] if undecided else None
+def largest_oracle(rows):
+    """max((popcount(row x), -x)) over the undecided rows; None if every row is decided."""
+    undecided = [(r.bit_count(), -x) for x, r in enumerate(rows) if r.bit_count() > 1]
+    return -max(undecided)[1] if undecided else None
 
 
 def random_row(v, rng):
@@ -121,10 +121,10 @@ def test_branch_point_matches_the_row_walk(v):
     fields = _Fields(v)
     for _ in range(200):
         rows = [random_row(v, rng) for _ in range(v)]
-        assert branch_point(fields, rows) == fewest_oracle(rows)
+        assert branch_point(fields, rows) == largest_oracle(rows)
         # a full top row fills the last value bits before the top byte
         rows[-1] = fields.full
-        assert branch_point(fields, rows) == fewest_oracle(rows)
+        assert branch_point(fields, rows) == largest_oracle(rows)
 
 
 @pytest.mark.parametrize("v", WIDTHS)
@@ -135,7 +135,11 @@ def test_branch_point_edges(v):
     assert branch_point(fields, singles) is None
     # one undecided row, at the top, full
     assert branch_point(fields, singles[:-1] + [fields.full]) == v - 1
+    # one undecided row of two bits, at the top: it beats every decided row
+    assert branch_point(fields, singles[:-1] + [3]) == v - 1
     # every row full: the lowest wins the tie
     assert branch_point(fields, [fields.full] * v) == 0
-    # two bits beat a full row, wherever they sit
-    assert branch_point(fields, [fields.full] * (v - 1) + [3]) == v - 1
+    # a full row beats rows of two bits, wherever it sits
+    assert branch_point(fields, [3] * (v - 1) + [fields.full]) == v - 1
+    # two full rows among rows of two bits: the lower one wins the tie
+    assert branch_point(fields, [3] + [fields.full] + [3] * (v - 3) + [fields.full]) == 1

@@ -12,8 +12,10 @@ alone. The point roster's numbering (index_of, indices_of,
 Clique.vertices) is used in geometry.py and cliques.py alone: everywhere
 else points are bitmasks, so nothing else builds the roster. functools.lru_cache and
 functools.cache appear only on geometry_for_dimension, whose shared
-geometry the tests rely on: a module-level cache is global mutable state,
-and what the search computes lazily stays on its own instances.
+geometry the tests rely on, and on fano._position_group, the one group of
+position permutations of every Fano plane, which takes no argument: a
+module-level cache is global mutable state, and what the search computes
+lazily stays on its own instances.
 Clique._proved, which skips the pair check, is called only by
 enumerate_maximal_cliques and product_clique, whose outputs are proved
 cliques by construction; every other clique goes through the full check.
@@ -307,7 +309,7 @@ def lowest_bits_outside_takers(path):
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
-CACHED_FUNCTIONS = {("geometry.py", "geometry_for_dimension")}
+CACHED_FUNCTIONS = {("geometry.py", "geometry_for_dimension"), ("fano.py", "_position_group")}
 
 
 def functools_caches(tree):

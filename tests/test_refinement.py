@@ -425,16 +425,17 @@ class TestContextOnTheDesign:
 # Witness images of find_isomorphism from each fixture onto two relabelings
 # and from the PG(4,2) hyperplane complements onto one, the relabelings drawn
 # in this order from random.Random(1013). Recorded with the three-round
-# refinement that the oracle above keeps.
+# refinement that the oracle above keeps, branching on the undecided point
+# with most candidates.
 WITNESSES = {
     ("c1", 0): (1, 2, 13, 3, 6, 15, 9, 4, 5, 11, 7, 8, 14, 10, 12),
     ("c1", 1): (1, 2, 10, 3, 7, 14, 8, 4, 13, 9, 15, 11, 6, 12, 5),
     ("c2", 0): (7, 1, 11, 2, 6, 4, 9, 8, 14, 13, 15, 3, 10, 12, 5),
-    ("c2", 1): (6, 1, 11, 2, 15, 13, 9, 7, 10, 3, 12, 14, 8, 5, 4),
-    ("c3", 0): (3, 10, 5, 1, 8, 11, 15, 7, 6, 13, 12, 2, 4, 9, 14),
-    ("c3", 1): (1, 9, 14, 2, 15, 5, 8, 4, 7, 13, 11, 6, 10, 12, 3),
+    ("c2", 1): (7, 1, 3, 2, 14, 5, 13, 10, 6, 12, 11, 8, 15, 9, 4),
+    ("c3", 0): (6, 10, 12, 1, 4, 9, 15, 7, 3, 13, 5, 2, 8, 11, 14),
+    ("c3", 1): (11, 1, 13, 2, 3, 10, 5, 4, 14, 7, 9, 6, 8, 15, 12),
     ("c4", 0): (1, 7, 14, 15, 11, 4, 8, 2, 9, 6, 3, 5, 12, 13, 10),
-    ("c4", 1): (3, 7, 8, 15, 10, 6, 14, 1, 4, 13, 9, 12, 2, 5, 11),
+    ("c4", 1): (3, 10, 15, 6, 14, 8, 7, 1, 2, 13, 11, 9, 5, 4, 12),
     ("non_centered", 0): (1, 3, 2, 14, 15, 8, 13, 4, 6, 11, 7, 9, 12, 10, 5),
     ("non_centered", 1): (1, 2, 6, 15, 4, 14, 7, 13, 9, 10, 11, 8, 5, 12, 3),
     ("pg42", 0): (
@@ -488,7 +489,7 @@ class TestIsomorphismLogging:
         assert witness is None
         assert message == (
             "find_isomorphism v=15 stage=points point_rounds=2/1"
-            " block_rounds=-/- leaves=0 propagations=0"
+            " block_rounds=-/- leaves=0 propagations=0 cuts=0"
         )
 
     def test_rejected_record_ignores_earlier_calls(self, fixture_designs, caplog):
@@ -501,7 +502,7 @@ class TestIsomorphismLogging:
         assert witness is None
         assert message == (
             "find_isomorphism v=15 stage=points point_rounds=2/1"
-            " block_rounds=-/- leaves=0 propagations=0"
+            " block_rounds=-/- leaves=0 propagations=0 cuts=0"
         )
 
     def test_v31_record(self, caplog):
