@@ -10,20 +10,20 @@ A bijection between two planes carries an index: the number of lines it
 maps to lines. The index takes only the values 0, 1, 3, 7 and is a complete
 invariant for equivalence under composition with plane automorphisms.
 
-A plane's group is designs.automorphism_group of its simplices, one group
-of position permutations for every plane, searched once per process, and
-a class is a product set over it on both sides. The canonical labels sit
-at the same positions in every plane, so the representative of each index
-is one label cycle from one table, read as a permutation of positions.
+A plane's group (the 168 position permutations that keep the lines) and its
+double cosets, the classes, form one table built from _LINES once per
+process. Canonical labels sit at the same positions in every plane, so the
+representative of each index is one label cycle, read as a position permutation.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import attrgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .designs import Design, automorphism_group
 from .errors import InternalCheckError, InvariantError
 from .geometry import hyperplane_complement_blocks
 from .subsets import ElementSet, compose, map_bits
@@ -37,6 +37,10 @@ from .subsets import ElementSet, compose, map_bits
 # {a, b, c} is a line exactly when (a + 1) ^ (b + 1) == c + 1.
 _LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 _LINE_MASKS = frozenset(1 << a | 1 << b | 1 << c for a, b, c in _LINES)
+
+# generators of the plane group: the Singer cycle v -> av of GF(8) =
+# F2[a]/(a^3 + a + 1) and the swap of e1 and e2 (checked in _class_table)
+_GENERATORS = ((1, 3, 5, 2, 0, 6, 4), (1, 0, 2, 3, 5, 4, 6))
 
 # the position of each canonical label in every plane: label 12 is the
 # vector e1 + e2 = 3, at position 2, and so on
@@ -83,7 +87,7 @@ class FanoPlane:
 
     @classmethod
     def from_points(cls, points) -> "FanoPlane":
-        return cls(tuple(sorted(points, key=attrgetter("bits"))))
+        return cls(tuple(sorted(points, key=operator.attrgetter("bits"))))
 
     def position(self, p: ElementSet) -> int:
         """The index of p in .points; InvariantError unless p is a point of the plane."""
@@ -153,7 +157,7 @@ class FanoBijection:
     """A bijection between the point sets of two Fano planes.
 
     images[i] is the index in target.points of the image of source.points[i];
-    any other sequence given as images is stored as a tuple.
+    they are stored as a tuple of ints, and a float or other non-integer is refused.
     """
 
     source: FanoPlane
@@ -161,10 +165,13 @@ class FanoBijection:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(7)):
+        try:
+            images = tuple(map(operator.index, self.images))
+        except TypeError:
+            raise InvariantError("images must be a permutation of 0..6") from None
+        if sorted(images) != list(range(7)):
             raise InvariantError("images must be a permutation of 0..6")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def from_mapping(cls, source: FanoPlane, target: FanoPlane, mapping) -> "FanoBijection":
@@ -198,26 +205,38 @@ def bijection_index(d: FanoBijection) -> int:
     return _lines_kept(d.images)
 
 
-def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
-    """All 168 automorphisms as index permutations of f.points, sorted.
-
-    The simplices form a symmetric (7, 4, 2) design on positions 1..7, and a
-    permutation keeps the lines exactly when it keeps their complements, so
-    the plane's group is that design's automorphism group, the same for every
-    plane: it is searched once per process.
-    """
-    return _position_group()
+class _ClassTable(NamedTuple):
+    group: tuple  # the position permutations that keep the lines, ascending
+    least: MappingProxyType  # each position permutation -> the least member of its class
+    classes: tuple  # (least member, frozenset of members) per class, ascending
 
 
 @lru_cache(maxsize=None)
-def _position_group() -> tuple[tuple[int, ...], ...]:
-    simplices = Design.from_blocks(
-        ElementSet.of([i + 1 for i in range(7) if i not in line], 7) for line in _LINES
-    )
-    group = automorphism_group(simplices)
-    if group.order != 168:
-        raise InternalCheckError(f"expected 168 plane automorphisms, got {group.order}")
-    return tuple(sorted(tuple(i - 1 for i in g.images) for g in group.elements))
+def _class_table() -> _ClassTable:
+    """Each class g2 . p . g1 is walked from its least member p by the generators
+    on both sides, so the class of the identity is the group they generate."""
+    group = tuple(p for p in permutations(range(7)) if _lines_kept(p) == 7)
+    if len(group) != 168:
+        raise InternalCheckError(f"expected 168 plane automorphisms, got {len(group)}")
+    least, classes = {}, []
+    for p in permutations(range(7)):
+        if p not in least:
+            least[p], members = p, [p]
+            for q in members:  # grows as the walk reaches new members
+                for g in _GENERATORS:
+                    for r in (compose(q, g), compose(g, q)):
+                        if r not in least:
+                            least[r] = p
+                            members.append(r)
+            classes.append((p, frozenset(members)))
+    if classes[0][1] != frozenset(group):
+        raise InternalCheckError("the generators do not generate the plane group")
+    return _ClassTable(group, MappingProxyType(least), tuple(classes))
+
+
+def automorphisms(f: FanoPlane) -> tuple[tuple[int, ...], ...]:
+    """All 168 automorphisms as index permutations of f.points, sorted; every plane's."""
+    return _class_table().group
 
 
 def canonical_labeling(f: FanoPlane) -> dict[str, int]:
@@ -233,29 +252,17 @@ def canonical_labeling(f: FanoPlane) -> dict[str, int]:
     return dict(_CANONICAL_LABELS)
 
 
-def _class(auts, images) -> frozenset[tuple[int, ...]]:
-    """The product set {g2 . images . g1} over g1, g2 in auts.
-
-    auts is the group of both planes, so the set is already closed under it
-    on both sides, and it is the class of images.
-    """
-    return frozenset(
-        compose(pre, g2)
-        for pre in (compose(g1, images) for g1 in auts)
-        for g2 in auts
-    )
-
-
 def are_equivalent(d1: FanoBijection, d2: FanoBijection) -> bool:
     """Whether d2 = g2 . d1 . g1 for automorphisms g1, g2 of the two planes.
 
-    Looks d2 up in the class of d1 and compares the outcome with index
+    Looks both up in the class table and compares the outcome with index
     equality; a disagreement would falsify the index invariant and aborts
     loudly.
     """
     if d1.source != d2.source or d1.target != d2.target:
         raise InvariantError("bijections must share source and target planes")
-    found = d2.images in _class(automorphisms(d1.source), d1.images)
+    least = _class_table().least
+    found = least[d1.images] == least[d2.images]
     if found != (bijection_index(d1) == bijection_index(d2)):
         raise InternalCheckError("class membership and index comparison disagree")
     return found
@@ -267,15 +274,7 @@ def equivalence_classes(f1: FanoPlane, f2: FanoPlane):
     Each class is the class of its least member, its representative.
     Returns (representative, class-members) pairs ordered by representative.
     """
-    auts = automorphisms(f1)
-    remaining = set(permutations(range(7)))
-    classes = []
-    while remaining:
-        rep = min(remaining)
-        members = _class(auts, rep)
-        remaining -= members
-        classes.append((FanoBijection(f1, f2, rep), members))
-    return classes
+    return [(FanoBijection(f1, f2, rep), members) for rep, members in _class_table().classes]
 
 
 def index_spectrum(f1: FanoPlane, f2: FanoPlane) -> dict[int, int]:

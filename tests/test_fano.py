@@ -5,9 +5,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from simplex_designs import fano
+from simplex_designs import designs, fano
 from simplex_designs.constructions import hyperplane_complement_blocks
-from simplex_designs.designs import PermGroup, automorphism_group
+from simplex_designs.designs import Design, automorphism_group
 from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
     INDEX_VALUES,
@@ -24,7 +24,7 @@ from simplex_designs.fano import (
     representative_of_index,
 )
 from simplex_designs.geometry import is_singular_subspace
-from simplex_designs.subsets import ElementSet
+from simplex_designs.subsets import ElementSet, compose
 
 # spectrum of bijection indices over all 7! maps between two planes,
 # frozen from the exhaustive scan
@@ -70,6 +70,54 @@ def xor_lines(f):
         frozenset(t) for t in combinations(range(7), 3)
         if bits[t[0]] ^ bits[t[1]] ^ bits[t[2]] == 0
     )
+
+
+def searched_group(f):
+    """Oracle: the plane group as the automorphism_group search on its simplices.
+
+    The simplices, the complements of the lines found by xor_lines, form a
+    symmetric (7, 4, 2) design on positions 1..7, and a permutation keeps the
+    lines exactly when it keeps their complements.
+    """
+    simplices = Design.from_blocks(
+        ElementSet.of([i + 1 for i in range(7) if i not in line], 7) for line in xor_lines(f)
+    )
+    group = automorphism_group(simplices)
+    assert group.order == 168
+    return tuple(sorted(tuple(i - 1 for i in g.images) for g in group.elements))
+
+
+def product_class(auts, images):
+    """Oracle: the product set {g2 . images . g1} over g1, g2 in auts.
+
+    auts is the group of both planes, so the set is closed under it on both
+    sides, and it is the class of images.
+    """
+    return frozenset(
+        compose(pre, g2)
+        for pre in (compose(g1, images) for g1 in auts)
+        for g2 in auts
+    )
+
+
+def product_classes(auts):
+    """Oracle: the 5040 permutations as product sets, each from its least remaining member."""
+    remaining = set(permutations(range(7)))
+    classes = []
+    while remaining:
+        rep = min(remaining)
+        members = product_class(auts, rep)
+        remaining -= members
+        classes.append((rep, members))
+    return classes
+
+
+@pytest.fixture
+def fresh_table():
+    """Forget the class table before and after a test that builds it under a patch."""
+    fano._class_table.cache_clear()
+    yield
+    fano._class_table.cache_clear()
 
 
 def pair_check(points):
@@ -363,12 +411,35 @@ class TestAutomorphisms:
     def test_count_168(self, planes):
         assert len(automorphisms(planes[0])) == 168
 
-    def test_group_of_another_order_aborts(self, planes, monkeypatch):
-        monkeypatch.setattr(fano, "automorphism_group", lambda d: PermGroup.trivial(7))
-        # the group is searched once per process: forget it, so it is searched again
-        fano._position_group.cache_clear()
-        with pytest.raises(InternalCheckError, match="168 plane automorphisms, got 1"):
+    def test_group_of_another_order_aborts(self, planes, monkeypatch, fresh_table):
+        # a filter that keeps the maps of index 3 or more keeps 168 + 1176 of them
+        kept = fano._lines_kept
+        monkeypatch.setattr(fano, "_lines_kept", lambda p: 7 if kept(p) >= 3 else kept(p))
+        with pytest.raises(InternalCheckError, match="168 plane automorphisms, got 1344"):
             automorphisms(planes[0])
+
+    def test_another_group_of_order_168_aborts(self, planes, monkeypatch, fresh_table):
+        # the group conjugated by the transposition of positions 0 and 3 has
+        # order 168 too, but the generators generate the plane group
+        swap = (3, 1, 2, 0, 4, 5, 6)
+        kept = fano._lines_kept
+        monkeypatch.setattr(fano, "_lines_kept", lambda p: kept(compose(compose(swap, p), swap)))
+        with pytest.raises(InternalCheckError, match="do not generate the plane group"):
+            automorphisms(planes[0])
+        d = FanoBijection(planes[0], planes[1], tuple(range(7)))
+        for call in (lambda: equivalence_classes(*planes[:2]), lambda: are_equivalent(d, d)):
+            with pytest.raises(InternalCheckError, match="do not generate the plane group"):
+                call()
+
+    def test_table_is_built_once_and_immutable(self, planes):
+        table = fano._class_table()
+        assert fano._class_table() is table
+        assert automorphisms(planes[0]) is table.group is automorphisms(planes[7])
+        assert isinstance(table.group, tuple) and isinstance(table.classes, tuple)
+        assert all(isinstance(members, frozenset) for _, members in table.classes)
+        with pytest.raises(TypeError):
+            table.least[tuple(range(7))] = (0, 1, 2, 3, 4, 6, 5)
+        assert len(table.least) == 5040
 
     def test_all_preserve_lines(self, planes):
         f = planes[0]
@@ -381,6 +452,43 @@ class TestAutomorphisms:
         planes = fano_planes_on(support)
         for f in (planes[0], planes[-1]):
             assert automorphisms(f) == line_keeping_permutations(f)
+
+
+@pytest.mark.parametrize("support", [ElementSet.full(7), OTHER_SUPPORT], ids=str)
+class TestAgainstTheSearchedGroup:
+    """The class table against the design search and the product sets over its group."""
+
+    def test_group_equals_the_searched_group(self, support):
+        planes = fano_planes_on(support)
+        for f in (planes[0], planes[12], planes[-1]):
+            assert automorphisms(f) == searched_group(f)
+
+    def test_classes_equal_the_product_sets(self, support):
+        planes = fano_planes_on(support)
+        f1, f2 = planes[4], planes[-3]
+        oracle = product_classes(searched_group(f1))
+        assert [len(members) for _, members in oracle] == [168, 1176, 2352, 1344]
+        found = equivalence_classes(f1, f2)
+        assert [(rep.images, members) for rep, members in found] == oracle
+        assert all(rep.source == f1 and rep.target == f2 for rep, _ in found)
+        # the least members, and their indices, as the paper reads the classes
+        assert [rep for rep, _ in oracle] == [
+            (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 6, 5), (0, 1, 2, 3, 5, 6, 4), (0, 1, 3, 2, 5, 6, 4)
+        ]
+        assert [bijection_index(rep) for rep, _ in found] == [7, 3, 1, 0]
+
+    def test_equivalence_equals_product_set_membership(self, support):
+        planes = fano_planes_on(support)
+        f1, f2 = planes[7], planes[21]
+        auts = searched_group(f1)
+        rng = random.Random(len(support.elements()) + support.ground_size)
+        for _ in range(12):
+            d = tuple(rng.sample(range(7), 7))
+            e = tuple(rng.sample(range(7), 7))
+            members = product_class(auts, d)
+            for other in (e, compose(compose(rng.choice(auts), d), rng.choice(auts))):
+                found = are_equivalent(FanoBijection(f1, f2, d), FanoBijection(f1, f2, other))
+                assert found == (other in members)
 
 
 class TestIndex:
@@ -545,31 +653,43 @@ class TestEquivalence:
         with pytest.raises(InternalCheckError, match="index comparison disagree"):
             are_equivalent(d3, d1)
 
-    def test_one_group_search_per_call(self, pair, planes, monkeypatch):
-        # every plane has the same group on positions, so one search serves
-        # both sides of every call
-        calls = []
+    def test_no_design_search(self, pair, planes, monkeypatch, fresh_table):
+        # the group and the classes come from the lines alone, so no Fano
+        # call reaches the design search, not even the first one
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Fano layer ran a design search")
 
-        def counted(design):
-            calls.append(design)
-            return automorphism_group(design)
-
-        monkeypatch.setattr(fano, "automorphism_group", counted)
-        fano._position_group.cache_clear()
+        for name in ("automorphism_group", "find_isomorphism", "_Search"):
+            monkeypatch.setattr(designs, name, refuse)
+        f1, f2 = pair
+        assert len(automorphisms(f1)) == 168
         assert len(equivalence_classes(*pair)) == 4
-        assert len(calls) == 1
         d3, d1 = (representative_of_index(*pair, idx) for idx in (3, 1))
         assert not are_equivalent(d3, d1)
         assert are_equivalent(d3, d3)
         assert len(equivalence_classes(planes[5], planes[9])) == 4
+        assert index_spectrum(f1, f2) == SPECTRUM
+        assert bijection_index(d3) == 3
+        assert is_simplex(f1, f1.points[3:])
+        assert canonical_labeling(f1) == derived_labeling(f1)
+        assert len(fano_planes_on(OTHER_SUPPORT)) == 30
         assert fano.automorphisms(planes[0]) is fano.automorphisms(planes[7])
-        assert len(calls) == 1
 
     def test_mismatched_planes_rejected(self, planes):
         d1 = FanoBijection(planes[0], planes[1], tuple(range(7)))
         d2 = FanoBijection(planes[0], planes[2], tuple(range(7)))
         with pytest.raises(InvariantError):
             are_equivalent(d1, d2)
+
+
+class Position:
+    """An integer position that is not an int, as operator.index reads it."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __index__(self):
+        return self.i
 
 
 class TestBijectionType:
@@ -615,3 +735,31 @@ class TestBijectionType:
     def test_invalid_images(self, pair):
         with pytest.raises(InvariantError):
             FanoBijection(*pair, (0, 0, 1, 2, 3, 4, 5))
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            (0, 1, 2, 3, 4, 5, 6.0),
+            ("0", "1", "2", "3", "4", "5", "6"),
+            None,
+        ],
+        ids=["floats", "one-float", "strings", "none"],
+    )
+    def test_non_integer_images_are_refused(self, pair, images):
+        with pytest.raises(InvariantError, match="permutation of 0..6"):
+            FanoBijection(*pair, images)
+
+    @pytest.mark.parametrize(
+        "images",
+        [(True, False, 2, 3, 4, 5, 6), [Position(i) for i in (1, 0, 2, 3, 4, 5, 6)]],
+        ids=["bools", "index-objects"],
+    )
+    def test_integer_images_are_stored_as_ints(self, pair, images):
+        # True and False are the ints 1 and 0; any object with __index__ is its int
+        d = FanoBijection(*pair, images)
+        assert d.images == (1, 0, 2, 3, 4, 5, 6)
+        assert all(type(i) is int for i in d.images)
+        assert d == FanoBijection(*pair, (1, 0, 2, 3, 4, 5, 6))
+        assert bijection_index(d) == 3
+        assert d(pair[0].points[0]) == pair[1].points[1]

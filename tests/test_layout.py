@@ -12,10 +12,12 @@ alone. The point roster's numbering (index_of, indices_of,
 Clique.vertices) is used in geometry.py and cliques.py alone: everywhere
 else points are bitmasks, so nothing else builds the roster. functools.lru_cache and
 functools.cache appear only on geometry_for_dimension, whose shared
-geometry the tests rely on, and on fano._position_group, the one group of
-position permutations of every Fano plane, which takes no argument: a
-module-level cache is global mutable state, and what the search computes
-lazily stays on its own instances.
+geometry the tests rely on, and on fano._class_table, the one group and
+class table of position permutations of every Fano plane, which takes no
+argument and holds only immutable values: a module-level cache is global
+mutable state, and what the search computes lazily stays on its own
+instances. fano.py does not import designs: the plane group and its
+classes come from the plane's lines, with no design search.
 Clique._proved, which skips the pair check, is called only by
 enumerate_maximal_cliques and product_clique, whose outputs are proved
 cliques by construction; every other clique goes through the full check.
@@ -43,7 +45,9 @@ operations, as a walk over the undecided rows there costs about a tenth of
 an automorphism_group call. designs._pair_signatures and designs._refine
 call no combinations: they treat every pair of indices at once, through
 joined bytes, big ints and slices, as a loop over the pairs there took most
-of the refinement's time.
+of the refinement's time. Every name that a module other than __init__.py
+imports is read in that module, as no linter runs on the package and an
+import left behind by a rewrite would go unseen.
 """
 
 import ast
@@ -309,7 +313,7 @@ def lowest_bits_outside_takers(path):
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
-CACHED_FUNCTIONS = {("geometry.py", "geometry_for_dimension"), ("fano.py", "_position_group")}
+CACHED_FUNCTIONS = {("geometry.py", "geometry_for_dimension"), ("fano.py", "_class_table")}
 
 
 def functools_caches(tree):
@@ -354,6 +358,25 @@ def functools_caches(tree):
         for node in ast.walk(tree)
         if is_cache(node)
     ]
+
+
+def unused_imports(tree):
+    """Names an import statement binds and the module never reads, as "line N: name".
+
+    import a.b binds a; from __future__ imports bind nothing.
+    """
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(found) if name not in read]
 
 
 def mutable_dataclasses(tree):
@@ -487,6 +510,43 @@ def test_import_rules_catch_the_patterns():
     assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
     # the package's modules do import each other, so the graph rule is not vacuous
     assert module_import_graph()["constructions"] >= {"cliques", "fano", "geometry"}
+
+
+def test_fano_does_not_import_designs():
+    # the plane group and its classes come from the lines, not from a design search
+    graph = module_import_graph()
+    assert "designs" not in graph["fano"]
+    assert graph["fano"] >= {"errors", "subsets"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_imported_name_is_read(path):
+    assert unused_imports(parse(path)) == []
+
+
+def test_unused_import_rule_catches_the_patterns():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import xml.dom\n"
+        "from collections import Counter, deque as dq\n"
+        "from .designs import Design, automorphism_group\n"
+        "import json\n"
+        "def count(x) -> 'Design':\n"
+        "    json = x\n"
+        "    return Counter(x), osp.join, xml.dom, Design\n"
+    )
+    assert unused_imports(tree) == [
+        "line 2: os",
+        "line 5: dq",
+        "line 6: automorphism_group",
+        "line 7: json",
+    ]
+    # __init__.py imports names only to export them, so it is left out
+    assert unused_imports(parse(PACKAGE / "__init__.py"))
 
 
 @pytest.mark.parametrize(
