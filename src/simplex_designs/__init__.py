@@ -32,7 +32,6 @@ from .constructions import (
 from .designs import (
     Design,
     HadamardMatrix,
-    PermGroup,
     automorphism_group,
     block_orbit_count,
     design_from_clique,
@@ -72,6 +71,7 @@ from .geometry import (
     line_through,
     singular_span,
 )
+from .groups import PermGroup
 from .subsets import ElementSet, Permutation, apply, complement_in, intersection_size, symdiff
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ sets (e.g. signed labels) are handled by explicit label maps at the caller.
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import GroundMismatchError, ParseError
 
@@ -111,15 +111,19 @@ class Permutation:
 
     Composition is left-to-right everywhere in this package:
     (p * q)(i) == q(p(i)).  This is the single documented convention and
-    all group code relies on it.
+    all group code relies on it. Images are stored as ints; a float is refused.
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        try:
+            images = tuple(map(index, self.images))
+        except TypeError:
+            raise ValueError("images must be integers") from None
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("images do not form a bijection of 1..n")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

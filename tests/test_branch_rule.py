@@ -14,7 +14,6 @@ from itertools import combinations
 
 import pytest
 
-from simplex_designs import designs
 from simplex_designs.designs import (
     Design,
     automorphism_group,
@@ -23,6 +22,7 @@ from simplex_designs.designs import (
     flag_orbit_count,
     point_block_systems,
 )
+from simplex_designs.search import Search
 from simplex_designs.subsets import apply
 
 from conftest import FIXTURE_NAMES
@@ -30,7 +30,7 @@ from test_cover_cut import relabelings, searched
 from test_propagation import hyperplane_complements, paley_design
 
 
-class FewestFirstSearch(designs._Search):
+class FewestFirstSearch(Search):
     """The search branching on the undecided point with fewest candidates,
     lowest first, as it stood before, read off a walk over the rows."""
 
@@ -71,7 +71,7 @@ class TestAgainstFewestFirst:
     def test_groups_agree(self, monkeypatch, cases):
         for seed, d in enumerate(cases.values()):
             for e in [d, *relabelings(d, 500 + seed)]:
-                group, _ = group_of(monkeypatch, designs._Search, e)
+                group, _ = group_of(monkeypatch, Search, e)
                 old, _ = group_of(monkeypatch, FewestFirstSearch, e)
                 assert group.order == old.order
                 assert all(g in old.elements for g in group.generators)
@@ -83,7 +83,7 @@ class TestAgainstFewestFirst:
     def test_relabelings_are_found_by_both(self, monkeypatch, cases):
         for seed, d in enumerate(cases.values()):
             for e in relabelings(d, 600 + seed):
-                found, _ = isomorphism_of(monkeypatch, designs._Search, d, e)
+                found, _ = isomorphism_of(monkeypatch, Search, d, e)
                 old, _ = isomorphism_of(monkeypatch, FewestFirstSearch, d, e)
                 assert found is not None and old is not None
 
@@ -96,7 +96,7 @@ class TestAgainstFewestFirst:
         for (_, d1), (_, d2) in combinations(cases.items(), 2):
             if d1.v == d2.v:
                 (e,) = relabelings(d2, rng.randrange(2**32), 1)
-                found, _ = isomorphism_of(monkeypatch, designs._Search, d1, e)
+                found, _ = isomorphism_of(monkeypatch, Search, d1, e)
                 old, _ = isomorphism_of(monkeypatch, FewestFirstSearch, d1, e)
                 assert (found is None) == (old is None)
                 pairs += 1
@@ -109,6 +109,6 @@ class TestAgainstFewestFirst:
         for seed, name in enumerate(FIXTURE_NAMES):
             d = fixture_designs[name]
             for e in [d, *relabelings(d, 700 + seed)]:
-                new += group_of(monkeypatch, designs._Search, e)[1].propagations
+                new += group_of(monkeypatch, Search, e)[1].propagations
                 old += group_of(monkeypatch, FewestFirstSearch, e)[1].propagations
         assert 2 * new <= old

@@ -9,16 +9,16 @@ from itertools import combinations
 
 import pytest
 
-from simplex_designs import designs
 from simplex_designs.designs import Design, automorphism_group, find_isomorphism
+from simplex_designs.search import Search, _Fields, _is_isomorphism
 from simplex_designs.subsets import Permutation, apply, set_bits
 
-from test_propagation import hyperplane_complements, paley_design
+from test_propagation import hyperplane_complements, incidence, paley_design
 
 GL62_ORDER = 63 * 62 * 60 * 56 * 48 * 32
 
 
-class UncutSearch(designs._Search):
+class UncutSearch(Search):
     """The first-hit search without the cover cut, as it stood before it."""
 
     def first_hit(self, state):
@@ -26,7 +26,7 @@ class UncutSearch(designs._Search):
         if x is None:
             self.leaves += 1
             images = tuple([r.bit_length() - 1 for r in self.fields.rows(state[0])])
-            if len(set(images)) == self.v and designs._is_isomorphism(
+            if len(set(images)) == self.v and _is_isomorphism(
                 self.ctx1, self.ctx2, images
             ):
                 return images
@@ -49,7 +49,7 @@ def searched(monkeypatch, search_class, call, *args):
             super().__init__(*search_args)
             made.append(self)
 
-    monkeypatch.setattr(designs, "_Search", Recorded)
+    monkeypatch.setattr("simplex_designs.search.Search", Recorded)
     result = call(*args)
     monkeypatch.undo()
     (search,) = made
@@ -79,7 +79,7 @@ class TestAgainstUncutSearch:
     def compare_isomorphism(self, monkeypatch, d1, d2) -> int:
         # fresh designs, so both runs refine alike and nothing is cached
         d1, d2 = Design(d1.blocks), Design(d2.blocks)
-        found, cut = searched(monkeypatch, designs._Search, find_isomorphism, d1, d2)
+        found, cut = searched(monkeypatch, Search, find_isomorphism, d1, d2)
         expected, uncut = searched(monkeypatch, UncutSearch, find_isomorphism, d1, d2)
         assert found == expected
         if found is not None:
@@ -90,7 +90,7 @@ class TestAgainstUncutSearch:
 
     def compare_group(self, monkeypatch, d) -> int:
         d = Design(d.blocks)
-        group, cut = searched(monkeypatch, designs._Search, automorphism_group, d)
+        group, cut = searched(monkeypatch, Search, automorphism_group, d)
         expected, uncut = searched(monkeypatch, UncutSearch, automorphism_group, d)
         assert group.generators == expected.generators
         assert group.order == expected.order
@@ -127,9 +127,9 @@ class TestHandBuiltState:
     def test_an_uncovered_block_is_cut(self, fixture_designs):
         d = fixture_designs["c1"]
         e = d.relabeled(Permutation.random(15, random.Random(17)))
-        ctx1, ctx2 = designs._DesignContext(d), designs._DesignContext(e)
-        p, b, decided_p, decided_b = designs._Search(ctx1, ctx2).root()
-        search, uncut = designs._Search(ctx1, ctx2), UncutSearch(ctx1, ctx2)
+        ctx1, ctx2 = incidence(d), incidence(e)
+        p, b, decided_p, decided_b = Search(ctx1, ctx2).root()
+        search, uncut = Search(ctx1, ctx2), UncutSearch(ctx1, ctx2)
         fields = search.fields
         # C1 is one class on each side: every row is full and none decided
         assert b == fields.low and not decided_p and not decided_b
@@ -147,7 +147,7 @@ class TestHandBuiltState:
 
     @pytest.mark.parametrize("v", [3, 7, 15, 31, 59, 63])
     def test_union_is_the_or_of_the_rows(self, v):
-        fields = designs._Fields(v)
+        fields = _Fields(v)
         rng = random.Random(v)
         for _ in range(20):
             rows = [rng.getrandbits(v) & rng.getrandbits(v) for _ in range(v)]
@@ -166,7 +166,7 @@ class TestPG52:
         return hyperplane_complements(6)
 
     def test_group_is_gl62(self, monkeypatch, pg52):
-        group, search = searched(monkeypatch, designs._Search, automorphism_group, pg52)
+        group, search = searched(monkeypatch, Search, automorphism_group, pg52)
         assert group.order == GL62_ORDER == 20_158_709_760
         # 309 when pinned (815 when it branched on the fewest candidates);
         # the uncut search made 147,068 then
@@ -174,7 +174,7 @@ class TestPG52:
 
     def test_relabeling_is_found(self, monkeypatch, pg52):
         e = pg52.relabeled(Permutation.random(63, random.Random(63)))
-        w, search = searched(monkeypatch, designs._Search, find_isomorphism, pg52, e)
+        w, search = searched(monkeypatch, Search, find_isomorphism, pg52, e)
         assert w is not None
         assert {apply(w, b).bits for b in pg52.blocks} == e.block_set()
         # 221 when pinned (285 when it branched on the fewest candidates);

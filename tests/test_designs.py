@@ -10,7 +10,6 @@ from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import (
     Design,
     HadamardMatrix,
-    PermGroup,
     automorphism_group,
     block_orbit_count,
     clique_from_design,
@@ -25,6 +24,7 @@ from simplex_designs.designs import (
     to_hadamard,
 )
 from simplex_designs.errors import InvariantError, ParseError
+from simplex_designs.groups import PermGroup
 from simplex_designs.subsets import ElementSet, Permutation, apply
 
 from conftest import FIXTURE_NAMES, fixture_text

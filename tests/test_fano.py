@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from simplex_designs import designs, fano
+from simplex_designs import designs, fano, search
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import Design, automorphism_group
 from simplex_designs.errors import InternalCheckError, InvariantError
@@ -659,8 +659,14 @@ class TestEquivalence:
         def refuse(*args, **kwargs):
             raise AssertionError("the Fano layer ran a design search")
 
-        for name in ("automorphism_group", "find_isomorphism", "_Search"):
-            monkeypatch.setattr(designs, name, refuse)
+        for module, name in (
+            (designs, "automorphism_group"),
+            (designs, "find_isomorphism"),
+            (search, "automorphism_search"),
+            (search, "isomorphism_search"),
+            (search, "Search"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
         f1, f2 = pair
         assert len(automorphisms(f1)) == 168
         assert len(equivalence_classes(*pair)) == 4

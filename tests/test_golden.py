@@ -12,6 +12,7 @@ import random
 import pytest
 
 from simplex_designs.cli import main
+from simplex_designs.designs import render_incidence
 from simplex_designs.fano import (
     INDEX_VALUES,
     automorphisms,
@@ -20,7 +21,7 @@ from simplex_designs.fano import (
     index_spectrum,
     representative_of_index,
 )
-from simplex_designs.subsets import ElementSet
+from simplex_designs.subsets import ElementSet, Permutation
 
 
 def digest(value) -> str:
@@ -90,7 +91,18 @@ CLI_DIGESTS = {
     ("construct", "c4"): "a94dc1fd0dcdba8fc08ea68a91b0635d9e33b8bdde2d05363ee886c0d05d0054",
     ("construct", "non-centered"): "ba69709daa83c13a2c19fc943d0cceeae7ebd3af9bcb5162d596b35cfe6fa19f",
     ("census", "--delta-limit", "720"): "e6956e3bb20877297d1e7485bd71311dc9c78fe1360af210e5a0670569460b88",
+    # the group orders, orbit counts and block systems of the five classes
+    ("classify", "c1"): "378afb640bcf2689a61cca26f74a85a16bfc5ca1402e291debf402902d9b5bb7",
+    ("classify", "c2"): "748042a67287d7388532bac8ba21a9f2829aaa3b9be0f78b1049ccdd1599dc8c",
+    ("classify", "c3"): "40380dd637090c7e67b38d942c869c4b536e147daa1f5feb658fb4f518437bd4",
+    ("classify", "c4"): "4c4b11ca23ed2d0d6143291d9d483e9c92731b1cab5331b1fd5f6a26cd44ada1",
+    ("classify", "non-centered"): "b12c0d99429be5dc3b81b7142c27968fb4886f21bc58ba44c8a7c9e91c23198e",
+    ("isomorphic", "c1", "c3"): "7bd7cf2c4274dfc80c6f93e33c81895231778a59d763cc56c35d7d80c16e3dc4",
+    ("isomorphic", "c4", "non-centered"): "1cd31ca5ce763db96c4228b0ed1076e3595adc6da2d712edc723b0a3bb8c6436",
 }
+
+# the witness found from c2 onto its relabeling by Permutation.random(15, Random(33))
+RELABELED_C2_DIGEST = "d56766c1abf711b247464c37e37812cdcc7dced413dd27a9b098fa15fb06d0c3"
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORTS))
@@ -107,6 +119,18 @@ def test_pair_outputs_are_pinned(name):
 def test_sorted_kv_cli_output_is_pinned(capsys, argv):
     assert main(["--sorted", "--format", "kv", *argv]) == 0
     assert digest(capsys.readouterr().out) == CLI_DIGESTS[argv]
+
+
+def test_witness_onto_a_relabeling_is_pinned(capsys, fixture_designs, tmp_path):
+    e = fixture_designs["c2"].relabeled(Permutation.random(15, random.Random(33)))
+    path = tmp_path / "c2.relabeled.txt"
+    path.write_text(render_incidence(e) + "\n")
+    assert main(["--sorted", "--format", "kv", "isomorphic", "c2", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    # the param. lines print the path, which differs from run to run
+    last = max(i for i, line in enumerate(lines) if line.startswith("param."))
+    assert lines[last + 1] == "isomorphic=true\n"
+    assert digest("".join(lines[last + 1:])) == RELABELED_C2_DIGEST
 
 
 def test_seeded_support_is_stable():

@@ -10,12 +10,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplex_designs import designs
+from simplex_designs import designs, search
+from simplex_designs import groups as group_layer
 from simplex_designs.cli import main
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import (
     Design,
-    PermGroup,
     automorphism_group,
     block_orbit_count,
     find_isomorphism,
@@ -25,6 +25,7 @@ from simplex_designs.designs import (
     render_incidence,
 )
 from simplex_designs.errors import InternalCheckError, InvariantError
+from simplex_designs.groups import PermGroup, _ChainElements, _schreier_sims
 from simplex_designs.subsets import Permutation, apply
 
 from conftest import FIXTURE_NAMES
@@ -109,25 +110,25 @@ class TestOrderOracle:
     def test_schreier_sims_on_symmetric_and_alternating_groups(self):
         transposition = Permutation.from_cycles(5, [(1, 2)])
         five_cycle = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
-        base, transversals = designs._schreier_sims(
+        base, transversals = _schreier_sims(
             [zero_based(transposition), zero_based(five_cycle)], 5
         )
-        assert len(designs._ChainElements(5, base, transversals)) == 120
+        assert len(_ChainElements(5, base, transversals)) == 120
         three_cycles = [
             zero_based(Permutation.from_cycles(5, [cycle]))
             for cycle in ((1, 2, 3), (2, 3, 4), (3, 4, 5))
         ]
-        base, transversals = designs._schreier_sims(three_cycles, 5)
-        assert len(designs._ChainElements(5, base, transversals)) == 60
-        assert designs._schreier_sims([], 5) == ([], [])
+        base, transversals = _schreier_sims(three_cycles, 5)
+        assert len(_ChainElements(5, base, transversals)) == 60
+        assert _schreier_sims([], 5) == ([], [])
 
     def test_order_mismatch_raises(self, fixture_designs, monkeypatch):
-        closure = designs._schreier_sims
+        closure = _schreier_sims
 
         def drop_last_generator(generators, degree):
             return closure(generators[:-1], degree)
 
-        monkeypatch.setattr(designs, "_schreier_sims", drop_last_generator)
+        monkeypatch.setattr("simplex_designs.groups._schreier_sims", drop_last_generator)
         with pytest.raises(InternalCheckError, match="Schreier-Sims"):
             automorphism_group(fixture_designs["c2"])
 
@@ -180,6 +181,11 @@ class TestPermGroup:
     def test_negative_degree_fails_at_construction(self, build, degree):
         with pytest.raises(InvariantError, match=f"negative degree {degree}$"):
             build()
+
+    def test_a_float_generator_is_refused_before_the_group(self):
+        # it once reached Schreier-Sims and raised TypeError there
+        with pytest.raises(ValueError, match="^images must be integers$"):
+            PermGroup(3, (Permutation((2.0, 3.0, 1.0)),))
 
     def test_degree_zero_is_the_trivial_group(self):
         g = PermGroup(0, ())
@@ -423,8 +429,9 @@ class TestPointPrimitivity:
 class TestNoGlobalState:
     def mutable_sizes(self):
         return {
-            name: len(value)
-            for name, value in vars(designs).items()
+            (module.__name__, name): len(value)
+            for module in (designs, search, group_layer)
+            for name, value in vars(module).items()
             if isinstance(value, (dict, list, set))
         }
 

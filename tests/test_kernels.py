@@ -6,7 +6,7 @@ widest ground sets. A _Fields row fills w bits, v + 1 rounded up to whole
 bytes, so w is v + 1 only for v = 7, 15, 23, 31, 63 and is 24 or 48 bits,
 not a power of two, for v = 19, 23 or 43. _Fields.move maps every row of a
 packed incidence at once; it must agree with map_bits row by row, also in
-the top field at v = 63. _Search.branch_point counts every row with a
+the top field at v = 63. Search.branch_point counts every row with a
 byte-wise popcount; it must pick the row max((popcount, -x)) picks among
 the rows with two or more bits.
 """
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from simplex_designs.designs import _Fields, _Search
+from simplex_designs.search import Search, _Fields
 from simplex_designs.subsets import compose, map_bits
 
 WIDTHS = [3, 7, 11, 15, 19, 23, 31, 43, 59, 63]
@@ -90,13 +90,13 @@ def test_decided_marks_the_rows_with_at_most_one_bit(v):
 
 
 def branch_point(fields, rows):
-    """_Search.branch_point of a state with these point rows.
+    """Search.branch_point of a state with these point rows.
 
     It reads nothing of the search but its fields, and nothing of the
     state but the point rows.
     """
     p = fields.pack(rows)
-    return _Search.branch_point(SimpleNamespace(fields=fields), (p, 0, fields.decided(p), 0))
+    return Search.branch_point(SimpleNamespace(fields=fields), (p, 0, fields.decided(p), 0))
 
 
 def largest_oracle(rows):

@@ -3,7 +3,7 @@
 Modules share code through public names only, and the lowest-set-bit
 idiom ``x & -x`` lives in subsets.py alone (set_bits and map_bits), so
 there is one set-bit iterator in the package. The one exception is
-designs._Search.propagate, which runs once per search node and takes the
+search.Search.propagate, which runs once per search node and takes the
 lowest guard bit inline, as a generator there costs about 4 % of an
 automorphism_group call. No module imports numpy, not even inside a
 function: the collinearity graph is built and renumbered on Python ints
@@ -16,8 +16,14 @@ geometry the tests rely on, and on fano._class_table, the one group and
 class table of position permutations of every Fano plane, which takes no
 argument and holds only immutable values: a module-level cache is global
 mutable state, and what the search computes lazily stays on its own
-instances. fano.py does not import designs: the plane group and its
-classes come from the plane's lines, with no design search.
+instances. The designs sit on two layers: search.py holds the search on
+incidence bitmasks, groups.py the permutation groups, and designs.py the
+design values, their I/O and the design-level wrappers of both. groups.py
+imports no sibling but subsets and errors, and search.py those and
+groups, for its orbit helper, so neither layer reaches back into the
+designs or the geometry. fano.py imports none of designs, search and
+groups: the plane group and its classes come from the plane's lines, with
+no design search.
 Clique._proved, which skips the pair check, is called only by
 enumerate_maximal_cliques and product_clique, whose outputs are proved
 cliques by construction; every other clique goes through the full check.
@@ -29,9 +35,10 @@ call. Every dataclass is frozen: a value that checks itself when built must
 not change after the check, and cli.Report is complete when a command
 returns it. object.__setattr__, which writes past the freeze, is called only
 in a __post_init__, to set the fields a value derives from its inputs, and
-in Clique._proved, which fills a clique without its check. designs.py
-neither imports nor calls map_bits: it maps a whole design through
-_Fields.move, every row at once, and a single set through apply.
+in Clique._proved, which fills a clique without its check. designs.py,
+search.py and groups.py neither import nor call map_bits: a whole design
+moves through _Fields.move, every row at once, and a single set through
+apply.
 Module-level functions of geometry.py that take a Geometry read point
 bitmasks through Geometry.bits_of alone, never through a .bits attribute,
 so a set that is not a point raises InvariantError instead of passing as one.
@@ -39,10 +46,10 @@ cliques.py has no yield from and no function that calls itself, apart from
 build_graph's walk, which recurses once per element of a point (2m deep):
 the maximal-clique search runs on an explicit stack, so it makes no
 generator per search node and an emitted clique climbs no generator chain.
-designs._Search.branch_point has no loop and no comprehension: it runs once
+search.Search.branch_point has no loop and no comprehension: it runs once
 per search node and counts every row of the state with a few big-int
 operations, as a walk over the undecided rows there costs about a tenth of
-an automorphism_group call. designs._pair_signatures and designs._refine
+an automorphism_group call. search._pair_signatures and search._refine
 call no combinations: they treat every pair of indices at once, through
 joined bytes, big ints and slices, as a loop over the pairs there took most
 of the refinement's time. Every name that a module other than __init__.py
@@ -296,7 +303,7 @@ def calls_in(tree, qualname: str, name: str):
 SELF_CALLERS = {"build_graph.walk"}
 
 # the search's propagation loop takes the lowest guard bit inline
-LOWEST_BIT_TAKERS = {("designs.py", "_Search.propagate")}
+LOWEST_BIT_TAKERS = {("search.py", "Search.propagate")}
 
 
 def lowest_bits_outside_takers(path):
@@ -519,6 +526,54 @@ def test_fano_does_not_import_designs():
     assert graph["fano"] >= {"errors", "subsets"}
 
 
+# the only siblings a layer may import
+LAYER_IMPORTS = {
+    "groups": {"errors", "subsets"},
+    "search": {"errors", "groups", "subsets"},
+}
+# siblings a module must not import
+BANNED_IMPORTS = {"fano": {"designs", "groups", "search"}}
+
+
+def every_sibling_import():
+    """Each package module and the siblings it imports anywhere, functions included."""
+    return {
+        path.stem: {module for _, module, _ in sibling_imports(parse(path))} for path in MODULES
+    }
+
+
+def layering_breaches(graph):
+    """Imports of graph that break the layering, as "module -> sibling", sorted."""
+    return sorted(
+        [f"{module} -> {sibling}" for module, allowed in LAYER_IMPORTS.items()
+         for sibling in graph[module] - allowed]
+        + [f"{module} -> {sibling}" for module, banned in BANNED_IMPORTS.items()
+           for sibling in graph[module] & banned]
+    )
+
+
+def test_search_and_groups_sit_below_the_designs():
+    assert layering_breaches(every_sibling_import()) == []
+
+
+def test_layering_rule_catches_a_planted_import():
+    graph = every_sibling_import()
+    planted = ast.parse(
+        (PACKAGE / "search.py").read_text() + "def lazy():\n    from .designs import Design\n"
+    )
+    graph["search"] = {module for _, module, _ in sibling_imports(planted)}
+    graph["groups"] = graph["groups"] | {"geometry"}
+    graph["fano"] = graph["fano"] | {"groups"}
+    assert layering_breaches(graph) == [
+        "fano -> groups", "groups -> geometry", "search -> designs",
+    ]
+    # the layers do import their allowed siblings, so the rule is not vacuous
+    graph = every_sibling_import()
+    assert graph["search"] == LAYER_IMPORTS["search"]
+    assert graph["groups"] == LAYER_IMPORTS["groups"]
+    assert graph["designs"] >= {"groups", "search"}
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -587,7 +642,8 @@ def test_roster_numbering_only_in_geometry_and_cliques(path):
 
 def test_designs_maps_no_set_with_map_bits():
     # whole designs move through _Fields.move, single sets through apply
-    assert map_bits_uses(parse(PACKAGE / "designs.py")) == []
+    for name in ("designs.py", "search.py", "groups.py"):
+        assert map_bits_uses(parse(PACKAGE / name)) == [], name
 
 
 def test_map_bits_rule_catches_the_patterns():
@@ -664,7 +720,7 @@ def test_stack_rule_catches_the_patterns():
 
 
 def test_branch_point_walks_no_rows():
-    assert loops_in(parse(PACKAGE / "designs.py"), "_Search.branch_point") == []
+    assert loops_in(parse(PACKAGE / "search.py"), "Search.branch_point") == []
 
 
 def test_loop_rule_catches_the_patterns():
@@ -687,12 +743,12 @@ def test_loop_rule_catches_the_patterns():
     ]
     assert loops_in(tree, "Search.first_hit") == ["line 8: For"]
     # the search loops over a row's candidates next door, so the rule is not vacuous
-    assert loops_in(parse(PACKAGE / "designs.py"), "_Search.first_hit")
+    assert loops_in(parse(PACKAGE / "search.py"), "Search.first_hit")
 
 
 @pytest.mark.parametrize("function", ["_pair_signatures", "_refine"])
 def test_refinement_visits_no_pairs(function):
-    assert calls_in(parse(PACKAGE / "designs.py"), function, "combinations") == []
+    assert calls_in(parse(PACKAGE / "search.py"), function, "combinations") == []
 
 
 def test_pair_rule_catches_the_patterns():
@@ -736,8 +792,8 @@ def test_rules_catch_the_patterns():
     assert lowest_bit_idioms(tree) == ["line 2: rest & -rest", "line 3: -mask & mask"]
     assert lowest_bit_idioms(parse(PACKAGE / "subsets.py"))
     # the exemption covers propagate alone, and propagate does use it
-    designs_idioms = lowest_bit_idioms(parse(PACKAGE / "designs.py"))
-    assert len(designs_idioms) == 2 and lowest_bits_outside_takers(PACKAGE / "designs.py") == []
+    search_idioms = lowest_bit_idioms(parse(PACKAGE / "search.py"))
+    assert len(search_idioms) == 2 and lowest_bits_outside_takers(PACKAGE / "search.py") == []
     method_tree = ast.parse(
         "class Search:\n"
         "    def propagate(self, m):\n"
@@ -852,10 +908,11 @@ def test_setattr_rule_catches_the_patterns():
         for path in MODULES
         for use in object_setattr_uses(parse(path))
     } == SETATTR_CALLERS | {
-        ("designs.py", "PermGroup.__post_init__"),
         ("fano.py", "FanoBijection.__post_init__"),
         ("fano.py", "FanoPlane.__post_init__"),
         ("geometry.py", "GeometryParams.__post_init__"),
+        ("groups.py", "PermGroup.__post_init__"),
+        ("subsets.py", "Permutation.__post_init__"),
     }
 
 

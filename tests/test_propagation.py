@@ -8,9 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplex_designs import designs
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import Design
+from simplex_designs.search import Incidence, Search, _Fields
 from simplex_designs.subsets import ElementSet, Permutation
 
 from conftest import FIXTURE_NAMES
@@ -134,8 +134,13 @@ def walk(search, rng: random.Random, steps: int) -> tuple[int, int]:
     return wipe_outs, leaves
 
 
+def incidence(d: Design) -> Incidence:
+    """The search's view of d, built fresh from its block bitmasks."""
+    return Incidence([b.bits for b in d.blocks])
+
+
 def search_for(d1: Design, d2: Design):
-    return designs._Search(designs._DesignContext(d1), designs._DesignContext(d2))
+    return Search(incidence(d1), incidence(d2))
 
 
 def hyperplane_complements(k: int) -> Design:
@@ -209,7 +214,7 @@ class TestGuardArithmetic:
     @pytest.mark.parametrize("v", [3, 7, 11, 15, 31, 59, 63])
     def test_decided_and_empty_rows(self, v):
         # every row weight from empty to full, in every field position
-        fields = designs._Fields(v)
+        fields = _Fields(v)
         rng = random.Random(v)
         for _ in range(50):
             rows = [

@@ -13,13 +13,13 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplex_designs import designs
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import Design, automorphism_group, find_isomorphism
+from simplex_designs.search import _pair_signatures, _rank, _refine
 from simplex_designs.subsets import Permutation
 
 from conftest import FIXTURE_NAMES
-from test_propagation import paley_design
+from test_propagation import incidence, paley_design
 
 LOGGER = "simplex_designs.designs"
 
@@ -59,7 +59,7 @@ def oracle_classes_from(pair, labels):
 
 
 def oracle_sides(d: Design, labels: dict):
-    ctx = designs._DesignContext(d)
+    ctx = incidence(d)
     return (
         oracle_classes_from(oracle_pair_signatures(ctx.point_in_blocks), labels),
         oracle_classes_from(oracle_pair_signatures(ctx.block_bits), labels),
@@ -74,7 +74,7 @@ def partition(codes) -> set[frozenset[int]]:
 
 
 def refined_sides(d: Design):
-    ctx = designs._DesignContext(d)
+    ctx = incidence(d)
     return ctx.points.codes, ctx.blocks.codes
 
 
@@ -125,7 +125,7 @@ class TestPartitionOracle:
         rounds = set()
         for _ in range(300):
             masks = [rng.getrandbits(10) for _ in range(10)]
-            classes = designs._refine(masks)
+            classes = _refine(masks)
             oracle = oracle_classes_from(oracle_pair_signatures(masks), {})
             assert partition(classes.codes) == partition(oracle)
             rounds.add(classes.rounds)
@@ -160,8 +160,8 @@ class TestPartitionOracle:
                 other = relabeled_masks(masks, rng)
                 if i % 3 == 1:
                     other[rng.randrange(10)] ^= 1 << rng.randrange(10)
-            new1 = designs._refine(masks)
-            new2 = designs._refine(other)
+            new1 = _refine(masks)
+            new2 = _refine(other)
             labels = {}
             old1 = oracle_classes_from(oracle_pair_signatures(masks), labels)
             old2 = oracle_classes_from(oracle_pair_signatures(other), labels)
@@ -180,7 +180,7 @@ class TestPartitionOracle:
         rng = random.Random(103)
         for d in [*fixture_designs.values(), hyperplane_complements(5)]:
             q = Permutation.random(d.v, rng)
-            ctx, moved = designs._DesignContext(d), designs._DesignContext(d.relabeled(q))
+            ctx, moved = incidence(d), incidence(d.relabeled(q))
             assert moved.points.tables == ctx.points.tables
             assert moved.blocks.tables == ctx.blocks.tables
             assert [moved.points.codes[q(x + 1) - 1] for x in range(d.v)] == ctx.points.codes
@@ -203,16 +203,16 @@ class TestPartitionOracle:
         # round 1 and round 2 splits nothing
         rounds = {}
         for name, d in fixture_designs.items():
-            ctx = designs._DesignContext(d)
+            ctx = incidence(d)
             rounds[name] = (ctx.points.rounds, ctx.blocks.rounds)
         assert rounds == {
             "c1": (1, 1), "c2": (2, 2), "c3": (2, 2), "c4": (2, 2),
             "non_centered": (2, 2),
         }
-        assert designs._DesignContext(hyperplane_complements(5)).points.rounds == 1
+        assert incidence(hyperplane_complements(5)).points.rounds == 1
 
     def test_sides_are_refined_on_first_use(self, fixture_designs):
-        ctx = designs._DesignContext(fixture_designs["c2"])
+        ctx = incidence(fixture_designs["c2"])
         assert "points" not in vars(ctx) and "blocks" not in vars(ctx)
         ctx.points
         assert "points" in vars(ctx) and "blocks" not in vars(ctx)
@@ -227,7 +227,7 @@ def sorted_counts(masks):
 
 
 def column_ranks(masks):
-    return designs._rank(designs._pair_signatures(masks))[1]
+    return _rank(_pair_signatures(masks))[1]
 
 
 class TestPairSignatures:
@@ -241,29 +241,29 @@ class TestPairSignatures:
             masks = [
                 sum(1 << i for i in range(v) if rng.random() < density) for _ in range(v)
             ]
-            assert column_ranks(masks) == designs._rank(sorted_counts(masks))[1]
+            assert column_ranks(masks) == _rank(sorted_counts(masks))[1]
 
     def test_designs_rank_pairs_as_the_sorted_counts_do(self, fixture_designs):
         for d in [*fixture_designs.values(), hyperplane_complements(5)]:
-            ctx = designs._DesignContext(d)
+            ctx = incidence(d)
             for masks in (ctx.point_in_blocks, ctx.block_bits):
-                assert column_ranks(masks) == designs._rank(sorted_counts(masks))[1]
+                assert column_ranks(masks) == _rank(sorted_counts(masks))[1]
 
     def test_every_count_at_the_carry_boundary(self):
         # every triple count is 63, and 63 + (128 - 63) is exactly 128
         full = [(1 << 63) - 1] * 63
-        signatures = designs._pair_signatures(full)
+        signatures = _pair_signatures(full)
         assert signatures == [bytes([63] * 63)] * (63 * 62 // 2)
         # one bit less in one mask: counts of 62 and 63 side by side
         near = full[:]
         near[5] ^= 1 << 40
-        assert column_ranks(near) == designs._rank(sorted_counts(near))[1]
+        assert column_ranks(near) == _rank(sorted_counts(near))[1]
         assert len(set(column_ranks(near))) == 2
 
     def test_no_count_reaches_one(self):
         empty = [0] * 15
-        assert designs._pair_signatures(empty) == [b""] * (15 * 14 // 2)
-        classes = designs._refine(empty)
+        assert _pair_signatures(empty) == [b""] * (15 * 14 // 2)
+        classes = _refine(empty)
         assert classes.codes == [0] * 15 and classes.rounds == 1
 
 
@@ -354,7 +354,7 @@ class TestPlanesAgainstLanes:
         rng = random.Random(500 + v)
         for density in (0.1, 0.5, 0.9, 1.0):
             masks = random_masks(v, v, density, rng)
-            assert designs._pair_signatures(masks) == reference_pair_signatures(
+            assert _pair_signatures(masks) == reference_pair_signatures(
                 masks, transposed(masks)
             )
 
@@ -364,9 +364,9 @@ class TestPlanesAgainstLanes:
             *[paley_design(q) for q in (7, 11, 19, 23, 31, 43, 47, 59)],
         ]
         for d in ds:
-            ctx = designs._DesignContext(d)
+            ctx = incidence(d)
             for masks in (ctx.point_in_blocks, ctx.block_bits):
-                assert designs._pair_signatures(masks) == reference_pair_signatures(
+                assert _pair_signatures(masks) == reference_pair_signatures(
                     masks, transposed(masks)
                 )
 
@@ -378,20 +378,20 @@ class TestPlanesAgainstLanes:
         for r in range(2, 40):
             for density in (0.3, 0.7, 1.0):
                 masks = random_masks(r, n, density, rng)
-                assert column_ranks(masks) == designs._rank(sorted_counts(masks))[1]
+                assert column_ranks(masks) == _rank(sorted_counts(masks))[1]
 
 
 class TestContextOnTheDesign:
     def test_each_side_is_refined_once_per_design(self, fixture_designs, monkeypatch):
         d1 = Design(fixture_designs["c2"].blocks)
         refined = []
-        refine = designs._refine
+        refine = _refine
 
         def counting(masks):
             refined.append(masks)
             return refine(masks)
 
-        monkeypatch.setattr(designs, "_refine", counting)
+        monkeypatch.setattr("simplex_designs.search._refine", counting)
         rng = random.Random(107)
         for _ in range(10):
             assert find_isomorphism(d1, d1.relabeled(Permutation.random(15, rng))) is not None
@@ -521,6 +521,6 @@ class TestIsomorphismLogging:
 
     def test_refinement_does_not_log(self, fixture_designs, caplog):
         with caplog.at_level(logging.DEBUG, logger=LOGGER):
-            ctx = designs._DesignContext(fixture_designs["c4"])
+            ctx = incidence(fixture_designs["c4"])
             ctx.points, ctx.blocks
         assert not caplog.records

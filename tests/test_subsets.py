@@ -23,6 +23,16 @@ from simplex_designs.subsets import (
 sets15 = st.builds(ElementSet, st.integers(0, 2**15 - 1), st.just(15))
 
 
+class IndexOnly:
+    """An integer that is not an int, as operator.index reads it."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __index__(self):
+        return self.i
+
+
 def elem(elements, n=15):
     return ElementSet.of(elements, n)
 
@@ -196,6 +206,31 @@ class TestPermutation:
         # a point below 1 once indexed the images from the end
         with pytest.raises(ValueError, match=rf"^point {point} outside 1\.\.3$"):
             build()
+
+    @pytest.mark.parametrize(
+        "images",
+        [(1.0, 2.0), (2, 3, 1.0), ("1", "2"), "12", None],
+        ids=["floats", "one-float", "strings", "string", "none"],
+    )
+    def test_non_integer_images_are_refused(self, images):
+        # (1.0, 2.0) once passed as the identity, and apply and * then raised TypeError
+        with pytest.raises(ValueError, match="^images must be integers$"):
+            Permutation(images)
+
+    @pytest.mark.parametrize(
+        "images",
+        [(2, True, 3), [IndexOnly(i) for i in (2, 1, 3)], [2, 1, 3]],
+        ids=["bool", "index-objects", "list"],
+    )
+    def test_integer_images_are_stored_as_ints(self, images):
+        # True is the int 1, and any object with __index__ is its int; a list
+        # becomes a tuple, so the permutation hashes
+        p = Permutation(images)
+        assert type(p.images) is tuple and p.images == (2, 1, 3)
+        assert all(type(i) is int for i in p.images)
+        assert p == Permutation((2, 1, 3)) and hash(p) == hash(Permutation((2, 1, 3)))
+        assert p * p == Permutation.identity(3)
+        assert apply(p, ElementSet.of([1], 3)) == ElementSet.of([2], 3)
 
     @given(st.permutations(list(range(1, 16))), st.permutations(list(range(1, 16))))
     def test_image_tuples_compose_and_invert_as_permutations(self, p_images, q_images):
