@@ -146,6 +146,7 @@ class Clique:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", tuple(self.bits))
         n, m = self.geometry.params.n, self.geometry.params.m
         if list(self.bits) != sorted(set(self.bits)):
             raise InvariantError("clique points must be sorted and distinct")

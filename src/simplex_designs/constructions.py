@@ -2,7 +2,8 @@
 
 * the centered product of two (2m-1)-element cliques glued by a bijection,
   and its inverse decomposition at a center point, which checks its split
-  by rebuilding c.bits through the product's bitmask formula (_product_bits);
+  by rebuilding c.bits through the product's bitmask formula (_product_bits)
+  and counts its index with fano.pairing_index on the paired halves;
 * a clique's centers, lines and Fano planes as position masks (bit i for
   c.bits[i]) from one pass (_structure), and classify_clique, which types a
   k = 4 clique by the index of its split, cross-checked against those masks;
@@ -18,7 +19,7 @@ from itertools import combinations
 
 from .cliques import Clique
 from .errors import InternalCheckError, InvariantError
-from .fano import FanoBijection, FanoPlane, representative_of_index
+from .fano import FanoBijection, FanoPlane, pairing_index, representative_of_index
 from .geometry import (
     Geometry,
     Line,
@@ -162,26 +163,10 @@ class CenteredDecomposition:
         return FanoBijection.from_mapping(src, dst, self.delta)
 
     def bijection_index(self) -> int:
-        """Number of X-lines whose three y-images form a Y-line, on bitmasks.
-
-        Equals fano.bijection_index(self.fano_bijection()). Both halves must
-        be closed Fano planes (7 distinct points, every pairwise sum inside,
-        so 7 lines), or InternalCheckError; InvariantError unless they have 7
-        points (k = 4). A line is counted once at each of its three pairs.
-        """
-        xs, ys = self.xs, self.ys
-        if len(xs) != 7:
-            raise InvariantError(f"Fano halves need 7 points, got {len(xs)}")
-        y_of, y_set = dict(zip(xs, ys)), set(ys)
-        if len(y_of) != 7 or len(y_set) != 7:
-            raise InternalCheckError("a half is not a closed Fano plane: it repeats a point")
-        kept = 0
-        for (x1, y1), (x2, y2) in combinations(zip(xs, ys), 2):
-            y3 = y_of.get(x1 ^ x2)
-            if y3 is None or y1 ^ y2 not in y_set:
-                raise InternalCheckError("a half is not a closed Fano plane")
-            kept += y3 == y1 ^ y2
-        return kept // 3
+        """fano.pairing_index of the halves; InvariantError unless they have 7 points (k = 4)."""
+        if len(self.xs) != 7:
+            raise InvariantError(f"Fano halves need 7 points, got {len(self.xs)}")
+        return pairing_index(self.xs, self.ys)
 
 
 def decompose(c: Clique, O: ElementSet, Z: ElementSet | None = None) -> CenteredDecomposition:
@@ -253,6 +238,7 @@ class CliqueClass:
     plane_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "centers", tuple(self.centers))
         if bool(self.centers) != (self.index is not None):
             raise InvariantError("a verdict carries an index exactly when it has centers")
         if self.index is not None and self.index not in TAG_BY_INDEX:
@@ -529,22 +515,15 @@ def canonical_centered_blocks(index: int) -> tuple[ElementSet, ...]:
 
     Uses the center {8..15}, the hyperplane-complement plane on {1..7} in
     functional order, its shift by 8 as the second plane, and the index
-    representative between them. Blocks come out as the seven x u delta(x)
-    points, the center, then the seven complements; with index 7 this
-    reproduces the hyperplane-complement blocks of PG(3,2) exactly.
+    representative between them, read on positions. Blocks come out as the
+    seven x u delta(x) points, the center, then the seven complements; with
+    index 7 this reproduces the hyperplane-complement blocks of PG(3,2) exactly.
     """
-    O = canonical_center()
-    x_ordered = [ElementSet(x.bits, 15) for x in hyperplane_complement_blocks(3)]
-    shift = {x.bits: ElementSet(x.bits << 8, 15) for x in x_ordered}
-
-    src = FanoPlane.from_points(x_ordered)
-    dst = FanoPlane.from_points(shift.values())
-    rep = representative_of_index(src, dst, index)
-    mapping = rep.mapping()
-
-    blocks = [x | mapping[x] for x in x_ordered]
-    blocks.append(O)
-    blocks.extend(
-        x | ElementSet(O.bits & ~mapping[x].bits, 15) for x in x_ordered
-    )
-    return tuple(blocks)
+    blocks = hyperplane_complement_blocks(3)
+    plane = FanoPlane.from_points(blocks)
+    images = representative_of_index(plane, plane, index).images
+    # the second plane is the first shifted by 8, which keeps the point order
+    image = {x: plane.bits[j] << 8 for x, j in zip(plane.bits, images)}
+    xs, o = [x.bits for x in blocks], canonical_center().bits
+    members = [x | image[x] for x in xs] + [o] + [x | (o & ~image[x]) for x in xs]
+    return tuple(ElementSet(b, 15) for b in members)

@@ -48,6 +48,7 @@ class Design:
         return (self.v + 1) // 4
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         v = self.v
         if v < 3 or (v + 1) % 4 != 0:
             raise InvariantError(f"{v} points do not fit the 4t-1 pattern")
@@ -111,6 +112,7 @@ class HadamardMatrix:
         return len(self.entries)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         n = self.order
         if not n or any(len(row) != n or not set(row) <= {1, -1} for row in self.entries):
             raise InvariantError("entries must form a nonempty square +-1 matrix")
@@ -269,11 +271,10 @@ def _actions(d: Design, g: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, 
     if g.degree != d.v:
         raise InvariantError(f"degree {g.degree} does not act on {d.v} points")
     ctx = d._context
-    fields = ctx.fields
     index = {b: i for i, b in enumerate(ctx.block_bits)}
     actions = []
     for points in g.images:
-        blocks = tuple([index.get(b) for b in fields.rows(fields.move(ctx.incidence, points))])
+        blocks = tuple([index.get(b) for b in ctx.relabeled(points)])
         if None in blocks:
             raise InvariantError("group does not preserve the design")
         actions.append((points, blocks))

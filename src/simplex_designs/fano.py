@@ -51,6 +51,11 @@ _LABEL_CYCLES = {7: (), 3: ("12", "13"), 1: ("12", "13", "23"), 0: ("123", "23",
 INDEX_VALUES = tuple(sorted(_LABEL_CYCLES))
 
 
+def _closed(bits) -> bool:
+    """Whether 7 ascending bitmasks pass the 7 line sums of _LINES."""
+    return all(bits[a] ^ bits[b] == bits[c] for a, b, c in _LINES)
+
+
 @dataclass(frozen=True)
 class FanoPlane:
     """Seven mutually collinear 4-subsets, closed under symmetric difference."""
@@ -75,7 +80,7 @@ class FanoPlane:
         index = {b: i for i, b in enumerate(bits)}
         # every pair lies on one line, so 7 sums decide closure; a ^ b is a
         # 4-subset only if |a & b| = 2, so a closed plane is collinear
-        if any(bits[a] ^ bits[b] != bits[c] for a, b, c in _LINES):
+        if not _closed(bits):
             pairs = combinations(range(7), 2)
             i, j = next((i, j) for i, j in pairs if bits[i] ^ bits[j] not in index)
             if (bits[i] & bits[j]).bit_count() != 2:
@@ -203,6 +208,20 @@ def _lines_kept(images) -> int:
 def bijection_index(d: FanoBijection) -> int:
     """Number of source lines whose image is a line of the target."""
     return _lines_kept(d.images)
+
+
+def pairing_index(xs, ys) -> int:
+    """The index of xs[i] -> ys[i] between two planes of point bitmasks, the lines whose first
+    two images XOR to the third; InternalCheckError unless each half, sorted, is 7 distinct
+    points passing FanoPlane's closure test, which alone passes [0, 3, 3, 5, 5, 6, 6]."""
+    image = dict(zip(xs, ys, strict=True))
+    xs = sorted(image)
+    ys = [image[x] for x in xs]
+    if len(xs) != 7 or len(set(ys)) != 7:
+        raise InternalCheckError("a half is not a closed Fano plane: it needs 7 distinct points")
+    if not (_closed(xs) and _closed(sorted(ys))):
+        raise InternalCheckError("a half is not a closed Fano plane")
+    return sum([ys[a] ^ ys[b] == ys[c] for a, b, c in _LINES])
 
 
 class _ClassTable(NamedTuple):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
+from operator import index
 
 from .errors import InvariantError
 from .subsets import MAX_GROUND_SIZE, ElementSet, subsets_of
@@ -23,9 +24,9 @@ from .subsets import MAX_GROUND_SIZE, ElementSet, subsets_of
 class GeometryParams:
     """The dimension k, and the m = 2^(k-2) and n = 4m - 1 = 2^k - 1 it fixes.
 
-    Only k is passed in; m and n are set when built, as stored fields so
-    that reading them stays an attribute load. Parameters compare and hash
-    by k alone.
+    Only k is passed in, stored as an int (InvariantError for a non-integer);
+    m and n are set when built, as stored fields so that reading them stays
+    an attribute load. Parameters compare and hash by k alone.
     """
 
     k: int
@@ -33,13 +34,17 @@ class GeometryParams:
     n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.k < 2:
+        try:
+            k = index(self.k)
+        except TypeError:
+            raise InvariantError(f"k must be an integer, got {self.k!r}") from None
+        if k < 2:
             raise InvariantError("k must be at least 2")
-        n = 2**self.k - 1
+        n = 2**k - 1
         if n > MAX_GROUND_SIZE:
             raise InvariantError(f"ground size {n} exceeds {MAX_GROUND_SIZE} (k <= 6)")
-        object.__setattr__(self, "m", 2 ** (self.k - 2))
-        object.__setattr__(self, "n", n)
+        for name, value in (("k", k), ("m", 2 ** (k - 2)), ("n", n)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_dimension(cls, k: int) -> "GeometryParams":
@@ -60,6 +65,7 @@ class Line:
     points: tuple[ElementSet, ElementSet, ElementSet]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
         for p in self.points:
             geometry_for_ground(p.ground_size).bits_of(p)
         a, b, c = self.points

@@ -283,6 +283,11 @@ class Incidence:
             packed |= fields.spread(bits) << a
         self.point_in_blocks = fields.rows(packed)
 
+    def relabeled(self, images) -> list[int]:
+        """The block masks in block order, each point x moved to images[x] (0-based):
+        the one relabeling of the packed format, which only this module reads."""
+        return self.fields.rows(self.fields.move(self.incidence, images))
+
     @cached_property
     def points(self) -> _Classes:
         return _refine(self.point_in_blocks)
@@ -438,9 +443,7 @@ class Search:
 
 def _is_isomorphism(ctx1, ctx2, images) -> bool:
     """Whether the bijection images carries the blocks of ctx1 onto those of ctx2."""
-    moved = ctx1.fields.move(ctx1.incidence, images)
-    return set(ctx1.fields.rows(moved)) == set(ctx2.block_bits)
-
+    return set(ctx1.relabeled(images)) == set(ctx2.block_bits)
 
 
 def isomorphism_search(ctx1: Incidence, ctx2: Incidence):

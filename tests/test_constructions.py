@@ -1,8 +1,10 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simplex_designs.constructions as constructions
 from simplex_designs.cliques import Clique, build_graph
@@ -29,12 +31,14 @@ from simplex_designs.errors import InternalCheckError, InvariantError
 from simplex_designs.fano import (
     INDEX_VALUES,
     FanoBijection,
+    _closed,
     bijection_index,
     fano_planes_on,
+    pairing_index,
     representative_of_index,
 )
 from simplex_designs.geometry import geometry_for_dimension, is_singular_subspace
-from simplex_designs.subsets import ElementSet
+from simplex_designs.subsets import ElementSet, Permutation, apply
 
 FULL15 = ElementSet.full(15)
 
@@ -372,6 +376,120 @@ class TestBitmaskIndex:
         dec = decompose(product_clique(O, X, Y, dict(zip(X, Y))), O)
         with pytest.raises(InvariantError, match="7 points, got 15"):
             dec.bijection_index()
+
+
+def pair_count_index(xs, ys) -> int:
+    """Oracle: the kept lines counted over the 21 pairs of points, each kept
+    line once at each of its three pairs; InternalCheckError unless both
+    halves are 7 distinct points holding the sum of every pair."""
+    y_of, y_set = dict(zip(xs, ys)), set(ys)
+    if len(y_of) != 7 or len(y_set) != 7:
+        raise InternalCheckError("a half is not a closed Fano plane: it repeats a point")
+    kept = 0
+    for (x1, y1), (x2, y2) in combinations(zip(xs, ys), 2):
+        y3 = y_of.get(x1 ^ x2)
+        if y3 is None or y1 ^ y2 not in y_set:
+            raise InternalCheckError("a half is not a closed Fano plane")
+        kept += y3 == y1 ^ y2
+    return kept // 3
+
+
+def outcome(index, xs, ys):
+    """The index, or "not closed" where the index raises InternalCheckError."""
+    try:
+        return index(xs, ys)
+    except InternalCheckError:
+        return "not closed"
+
+
+def every_split(c):
+    """The split of c at each center O and each 7-subset Z of O."""
+    for O in center_points(c):
+        for drop in O.elements():
+            yield decompose(c, O, ElementSet(O.bits & ~(1 << drop - 1), 15))
+
+
+def census_pair():
+    rng = random.Random(11)
+    O = canonical_center()
+    X = rng.choice(fano_planes_on(ElementSet(FULL15.bits & ~O.bits, 15)))
+    Y = rng.choice(fano_planes_on(default_z(O)))
+    return X, Y
+
+
+class TestPairingIndex:
+    """fano.pairing_index against the 21-pair count (pair_count_index)."""
+
+    def test_every_center_and_z_of_the_fixtures(self, fixture_designs, g15):
+        seen = set()
+        for name in FIXTURE_TAGS:
+            c = Clique.from_points(g15, fixture_designs[name].blocks)
+            for dec in every_split(c):
+                index = pairing_index(dec.xs, dec.ys)
+                assert index == pair_count_index(dec.xs, dec.ys) == dec.bijection_index()
+                assert pairing_index(dec.xs[::-1], dec.ys[::-1]) == index
+                seen.add(index)
+        assert seen == set(INDEX_VALUES)
+
+    def test_every_bijection_of_one_census_pair(self):
+        X, Y = census_pair()
+        counts = Counter()
+        for images in permutations(range(7)):
+            ys = [Y.bits[j] for j in images]
+            index = pairing_index(X.bits, ys)
+            assert index == pair_count_index(X.bits, ys)
+            assert index == bijection_index(FanoBijection(X, Y, images))
+            counts[index] += 1
+        assert counts == {7: 168, 3: 1176, 1: 2352, 0: 1344}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["c1", "c2", "c3", "c4"]),
+        images=st.permutations(range(1, 16)),
+        order=st.permutations(range(7)),
+    )
+    def test_relabeled_fixtures(self, fixture_designs, g15, name, images, order):
+        p = Permutation(tuple(images))
+        c = Clique.from_points(g15, [apply(p, b) for b in fixture_designs[name].blocks])
+        for dec in every_split(c):
+            xs, ys = [dec.xs[i] for i in order], [dec.ys[i] for i in order]
+            index = constructions.INDEX_BY_TAG[FIXTURE_TAGS[name]]
+            assert pairing_index(xs, ys) == pair_count_index(xs, ys) == index
+
+    def test_the_line_sums_alone_pass_a_repeated_point(self):
+        assert _closed([0, 3, 3, 5, 5, 6, 6])
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_broken_halves(self, half):
+        X, Y = census_pair()
+        plane = list((X, Y)[half].bits)
+        support = 0
+        for b in plane:
+            support |= b
+        # another 4-subset of the support: six points of a plane span it, so
+        # no such swap leaves the half closed
+        other = next(
+            b for b in range(1 << 15)
+            if b.bit_count() == 4 and not b & ~support and b not in plane
+        )
+        for bits in (
+            [0, 3, 3, 5, 5, 6, 6],
+            [plane[1], *plane[1:]],
+            [0, *plane[1:]],
+            [*plane[:6], 0],
+            [other, *plane[1:]],
+        ):
+            halves = [list(X.bits), list(Y.bits)]
+            halves[half] = bits
+            assert outcome(pairing_index, *halves) == "not closed"
+            assert outcome(pair_count_index, *halves) == "not closed"
+
+    def test_six_point_halves(self):
+        X, Y = census_pair()
+        xs, ys = X.bits[:6], Y.bits[:6]
+        assert outcome(pairing_index, xs, ys) == outcome(pair_count_index, xs, ys) == "not closed"
+        with pytest.raises(ValueError):
+            pairing_index(X.bits, ys)
 
 
 class TestDefaultZ:

@@ -59,6 +59,20 @@ class TestParams:
         with pytest.raises(InvariantError, match="k must be at least 2"):
             GeometryParams(1)
 
+    @pytest.mark.parametrize("k", [4.0, "4", None], ids=["float", "str", "none"])
+    def test_refuses_a_non_integer_k(self, k):
+        with pytest.raises(InvariantError, match="k must be an integer"):
+            GeometryParams(k)
+
+    def test_stores_an_index_object_as_an_int(self):
+        class Four:
+            def __index__(self):
+                return 4
+
+        p = GeometryParams(Four())
+        assert type(p.k) is int and p == GeometryParams(4)
+        assert (p.m, p.n) == (4, 15) and repr(p) == "GeometryParams(k=4)"
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_k_alone_equals_for_dimension(self, k):
         p, q = GeometryParams(k), GeometryParams.for_dimension(k)

@@ -37,8 +37,10 @@ returns it. object.__setattr__, which writes past the freeze, is called only
 in a __post_init__, to set the fields a value derives from its inputs, and
 in Clique._proved, which fills a clique without its check. designs.py,
 search.py and groups.py neither import nor call map_bits: a whole design
-moves through _Fields.move, every row at once, and a single set through
-apply.
+moves through Incidence.relabeled, every block at once, and a single set
+through apply. designs.py reads no attribute of the packed incidence
+(_Fields and the Incidence fields that hold it): only search.py knows
+that format, so a change to it stays inside the search.
 Module-level functions of geometry.py that take a Geometry read point
 bitmasks through Geometry.bits_of alone, never through a .bits attribute,
 so a set that is not a point raises InvariantError instead of passing as one.
@@ -641,7 +643,7 @@ def test_roster_numbering_only_in_geometry_and_cliques(path):
 
 
 def test_designs_maps_no_set_with_map_bits():
-    # whole designs move through _Fields.move, single sets through apply
+    # whole designs move through Incidence.relabeled, single sets through apply
     for name in ("designs.py", "search.py", "groups.py"):
         assert map_bits_uses(parse(PACKAGE / name)) == [], name
 
@@ -662,6 +664,43 @@ def test_map_bits_rule_catches_the_patterns():
     ]
     # apply maps its set through map_bits, so the rule is not vacuous
     assert map_bits_uses(parse(PACKAGE / "subsets.py"))
+
+
+# the packed incidence of search.py: the _Fields methods and the Incidence
+# attributes that hold the _Fields and the packed int
+PACKED_FORMAT_NAMES = {"fields", "incidence", "move", "rows", "row", "pack", "spread"}
+
+
+def packed_format_reads(tree):
+    """Attribute reads of PACKED_FORMAT_NAMES, as "line N: expr"."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PACKED_FORMAT_NAMES
+    ]
+
+
+def test_designs_reads_no_packed_incidence():
+    assert packed_format_reads(parse(PACKAGE / "designs.py")) == []
+
+
+def test_packed_format_rule_catches_a_planted_read():
+    planted = ast.parse(
+        (PACKAGE / "designs.py").read_text()
+        + "def moved(ctx, images):\n"
+        + "    fields = ctx.fields\n"
+        + "    return fields.rows(fields.move(ctx.incidence, images))\n"
+    )
+    end = len((PACKAGE / "designs.py").read_text().splitlines())
+    assert packed_format_reads(planted) == [
+        f"line {end + 2}: ctx.fields",
+        f"line {end + 3}: fields.rows",
+        f"line {end + 3}: fields.move",
+        f"line {end + 3}: ctx.incidence",
+    ]
+    # the search reads its own format, so the rule is not vacuous
+    reads = packed_format_reads(parse(PACKAGE / "search.py"))
+    assert {read.rpartition(".")[2] for read in reads} == PACKED_FORMAT_NAMES
 
 
 def test_geometry_functions_read_points_through_bits_of():
@@ -908,9 +947,14 @@ def test_setattr_rule_catches_the_patterns():
         for path in MODULES
         for use in object_setattr_uses(parse(path))
     } == SETATTR_CALLERS | {
+        ("cliques.py", "Clique.__post_init__"),
+        ("constructions.py", "CliqueClass.__post_init__"),
+        ("designs.py", "Design.__post_init__"),
+        ("designs.py", "HadamardMatrix.__post_init__"),
         ("fano.py", "FanoBijection.__post_init__"),
         ("fano.py", "FanoPlane.__post_init__"),
         ("geometry.py", "GeometryParams.__post_init__"),
+        ("geometry.py", "Line.__post_init__"),
         ("groups.py", "PermGroup.__post_init__"),
         ("subsets.py", "Permutation.__post_init__"),
     }

@@ -14,10 +14,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplex_designs.designs import Design, automorphism_group, find_isomorphism
 from simplex_designs.search import Incidence, automorphism_search, isomorphism_search
-from simplex_designs.subsets import ElementSet
+from simplex_designs.subsets import ElementSet, Permutation, apply
 
 from conftest import FIXTURE_NAMES, fixture_text
 from test_propagation import hyperplane_complements, paley_design
@@ -39,13 +40,17 @@ def paley_masks(q: int) -> list[int]:
     return [sum(1 << (d + a) % q for d in base) for a in range(q)]
 
 
-def pg42_masks() -> list[int]:
-    """The hyperplane complements of F_2^5: block a holds the nonzero x with
+def complement_masks(k: int) -> list[int]:
+    """The hyperplane complements of F_2^k: block a holds the nonzero x with
     a.x = 1, and x is the point at bit x - 1."""
     return [
-        sum(1 << x - 1 for x in range(1, 32) if (a & x).bit_count() % 2)
-        for a in range(1, 32)
+        sum(1 << x - 1 for x in range(1, 2**k) if (a & x).bit_count() % 2)
+        for a in range(1, 2**k)
     ]
+
+
+def pg42_masks() -> list[int]:
+    return complement_masks(5)
 
 
 CASES = {
@@ -135,3 +140,38 @@ def test_distinct_fixtures_stop_at_the_same_stage(a, b, caplog):
     assert message.endswith(
         f" leaves={search.leaves} propagations={search.propagations} cuts={search.cuts}"
     )
+
+
+# one incidence of each size the relabeling kernel must handle: v = 7, 15, 31
+RELABEL_CASES = {
+    7: lambda: complement_masks(3),
+    15: lambda: fixture_masks("c4"),
+    31: pg42_masks,
+}
+
+
+def assert_relabeled_like_apply(masks, images):
+    """Incidence.relabeled against apply of the 1-based permutation, block by block."""
+    v = len(masks)
+    p = Permutation(tuple(y + 1 for y in images))
+    expected = [apply(p, ElementSet(m, v)).bits for m in masks]
+    assert Incidence(masks).relabeled(images) == expected == [moved(m, images) for m in masks]
+
+
+@pytest.mark.parametrize("v", sorted(RELABEL_CASES))
+def test_relabeled_moves_every_block_like_apply(v):
+    masks = RELABEL_CASES[v]()
+    rng = random.Random(v)
+    assert Incidence(masks).relabeled(range(v)) == masks
+    for _ in range(20):
+        assert_relabeled_like_apply(masks, rng.sample(range(v), v))
+    # the reversal moves every point, the top one to bit 0
+    assert_relabeled_like_apply(masks, list(reversed(range(v))))
+
+
+@pytest.mark.parametrize("v", sorted(RELABEL_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabeled_matches_apply_on_drawn_relabelings(v, data):
+    images = data.draw(st.permutations(range(v)))
+    assert_relabeled_like_apply(RELABEL_CASES[v](), images)
