@@ -28,7 +28,7 @@ import logging
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import InvariantError
 from .geometry import Geometry
@@ -146,7 +146,10 @@ class Clique:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
+        try:
+            object.__setattr__(self, "bits", tuple(map(index, self.bits)))
+        except TypeError:
+            raise InvariantError("clique points must be integer bitmasks") from None
         n, m = self.geometry.params.n, self.geometry.params.m
         if list(self.bits) != sorted(set(self.bits)):
             raise InvariantError("clique points must be sorted and distinct")

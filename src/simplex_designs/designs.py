@@ -54,6 +54,8 @@ class Design:
             raise InvariantError(f"{v} points do not fit the 4t-1 pattern")
         size, lam = self.block_size, self.lambda_
         for i, b in enumerate(self.blocks):
+            if not isinstance(b, ElementSet):
+                raise InvariantError(f"block {i + 1} is not an ElementSet: {b!r}")
             if b.ground_size != v:
                 raise InvariantError(f"block {i + 1} lives on the wrong ground set")
             if len(b) != size:
@@ -112,7 +114,10 @@ class HadamardMatrix:
         return len(self.entries)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        try:
+            object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        except TypeError:
+            raise InvariantError("entries must form a nonempty square +-1 matrix") from None
         n = self.order
         if not n or any(len(row) != n or not set(row) <= {1, -1} for row in self.entries):
             raise InvariantError("entries must form a nonempty square +-1 matrix")

@@ -28,15 +28,14 @@ from .errors import InternalCheckError, InvariantError
 from .geometry import hyperplane_complement_blocks
 from .subsets import ElementSet, compose, map_bits
 
-# The lines of every plane as sorted position triples, and their position
-# masks. A plane is the nonzero vectors of a 3-dimensional space of bitmasks
-# with reduced echelon basis u1, u2, u3: only u_i holds its highest bit h_i,
-# and h1 < h2 < h3. Points x, y compare at the highest bit of x ^ y, which
-# is h_i for the last coordinate c_i where they differ, so the points sort
-# as the binary numbers c3 c2 c1: position p holds the vector p + 1, and
-# {a, b, c} is a line exactly when (a + 1) ^ (b + 1) == c + 1.
+# The lines of every plane as sorted position triples. A plane is the
+# nonzero vectors of a 3-dimensional space of bitmasks with reduced echelon
+# basis u1, u2, u3: only u_i holds its highest bit h_i, and h1 < h2 < h3.
+# Points x, y compare at the highest bit of x ^ y, which is h_i for the last
+# coordinate c_i where they differ, so the points sort as the binary numbers
+# c3 c2 c1: position p holds the vector p + 1, and {a, b, c} is a line
+# exactly when (a + 1) ^ (b + 1) == c + 1.
 _LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
-_LINE_MASKS = frozenset(1 << a | 1 << b | 1 << c for a, b, c in _LINES)
 
 # generators of the plane group: the Singer cycle v -> av of GF(8) =
 # F2[a]/(a^3 + a + 1) and the swap of e1 and e2 (checked in _class_table)
@@ -67,6 +66,8 @@ class FanoPlane:
 
     def __post_init__(self):
         pts = tuple(self.points)
+        if not all(isinstance(p, ElementSet) for p in pts):
+            raise InvariantError("plane points must be ElementSets")
         bits = tuple(p.bits for p in pts)
         if len(bits) != 7 or list(bits) != sorted(set(bits)):
             raise InvariantError("a Fano plane needs 7 distinct points in ascending bitmask order")
@@ -197,10 +198,11 @@ class FanoBijection:
 
 
 def _lines_kept(images) -> int:
-    """Number of lines whose image under the position permutation images is a line."""
+    """Number of lines whose image under the position permutation images is a line: position
+    p holds the vector p + 1 (see _LINES), so (a, b, c) is kept when its image vectors XOR."""
     count = 0
     for a, b, c in _LINES:
-        if (1 << images[a] | 1 << images[b] | 1 << images[c]) in _LINE_MASKS:
+        if (images[a] + 1) ^ (images[b] + 1) == images[c] + 1:
             count += 1
     return count
 

@@ -119,7 +119,7 @@ class Geometry:
 
     def bits_of(self, p: ElementSet) -> int:
         """The bitmask of p; raises InvariantError unless p is a point."""
-        if not self.contains(p):
+        if not (isinstance(p, ElementSet) and self.contains(p)):
             raise InvariantError(f"{p} is not a point of this geometry")
         return p.bits
 
@@ -135,14 +135,15 @@ class Geometry:
             raise InvariantError(f"bitmask {missing:#x} is not a point of this geometry") from None
 
 
+@lru_cache(maxsize=None)
 def build_geometry(params: GeometryParams) -> Geometry:
+    """The one shared geometry of params (keyed by k as an int), so one roster per dimension."""
     return Geometry(params)
 
 
-@lru_cache(maxsize=None)
 def geometry_for_dimension(k: int) -> Geometry:
-    """Shared, cached geometry instance for the given dimension."""
-    return build_geometry(GeometryParams.for_dimension(k))
+    """build_geometry(GeometryParams(k)): the shared geometry, for an int or __index__ k."""
+    return build_geometry(GeometryParams(k))
 
 
 def geometry_for_ground(n: int) -> Geometry:
@@ -221,13 +222,8 @@ def singular_span(g: Geometry, s) -> frozenset[ElementSet]:
     i.e. when s is not contained in any singular subspace.
     """
     m = g.params.m
-    current: list[int] = []
-    for p in s:
-        b = g.bits_of(p)
-        if b not in current:
-            current.append(b)
-    seen = set(current)
-    queue = list(current)
+    seen = {g.bits_of(p) for p in s}
+    queue = list(seen)
     while queue:
         a = queue.pop()
         for b in list(seen):

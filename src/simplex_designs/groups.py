@@ -4,6 +4,7 @@ itself when built. The layer works on 0-based image tuples, composed as
 """
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -189,12 +190,13 @@ class _ChainElements(Sequence):
 class PermGroup:
     """The permutation group of the given degree that the generators generate.
 
-    It checks itself when built: the degree must not be negative, and every
-    generator must have the group's degree. ``images`` holds the generators
-    as 0-based image tuples, and ``elements`` is a lazy view of their
-    Schreier-Sims stabilizer chain: ``len`` is the order, and indexing or
-    membership costs one pass down the chain, so no element list is ever
-    built. Groups compare and hash by degree and generators.
+    It checks itself when built: the degree must be an integer, stored as
+    an int, and not negative, and every generator must have the group's
+    degree. ``images`` holds the generators as 0-based image tuples, and
+    ``elements`` is a lazy view of their Schreier-Sims stabilizer chain:
+    ``len`` is the order, and indexing or membership costs one pass down
+    the chain, so no element list is ever built. Groups compare and hash
+    by degree and generators.
     """
 
     degree: int
@@ -203,7 +205,11 @@ class PermGroup:
     elements: Sequence[Permutation] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n, generators = self.degree, tuple(self.generators)
+        try:
+            n = operator.index(self.degree)
+        except TypeError:
+            raise InvariantError(f"degree must be an integer, got {self.degree!r}") from None
+        generators = tuple(self.generators)
         if n < 0:
             raise InvariantError(f"a group of negative degree {n}")
         for p in generators:
@@ -211,7 +217,8 @@ class PermGroup:
                 raise InvariantError(f"a generator of degree {p.degree} in a group of degree {n}")
         images = tuple(map(_images, generators))
         chain = _ChainElements(n, *_schreier_sims(images, n))
-        for name, value in (("generators", generators), ("images", images), ("elements", chain)):
+        values = {"degree": n, "generators": generators, "images": images, "elements": chain}
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     @property

@@ -45,7 +45,7 @@ class ElementSet:
         return cls((1 << ground_size) - 1, ground_size)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.ground_size) if self.bits >> i & 1)
+        return tuple(i + 1 for i in set_bits(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()

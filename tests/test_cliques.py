@@ -442,6 +442,11 @@ class TestProvedPath:
         # from_points sorts its input, so an unsorted list names the same clique
         assert Clique.from_points(g15, points[::-1]) == c
 
+    @pytest.mark.parametrize("bits", [0b111, 0xFF << 8, -1], ids=["three", "wide", "negative"])
+    def test_a_bitmask_that_is_no_point_is_refused(self, g15, bits):
+        with pytest.raises(InvariantError, match=f"^{re.escape(bin(bits))} is not a point"):
+            Clique(g15, (bits,))
+
 
 class TestCenters:
     def test_fixture_center_counts(self, fixture_cliques):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from itertools import combinations, permutations
@@ -144,6 +145,49 @@ class TestProduct:
         # a FanoBijection passed with point-sequence halves is a callable delta, checked in full
         with pytest.raises(InvariantError, match="not a point of the plane"):
             product_clique(O, X.points, Y.points, FanoBijection(Y, Y, tuple(range(7))))
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("repeated", "X contains repeated points"),
+            ("six-points", "X must have 7 points, got 6"),
+            ("wider-ground", r"X point \{1,4,6,7\} is not an 4-element subset of \[15\]"),
+            ("five-elements", r"X point \{1,4,6,7,15\} is not an 4-element subset of \[15\]"),
+            ("inside-center", r"X point \{8,9,10,11\} leaves its support \{1,2,3,4,5,6,7\}"),
+            ("disjoint-pair", r"X points \{1,3,5,7\}, \{2,3,5,7\} do not meet in 2"),
+        ],
+    )
+    def test_rejects_a_point_sequence_half_that_is_no_clique(self, case, message):
+        O = canonical_center()
+        X = fano_planes_on(ElementSet(FULL15.bits & ~O.bits, 15))
+        Y = fano_planes_on(default_z(O))[0]
+        xs, last = list(X[0].points), X[0].points[6]
+        other = next(p for p in X[1].points if p not in xs)
+        half = {
+            "repeated": xs[:6] + [xs[0]],
+            "six-points": xs[:6],
+            "wider-ground": xs[:6] + [ElementSet(last.bits, 31)],
+            "five-elements": xs[:6] + [ElementSet(last.bits | 1 << 14, 15)],
+            "inside-center": xs[:6] + [ElementSet.of([8, 9, 10, 11], 15)],
+            "disjoint-pair": xs[:6] + [other],
+        }[case]
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            product_clique(O, half, Y.points, dict(zip(half, Y.points)))
+
+    def test_rejects_a_y_half_covering_the_whole_center(self):
+        # the seven affine planes of AG(3,2) on O through one point meet
+        # pairwise in 2 but cover all 8 elements of O, not 7
+        O = canonical_center()
+        X = fano_planes_on(ElementSet(FULL15.bits & ~O.bits, 15))[0]
+        affine = [
+            ElementSet.of(quad, 15)
+            for quad in combinations(O.elements(), 4)
+            if 8 in quad and (quad[0] - 8) ^ (quad[1] - 8) ^ (quad[2] - 8) ^ (quad[3] - 8) == 0
+        ]
+        assert len(affine) == 7
+        message = r"^Y must cover 7 elements of \{8,9,10,11,12,13,14,15\}$"
+        with pytest.raises(InvariantError, match=message):
+            product_clique(O, X.points, affine, dict(zip(X.points, affine)))
 
     def test_rejects_x_not_in_complement(self):
         rng = random.Random(5)
@@ -299,6 +343,20 @@ class TestDecompose:
         O = center_points(c)[0]
         with pytest.raises(InvariantError):
             decompose(c, O, ElementSet.of([1, 2, 3, 4, 5, 6, 7], 15))
+
+    def test_rejects_a_clique_that_is_not_maximal(self, fixture_designs, g15):
+        c = Clique.from_points(g15, fixture_designs["c1"].blocks)
+        O = center_points(c)[0]
+        drop = next(b for b in c.bits if b != O.bits)
+        short = Clique(g15, tuple(b for b in c.bits if b != drop))
+        with pytest.raises(InvariantError, match="^clique has 14 points, expected 15$"):
+            decompose(short, O)
+
+    def test_rejects_a_center_outside_the_clique(self, fixture_designs, g15):
+        c = Clique.from_points(g15, fixture_designs["c1"].blocks)
+        outside = next(p for p in g15.points if p.bits not in c.bits)
+        with pytest.raises(InvariantError, match=rf"^{re.escape(str(outside))} is not a point"):
+            decompose(c, outside)
 
     def test_rejects_a_center_on_another_ground(self, fixture_designs, g15):
         c = Clique.from_points(g15, fixture_designs["c1"].blocks)
@@ -638,6 +696,35 @@ class TestNonCentered:
         assert (n25 ^ n46) == target
         assert (m124 ^ m156) == target
         assert (m236 ^ m345) == target
+
+    @pytest.mark.parametrize("label", [-8, 8])
+    def test_signed_labels_outside_the_range_are_refused(self, label):
+        with pytest.raises(InvariantError, match=f"^signed label {label} outside -7..7$"):
+            signed_set([0, label])
+
+    @pytest.mark.parametrize(
+        "index, found", [(7, 15), (3, 3), (0, 0)], ids=["C1", "C2", "C4"]
+    )
+    def test_split_refuses_a_clique_without_one_plane(self, g15, index, found):
+        c = Clique.from_points(g15, canonical_centered_blocks(index))
+        message = f"^expected exactly one plane inside the clique, found {found}$"
+        with pytest.raises(InvariantError, match=message):
+            split_non_centered(c)
+
+    def test_split_refuses_a_rest_that_spans_less_than_a_maximal_subspace(self, g15):
+        # the plane and one further point: that point spans only itself
+        c = non_centered_clique()
+        plane = {p.bits for p in split_non_centered(c).plane}
+        kept = sorted(plane | {next(b for b in c.bits if b not in plane)})
+        with pytest.raises(InvariantError, match="^remaining points do not span a maximal"):
+            split_non_centered(Clique(g15, tuple(kept)))
+
+    def test_split_refuses_a_centered_clique_with_one_plane(self, g15):
+        # C3's one plane holds its center, and the other 8 points span a
+        # subspace that does not meet the clique in them alone
+        c = Clique.from_points(g15, canonical_centered_blocks(1))
+        with pytest.raises(InvariantError, match="^subspace does not meet the clique"):
+            split_non_centered(c)
 
     def test_split_shape(self, g15):
         c = non_centered_clique()

@@ -232,10 +232,17 @@ class TestPlaneEnumeration:
     def test_stored_lines_and_index_match_xor_closure(self, support):
         for f in fano_planes_on(support):
             assert f.lines() == xor_lines(f)
-            assert fano._LINE_MASKS == {sum(1 << i for i in line) for line in xor_lines(f)}
             assert f.index == {p.bits: i for i, p in enumerate(f.points)}
             assert f.bits == tuple(p.bits for p in f.points)
             assert f.support == support
+
+    def test_lines_kept_matches_a_count_of_line_masks(self):
+        # oracle: a line's image is a line when its position mask is one of the 7 line masks
+        plane = fano_planes_on(ElementSet.full(7))[0]
+        masks = {sum(1 << i for i in line) for line in xor_lines(plane)}
+        for perm in permutations(range(7)):
+            kept = sum(sum(1 << perm[i] for i in line) in masks for line in fano._LINES)
+            assert fano._lines_kept(perm) == kept
 
     @pytest.mark.parametrize("n", [15, 31, 63])
     def test_lines_match_xor_closure_on_wider_grounds(self, n):

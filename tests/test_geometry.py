@@ -13,6 +13,7 @@ from simplex_designs.geometry import (
     Line,
     build_geometry,
     geometry_for_dimension,
+    geometry_for_ground,
     is_collinear,
     is_singular_bits,
     is_singular_subspace,
@@ -119,6 +120,19 @@ class TestRoster:
         d = FanoBijection(X, Y, (3, 1, 4, 0, 6, 5, 2))
         assert product_clique(O, X, Y, d, build_geometry(params)) == product_clique(O, X, Y, d)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_one_shared_geometry_per_dimension(self, k):
+        class Index:
+            def __index__(self):
+                return k
+
+        params = GeometryParams(k)
+        shared = build_geometry(params)
+        assert shared is geometry_for_dimension(k) is geometry_for_ground(params.n)
+        assert shared is geometry_for_dimension(Index()) is build_geometry(GeometryParams(Index()))
+        # a Geometry built by hand is a value equal to the shared one, not the same object
+        assert Geometry(params) == shared and Geometry(params) is not shared
+
     def test_sizes(self, g7, g15):
         assert len(g7) == 35
         assert len(g15) == 6435
@@ -207,6 +221,13 @@ class TestLines:
         pts = sorted(g7.points[:5], key=lambda p: p.bits)
         with pytest.raises(InvariantError):
             Line((pts[0], pts[1], pts[2]))
+
+    def test_a_closed_triple_out_of_order_is_refused(self, g7):
+        x, y = next(pair for pair in combinations(g7.points, 2) if is_collinear(g7, *pair))
+        a, b, c = line_through(g7, x, y).points
+        for triple in ((b, a, c), (a, c, b), (c, b, a)):
+            with pytest.raises(InvariantError, match="^line points must be in ascending"):
+                Line(triple)
 
     @pytest.mark.parametrize(
         "a,b,n,message",

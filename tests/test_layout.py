@@ -2,7 +2,10 @@
 
 Modules share code through public names only, and the lowest-set-bit
 idiom ``x & -x`` lives in subsets.py alone (set_bits and map_bits), so
-there is one set-bit iterator in the package. The one exception is
+there is one set-bit iterator in the package, and no loop or comprehension
+over a range tests bit i of a mask with ``>> i & 1``: that scan of every
+ground position is the walk set_bits replaces, while a single bit test, as
+in ElementSet.__contains__, walks nothing. The one exception to the idiom is
 search.Search.propagate, which runs once per search node and takes the
 lowest guard bit inline, as a generator there costs about 4 % of an
 automorphism_group call. No module imports numpy, not even inside a
@@ -11,8 +14,8 @@ like every other bitset, so the package runs on the standard library
 alone. The point roster's numbering (index_of, indices_of,
 Clique.vertices) is used in geometry.py and cliques.py alone: everywhere
 else points are bitmasks, so nothing else builds the roster. functools.lru_cache and
-functools.cache appear only on geometry_for_dimension, whose shared
-geometry the tests rely on, and on fano._class_table, the one group and
+functools.cache appear only on build_geometry, the one shared geometry
+of each dimension, and on fano._class_table, the one group and
 class table of position permutations of every Fano plane, which takes no
 argument and holds only immutable values: a module-level cache is global
 mutable state, and what the search computes lazily stays on its own
@@ -166,6 +169,44 @@ def lowest_bit_idioms(tree):
             ):
                 found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
+
+
+def bit_tests_of(node, name: str) -> bool:
+    """Whether node holds ``x >> e & 1`` (or ``1 & x >> e``) with name inside e."""
+    for test in ast.walk(node):
+        if isinstance(test, ast.BinOp) and isinstance(test.op, ast.BitAnd):
+            for one, shift in ((test.right, test.left), (test.left, test.right)):
+                if (
+                    isinstance(one, ast.Constant) and one.value == 1
+                    and isinstance(shift, ast.BinOp) and isinstance(shift.op, ast.RShift)
+                    and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(shift.right))
+                ):
+                    return True
+    return False
+
+
+def range_bit_scans(tree):
+    """Loops and comprehensions over a range that test ``>> i & 1`` for their variable i."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            loops = [(node.target, node.iter, node.body)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            loops = [(gen.target, gen.iter, [*gen.ifs, node.elt]) for gen in node.generators]
+        elif isinstance(node, ast.DictComp):
+            parts = [node.key, node.value]
+            loops = [(gen.target, gen.iter, [*gen.ifs, *parts]) for gen in node.generators]
+        else:
+            continue
+        for target, over, body in loops:
+            if (
+                isinstance(over, ast.Call)
+                and ast.unparse(over.func) == "range"
+                and isinstance(target, ast.Name)
+                and any(bit_tests_of(part, target.id) for part in body)
+            ):
+                found.append((node.lineno, node.col_offset, type(node).__name__))
+    return [f"line {line}: {kind}" for line, _, kind in sorted(found)]
 
 
 ROSTER_NAMES = {"index_of", "indices_of", "vertices"}
@@ -322,7 +363,7 @@ def lowest_bits_outside_takers(path):
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
-CACHED_FUNCTIONS = {("geometry.py", "geometry_for_dimension"), ("fano.py", "_class_table")}
+CACHED_FUNCTIONS = {("geometry.py", "build_geometry"), ("fano.py", "_class_table")}
 
 
 def functools_caches(tree):
@@ -613,6 +654,36 @@ def test_lowest_set_bit_idiom_only_in_subsets(path):
     assert lowest_bits_outside_takers(path) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_range_scan_for_set_bits(path):
+    assert range_bit_scans(parse(path)) == []
+
+
+def test_range_scan_rule_catches_the_patterns():
+    tree = ast.parse(
+        "elements = tuple(i + 1 for i in range(n) if bits >> i & 1)\n"
+        "for e in range(1, n + 1):\n"
+        "    if 1 & mask >> (e - 1):\n"
+        "        out.append(e)\n"
+        "rows = {j: adj[j] for j in range(v) if (row >> j) & 1}\n"
+        "present = bits >> (element - 1) & 1 == 1\n"
+        "for e in range(n):\n"
+        "    total += other >> k & 1\n"
+        "low = [i for i in positions if bits >> i & 1]\n"
+    )
+    assert range_bit_scans(tree) == [
+        "line 1: GeneratorExp",
+        "line 2: For",
+        "line 5: DictComp",
+    ]
+    # ElementSet.__contains__ tests one bit and walks nothing
+    contains = ast.parse(
+        "def __contains__(self, element):\n"
+        "    return 1 <= element <= self.ground_size and self.bits >> (element - 1) & 1 == 1\n"
+    )
+    assert range_bit_scans(contains) == []
+
+
 def test_package_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
@@ -883,7 +954,7 @@ def test_rules_catch_the_patterns():
         "line 7: lru_cache",
     ]
     (shared,) = functools_caches(parse(PACKAGE / "geometry.py"))
-    assert shared.endswith(": @lru_cache(maxsize=None) on geometry_for_dimension")
+    assert shared.endswith(": @lru_cache(maxsize=None) on build_geometry")
 
 
 @pytest.mark.parametrize(

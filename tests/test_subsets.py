@@ -86,6 +86,12 @@ class TestSymdiff:
         assert intersection_size(a, a) == len(a)
         assert intersection_size(elem([1, 2]), elem([3, 4])) == 0
 
+    def test_intersection_set(self):
+        assert elem([2, 5, 9]) & elem([5, 9, 12]) == elem([5, 9])
+        assert elem([1, 2]) & elem([3, 4]) == ElementSet.empty(15)
+        with pytest.raises(GroundMismatchError, match="^ground sizes differ: 7 vs 15$"):
+            elem([1], 7) & elem([1], 15)
+
     def test_ground_mismatch(self):
         with pytest.raises(GroundMismatchError):
             symdiff(elem([1], 7), elem([1], 15))
@@ -172,6 +178,8 @@ class TestPermutation:
     def test_degree_mismatch(self):
         with pytest.raises(GroundMismatchError):
             apply(Permutation.identity(7), elem([1], 15))
+        with pytest.raises(GroundMismatchError, match="^permutation degrees differ$"):
+            Permutation.identity(7) * Permutation.identity(15)
 
     def test_cardinality_preserved_random(self):
         rng = random.Random(3)

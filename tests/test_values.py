@@ -3,7 +3,9 @@ values built from tuples.
 
 Every frozen value that takes a sequence turns it into a tuple when built:
 a list inside a frozen dataclass would compare unequal to the tuple-built
-value and could not be hashed.
+value and could not be hashed. A value built from elements of the wrong
+kind raises InvariantError, not the bare Python error of the first
+attribute or operator that the elements lack.
 """
 
 import pytest
@@ -11,7 +13,10 @@ import pytest
 from simplex_designs.cliques import Clique
 from simplex_designs.constructions import CliqueClass, classify_clique
 from simplex_designs.designs import Design, HadamardMatrix, to_hadamard
+from simplex_designs.errors import InvariantError
+from simplex_designs.fano import FanoPlane
 from simplex_designs.geometry import Line
+from simplex_designs.groups import PermGroup
 from simplex_designs.subsets import ElementSet
 
 TYPES = ["Design", "Clique", "HadamardMatrix", "Line", "CliqueClass"]
@@ -51,3 +56,38 @@ def test_hadamard_rows_become_tuples(fixture_designs):
     from_lists = HadamardMatrix([list(row) for row in h.entries])
     assert all(type(row) is tuple for row in from_lists.entries)
     assert from_lists.entries == h.entries
+
+
+WRONG_KINDS = {
+    "design-of-ints": (lambda g: Design([1, 2, 3]), "block 1 is not an ElementSet: 1"),
+    "hadamard-of-ints": (
+        lambda g: HadamardMatrix([1, -1]), "entries must form a nonempty square +-1 matrix"
+    ),
+    "clique-of-floats": (lambda g: Clique(g, [255.0]), "clique points must be integer bitmasks"),
+    "clique-from-ints": (
+        lambda g: Clique.from_points(g, [255]), "255 is not a point of this geometry"
+    ),
+    "plane-of-ints": (
+        lambda g: FanoPlane((1, 2, 3, 4, 5, 6, 7)), "plane points must be ElementSets"
+    ),
+    "group-of-float-degree": (
+        lambda g: PermGroup(3.0, ()), "degree must be an integer, got 3.0"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KINDS)
+def test_elements_of_the_wrong_kind_raise_invariant_error(case, g15):
+    build, message = WRONG_KINDS[case]
+    with pytest.raises(InvariantError) as raised:
+        build(g15)
+    assert str(raised.value) == message
+
+
+def test_an_index_degree_is_stored_as_an_int():
+    class Three:
+        def __index__(self):
+            return 3
+
+    group = PermGroup(Three(), ())
+    assert type(group.degree) is int and group == PermGroup(3, ())
