@@ -43,7 +43,7 @@ def _check_half_clique(points, support: int, n: int, m: int, what: str) -> list[
     union = 0
     for p in pts:
         if p.ground_size != n or p.bits.bit_count() != m:
-            raise InvariantError(f"{what} point {p} is not an {m}-element subset of [{n}]")
+            raise InvariantError(f"{what} point {p} is not a subset of [{n}] with {m} elements")
         if p.bits & ~support:
             raise InvariantError(f"{what} point {p} leaves its support {ElementSet(support, n)}")
         union |= p.bits
@@ -495,8 +495,8 @@ def split_non_centered(c: Clique) -> NonCenteredParts:
     clique_points = set(c.points)
     if len(removed) != 7 or removed & clique_points:
         raise InvariantError("subspace does not meet the clique in the right shape")
-    if plane & subspace:
-        raise InvariantError("attached plane is not disjoint from the subspace")
+    # the plane misses the subspace: the subspace is rest plus removed, the
+    # plane lies in the clique outside rest, and removed misses the clique
     if not is_singular_subspace(g, removed):
         raise InvariantError("deleted part of the subspace is not a plane")
     return NonCenteredParts(

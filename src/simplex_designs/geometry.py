@@ -114,12 +114,17 @@ class Geometry:
     def __len__(self) -> int:
         return comb(self.params.n, self.params.point_size)
 
-    def contains(self, p: ElementSet) -> bool:
-        return p.ground_size == self.params.n and p.bits.bit_count() == 2 * self.params.m
+    def contains(self, p) -> bool:
+        """Whether p is a point: an ElementSet of the right size on [n]."""
+        return (
+            isinstance(p, ElementSet)
+            and p.ground_size == self.params.n
+            and p.bits.bit_count() == 2 * self.params.m
+        )
 
     def bits_of(self, p: ElementSet) -> int:
         """The bitmask of p; raises InvariantError unless p is a point."""
-        if not (isinstance(p, ElementSet) and self.contains(p)):
+        if not self.contains(p):
             raise InvariantError(f"{p} is not a point of this geometry")
         return p.bits
 

@@ -191,12 +191,12 @@ class PermGroup:
     """The permutation group of the given degree that the generators generate.
 
     It checks itself when built: the degree must be an integer, stored as
-    an int, and not negative, and every generator must have the group's
-    degree. ``images`` holds the generators as 0-based image tuples, and
-    ``elements`` is a lazy view of their Schreier-Sims stabilizer chain:
-    ``len`` is the order, and indexing or membership costs one pass down
-    the chain, so no element list is ever built. Groups compare and hash
-    by degree and generators.
+    an int, and not negative, and the generators an iterable of
+    Permutations of the group's degree. ``images`` holds the generators as
+    0-based image tuples, and ``elements`` is a lazy view of their
+    Schreier-Sims stabilizer chain: ``len`` is the order, and indexing or
+    membership costs one pass down the chain, so no element list is ever
+    built. Groups compare and hash by degree and generators.
     """
 
     degree: int
@@ -209,10 +209,15 @@ class PermGroup:
             n = operator.index(self.degree)
         except TypeError:
             raise InvariantError(f"degree must be an integer, got {self.degree!r}") from None
-        generators = tuple(self.generators)
+        try:
+            generators = tuple(self.generators)
+        except TypeError:
+            raise InvariantError(f"generators must be iterable, got {self.generators!r}") from None
         if n < 0:
             raise InvariantError(f"a group of negative degree {n}")
-        for p in generators:
+        for i, p in enumerate(generators):
+            if not isinstance(p, Permutation):
+                raise InvariantError(f"generator {i + 1} is not a Permutation: {p!r}")
             if p.degree != n:
                 raise InvariantError(f"a generator of degree {p.degree} in a group of degree {n}")
         images = tuple(map(_images, generators))

@@ -9,11 +9,13 @@ so it depends on the design alone and stays valid for every later
 comparison. The base invariant of a point triple is the number of blocks
 containing all three, and dually the size of a triple block intersection.
 Pair signatures over these invariants seed a colour refinement that stops
-at the first round splitting no class, so isomorphism_search rejects most
-non-isomorphic pairs on the point side before it refines any blocks. The
-classes carve the candidate sets, then a backtracking search assigns point
-images, narrowing the candidates of every point and every block of the
-bipartite incidence structure after each choice.
+at the first round splitting no class, and before any per-pair work when
+every pair has the same signature, as then no class can split; so
+isomorphism_search rejects most non-isomorphic pairs on the point side
+before it refines any blocks. The classes carve the candidate sets, then a
+backtracking search assigns point images, narrowing the candidates of every
+point and every block of the bipartite incidence structure after each
+choice.
 
 The candidates of one side live in one int (``_Fields``): row x in bits
 x*w to x*w + v - 1, where w is v + 1 rounded up to a multiple of 8, under
@@ -99,7 +101,8 @@ def _pair_signatures(masks: list[int]) -> list[bytes]:
     counts the z with |masks[x] & masks[y] & masks[z]| >= c, for c up to
     the largest such count. This encodes the multiset of the pair's triple
     counts, and orders signatures as the sorted counts would, as the
-    smallest count whose multiplicity differs decides both orders.
+    smallest count whose multiplicity differs decides both orders. When
+    every count is the same in every pair, every pair gets one bytes object.
 
     Each big int below holds one byte per pair, in combinations order. A
     triple count is at most the bit width of the masks, and the number of
@@ -134,6 +137,8 @@ def _pair_signatures(masks: list[int]) -> list[bytes]:
             m >>= 4
         columns.append(column)
     counts = []
+    # whether every pair has reached each c equally often so far
+    uniform = True
     for c in range(1, width + 1):
         # a count plus 128 - c reaches bit 7 of its byte exactly when the
         # count reaches c, and stays below 256
@@ -142,7 +147,11 @@ def _pair_signatures(masks: list[int]) -> list[bytes]:
         if not reached:
             # no pair reaches c, so none reaches a larger one
             break
+        uniform = uniform and reached == (reached & 255) * ones
         counts.append(reached.to_bytes(pairs, "little"))
+    if uniform:
+        # every pair has the signature of pair 0: byte 0 of each count
+        return [bytes([count[0] for count in counts])] * pairs
     # byte c - 1 of pair i is byte i of counts[c - 1]
     grid = b"".join(counts)
     return [grid[i::pairs] for i in range(pairs)]
@@ -158,7 +167,10 @@ def _refine(masks: list[int]) -> _Classes:
     later round by the multiset of (class, pair signature) over the other
     indices. The refinement stops after the first round that splits no
     class, after at most 3 rounds; one class after round 1 is already
-    stable. A pair code is 1 plus the rank of its signature among the
+    stable. When every pair has the same signature, every row of the pair
+    matrix is one 0 and v - 1 equal codes, so round 1 gives one class: the
+    refinement returns it at once, with no pair codes, pair matrix or row
+    sorts. A pair code is 1 plus the rank of its signature among the
     distinct signatures in sorted order, and a class code the rank of its
     round's key among that round's distinct keys, so the codes depend on the
     structure alone: two sides with equal ``tables`` give equal codes
@@ -166,6 +178,9 @@ def _refine(masks: list[int]) -> _Classes:
     """
     v = len(masks)
     signature_table, pair_codes = _rank(_pair_signatures(masks))
+    if len(signature_table) == 1:
+        # the round-1 key of every index, and one class is stable
+        return _Classes([0] * v, (signature_table, ((0,) + (1,) * (v - 1),)))
     pair_codes = [code + 1 for code in pair_codes]
     # pair codes count from 1, so the 0 at pair[x][x] adds to the key of x
     # an element set by the class of x alone, and keys compare as without it;

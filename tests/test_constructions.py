@@ -151,8 +151,8 @@ class TestProduct:
         [
             ("repeated", "X contains repeated points"),
             ("six-points", "X must have 7 points, got 6"),
-            ("wider-ground", r"X point \{1,4,6,7\} is not an 4-element subset of \[15\]"),
-            ("five-elements", r"X point \{1,4,6,7,15\} is not an 4-element subset of \[15\]"),
+            ("wider-ground", r"X point \{1,4,6,7\} is not a subset of \[15\] with 4 elements"),
+            ("five-elements", r"X point \{1,4,6,7,15\} is not a subset of \[15\] with 4 elements"),
             ("inside-center", r"X point \{8,9,10,11\} leaves its support \{1,2,3,4,5,6,7\}"),
             ("disjoint-pair", r"X points \{1,3,5,7\}, \{2,3,5,7\} do not meet in 2"),
         ],

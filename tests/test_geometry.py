@@ -158,6 +158,15 @@ class TestRoster:
         with pytest.raises(InvariantError):
             g15.index_of(ElementSet.of([1], 15))
 
+    def test_contains_is_false_for_anything_but_an_element_set(self, g15):
+        # a predicate: a bitmask or a tuple of the right size is no point
+        point = g15.points[0]
+        assert g15.contains(point)
+        for other in (point.bits, 255, (point.bits, 15), None):
+            assert not g15.contains(other)
+        with pytest.raises(InvariantError, match="255 is not a point"):
+            g15.bits_of(255)
+
     def test_indices_of_names_the_bitmask_that_is_not_a_point(self, g7):
         points = [p.bits for p in g7.points[:3]]
         assert g7.indices_of(points) == (0, 1, 2)

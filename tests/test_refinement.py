@@ -1,21 +1,23 @@
 """The refined point and block classes behind find_isomorphism: equal to the
-three-round refinement they replace, equivariant under relabeling, coded
-by the design alone so that each design is refined once, and staged so
-that non-isomorphic pairs are rejected on the point side; the witnesses it
-returns and its DEBUG record."""
+three-round refinement they replace and, codes and tables, to the pair
+matrix refinement that one pair signature now skips, equivariant under
+relabeling, coded by the design alone so that each design is refined once,
+and staged so that non-isomorphic pairs are rejected on the point side; the
+witnesses it returns and its DEBUG record."""
 
 import copy
 import logging
 import pickle
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_designs.constructions import hyperplane_complement_blocks
 from simplex_designs.designs import Design, automorphism_group, find_isomorphism
-from simplex_designs.search import _pair_signatures, _rank, _refine
+from simplex_designs.search import _CODE_SHIFT, _Classes, _pair_signatures, _rank, _refine
 from simplex_designs.subsets import Permutation
 
 from conftest import FIXTURE_NAMES
@@ -82,6 +84,9 @@ def assert_matches_oracle(d: Design):
     new = refined_sides(d)
     old = oracle_sides(d, {})
     assert [partition(codes) for codes in new] == [partition(codes) for codes in old]
+    ctx = incidence(d)
+    for masks in (ctx.point_in_blocks, ctx.block_bits):
+        assert _refine(masks) == reference_refine(masks)
 
 
 def relabeled_masks(masks, rng):
@@ -112,7 +117,7 @@ class TestPartitionOracle:
     def test_relabelings(self, fixture_designs, name, images):
         assert_matches_oracle(fixture_designs[name].relabeled(Permutation(tuple(images))))
 
-    @pytest.mark.parametrize("k", [3, 5, 6])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_hyperplane_complements(self, k):
         d = hyperplane_complements(k)
         assert_matches_oracle(d)
@@ -128,6 +133,7 @@ class TestPartitionOracle:
             classes = _refine(masks)
             oracle = oracle_classes_from(oracle_pair_signatures(masks), {})
             assert partition(classes.codes) == partition(oracle)
+            assert classes == reference_refine(masks)
             rounds.add(classes.rounds)
         assert rounds == {2, 3}
 
@@ -162,6 +168,7 @@ class TestPartitionOracle:
                     other[rng.randrange(10)] ^= 1 << rng.randrange(10)
             new1 = _refine(masks)
             new2 = _refine(other)
+            assert (new1, new2) == (reference_refine(masks), reference_refine(other))
             labels = {}
             old1 = oracle_classes_from(oracle_pair_signatures(masks), labels)
             old2 = oracle_classes_from(oracle_pair_signatures(other), labels)
@@ -379,6 +386,80 @@ class TestPlanesAgainstLanes:
             for density in (0.3, 0.7, 1.0):
                 masks = random_masks(r, n, density, rng)
                 assert column_ranks(masks) == _rank(sorted_counts(masks))[1]
+
+
+def reference_refine(masks):
+    """The refinement as it was before it stopped at one pair signature,
+    on the lane-sum signatures: every side builds the pair matrix and ranks
+    its sorted rows, whatever its number of signatures."""
+    v = len(masks)
+    signature_table, pair_codes = _rank(reference_pair_signatures(masks, transposed(masks)))
+    pair_codes = [code + 1 for code in pair_codes]
+    pair = [[0] * v for _ in range(v)]
+    end = 0
+    for x, row in enumerate(pair):
+        start, end = end, end + v - x - 1
+        row[x + 1:] = pair_codes[start:end]
+    for x, column in enumerate(list(zip(*pair))):
+        pair[x][:x] = column[:x]
+
+    table, codes = _rank([tuple(sorted(row)) for row in pair])
+    tables = [signature_table, table]
+    while 1 < len(table) and len(tables) < 4:
+        count = len(table)
+        shifted = [code << _CODE_SHIFT for code in codes]
+        table, codes = _rank([
+            (code, tuple(sorted(map(or_, shifted, row))))
+            for code, row in zip(codes, pair)
+        ])
+        tables.append(table)
+        if len(table) == count:
+            break
+    return _Classes(codes, tuple(tables))
+
+
+class TestOneSignatureExit:
+    """The refinement that stops when every pair has one signature, against
+    the reference that always builds the pair matrix, on the inputs the
+    partition oracle above does not take: the same codes and tables. The
+    fixtures, the hyperplane complements and the random incidences are
+    checked against it there."""
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43, 47, 59])
+    def test_paley_designs(self, q):
+        ctx = incidence(paley_design(q))
+        for masks in (ctx.point_in_blocks, ctx.block_bits):
+            assert _refine(masks) == reference_refine(masks)
+
+    def test_every_incidence_up_to_three_indices(self):
+        # v = 1 has no pair and keeps the general path; v = 2 has one pair,
+        # so one signature; v = 3 has both kinds, the all-zero masks included
+        for v in (1, 2, 3):
+            for masks in product(range(1 << v), repeat=v):
+                assert _refine(list(masks)) == reference_refine(list(masks))
+        assert _refine([0] * 15) == reference_refine([0] * 15)
+
+    def test_one_signature_ranks_no_row_keys(self, fixture_designs, monkeypatch):
+        # on PG(4,2) only the pair signatures are ranked; on C2, with two
+        # signatures, round 1 ranks the 15 sorted rows as before
+        ranked = []
+        rank = _rank
+
+        def spying(keys):
+            ranked.append(keys)
+            return rank(keys)
+
+        monkeypatch.setattr("simplex_designs.search._rank", spying)
+        ctx = incidence(hyperplane_complements(5))
+        for masks in (ctx.point_in_blocks, ctx.block_bits):
+            ranked.clear()
+            classes = _refine(masks)
+            assert [len(keys) for keys in ranked] == [31 * 30 // 2]
+            assert classes.rounds == 1 and len(classes.tables[0]) == 1
+        ranked.clear()
+        classes = _refine(incidence(fixture_designs["c2"]).point_in_blocks)
+        assert classes.rounds == 2
+        assert [len(keys) for keys in ranked] == [15 * 14 // 2, 15, 15]
 
 
 class TestContextOnTheDesign:

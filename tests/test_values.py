@@ -73,6 +73,13 @@ WRONG_KINDS = {
     "group-of-float-degree": (
         lambda g: PermGroup(3.0, ()), "degree must be an integer, got 3.0"
     ),
+    "group-of-ints": (lambda g: PermGroup(3, [1]), "generator 1 is not a Permutation: 1"),
+    "group-of-a-non-iterable": (
+        lambda g: PermGroup(3, 5), "generators must be iterable, got 5"
+    ),
+    "group-of-image-tuples": (
+        lambda g: PermGroup(3, [(2, 3, 1)]), "generator 1 is not a Permutation: (2, 3, 1)"
+    ),
 }
 
 
