@@ -188,8 +188,9 @@ class Clique:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __contains__(self, p: ElementSet) -> bool:
-        return p.ground_size == self.geometry.params.n and p.bits in self.bits
+    def __contains__(self, p) -> bool:
+        """Whether p is a point of the clique; False for anything that is no point."""
+        return self.geometry.contains(p) and p.bits in self.bits
 
 
 def maximal_cliques(adj: list[int], min_size: int = 0, containing: int | None = None):

@@ -2,20 +2,21 @@
 symmetric design.
 
 The search runs on an ``Incidence``: the v block bitmasks of a symmetric
-design on the points 0..v-1, as plain ints. Each side, its points and its
-blocks, is refined on its own and only when first asked for, at most once
-per Incidence: a class code is a rank among the sorted keys of its round,
-so it depends on the design alone and stays valid for every later
-comparison. The base invariant of a point triple is the number of blocks
-containing all three, and dually the size of a triple block intersection.
-Pair signatures over these invariants seed a colour refinement that stops
-at the first round splitting no class, and before any per-pair work when
-every pair has the same signature, as then no class can split; so
-isomorphism_search rejects most non-isomorphic pairs on the point side
-before it refines any blocks. The classes carve the candidate sets, then a
-backtracking search assigns point images, narrowing the candidates of every
-point and every block of the bipartite incidence structure after each
-choice.
+design on the points 0..v-1, as plain ints. Its points are refined when
+first asked for, at most once per Incidence: a class code is a rank among
+the sorted keys of its round, so it depends on the design alone and stays
+valid for every later comparison. The base invariant of a point triple is
+the number of blocks containing all three. Pair signatures over it seed a
+colour refinement that stops at the first round splitting no class, and
+before any per-pair work when every pair has the same signature, as then
+no class can split. The blocks take one equitable step from the point
+classes: a block's key counts its points in each point class, which an
+isomorphism keeps, as it maps each point class onto the class with the
+same code. So isomorphism_search rejects most non-isomorphic pairs on the
+point side, and a design's triple counts are refined once, on its points.
+The classes carve the candidate sets, then a backtracking search assigns
+point images, narrowing the candidates of every point and every block of
+the bipartite incidence structure after each choice.
 
 The candidates of one side live in one int (``_Fields``): row x in bits
 x*w to x*w + v - 1, where w is v + 1 rounded up to a multiple of 8, under
@@ -74,8 +75,9 @@ def _subset_sums(items: list[int]) -> list[int]:
 
 class _Classes(NamedTuple):
     """Refined classes of one side: a code per index, and the sorted tables
-    the codes rank, the distinct pair signatures and then the distinct keys
-    of each round."""
+    the codes rank. For the points these are the distinct pair signatures
+    and then the distinct keys of each round; for the blocks, the distinct
+    point-class counts alone, with no round."""
 
     codes: list[int]
     tables: tuple[tuple, ...]
@@ -158,7 +160,9 @@ def _pair_signatures(masks: list[int]) -> list[bytes]:
 
 
 def _refine(masks: list[int]) -> _Classes:
-    """Classes of the indices of masks under their triple intersection counts.
+    """Classes of the indices of masks under their triple intersection
+    counts; ``Incidence`` refines its points with it, and derives the
+    blocks from the point classes without it.
 
     The pair signature of x and y stands for the sorted sizes of masks[x] &
     masks[y] & masks[z] over every z (``_pair_signatures``); z = x and z = y
@@ -277,12 +281,15 @@ class _Fields:
 
 class Incidence:
     """The v block bitmasks of a design on v points and, on first use, its
-    refined classes. ``points`` and ``blocks`` are refined separately and
-    lazily, so a caller that compares the point classes first pays for the
-    blocks only when the points agree. Each side stops refining at its first
-    round that splits no class, and records how many rounds it ran. The
-    codes of a side depend on the masks alone, so an incidence refines once
-    and is compared with any other; ``Design._context`` keeps one per design.
+    classes. ``points`` are refined by their triple counts (``_refine``),
+    which stops at its first round that splits no class and records how many
+    rounds it ran. ``blocks`` take one equitable step from the point
+    classes, with 0 rounds: a block's key is the number of its points in
+    each point class, in point-code order, and its code the rank of that key
+    among the distinct keys. Both are lazy, and reading ``blocks`` reads
+    ``points``. The codes of a side depend on the masks alone, so an
+    incidence is classified once and compared with any other;
+    ``Design._context`` keeps one per design.
     """
 
     def __init__(self, block_bits):
@@ -309,7 +316,15 @@ class Incidence:
 
     @cached_property
     def blocks(self) -> _Classes:
-        return _refine(self.block_bits)
+        points = self.points
+        classes = [0] * len(points.tables[-1])
+        for x, code in enumerate(points.codes):
+            classes[code] |= 1 << x
+        table, codes = _rank([
+            tuple([(bits & members).bit_count() for members in classes])
+            for bits in self.block_bits
+        ])
+        return _Classes(codes, (table,))
 
 
 class Search:
@@ -464,8 +479,9 @@ def _is_isomorphism(ctx1, ctx2, images) -> bool:
 def isomorphism_search(ctx1: Incidence, ctx2: Incidence):
     """The stage that decided ("points", "blocks" or "search"), the 0-based
     point images of the first isomorphism of ctx1 onto ctx2 or None, and
-    the search. The cheapest invariant first: blocks are refined only when
-    the point classes agree, and the search runs only when the blocks do too.
+    the search. The cheapest invariant first: the block classes are
+    derived only when the point classes agree, and the search runs only when
+    the blocks agree too.
     """
     search = Search(ctx1, ctx2)
     images = None

@@ -29,6 +29,7 @@ from simplex_designs.constructions import (
     center_points,
     classify_clique,
     default_z,
+    hyperplane_complement_clique,
     lines_inside,
     planes_inside,
     product_clique,
@@ -354,6 +355,16 @@ class TestCliqueType:
         for bad in (ElementSet.of(range(1, 8), 15), ElementSet.of(range(2, 10), 31)):
             with pytest.raises(InvariantError, match=f"{bad} is not a point"):
                 Clique.from_points(g15, [a, bad])
+
+    def test_contains_is_false_for_anything_but_a_point(self, g15, fixture_cliques):
+        c = fixture_cliques["c1"]
+        point = c.points[0]
+        assert point in c
+        wider = ElementSet(point.bits, 31)
+        # a point bitmask as an int or on a wider ground, and a 7-subset
+        for other in (point.bits, 255, wider, ElementSet.of(range(1, 8), 15), None):
+            assert other not in c
+        assert 255 not in hyperplane_complement_clique(4)
 
     def test_point_round_trip(self, g15, fixture_cliques):
         c = fixture_cliques["c1"]

@@ -1,9 +1,11 @@
 """The refined point and block classes behind find_isomorphism: equal to the
 three-round refinement they replace and, codes and tables, to the pair
-matrix refinement that one pair signature now skips, equivariant under
-relabeling, coded by the design alone so that each design is refined once,
-and staged so that non-isomorphic pairs are rejected on the point side; the
-witnesses it returns and its DEBUG record."""
+matrix refinement that one pair signature now skips; the block classes,
+one equitable step from the point classes, partition the blocks as their
+own refinement does; all equivariant under relabeling, coded by the design
+alone so that each design is refined once, and staged so that
+non-isomorphic pairs are rejected on the point side; the witnesses it
+returns and its DEBUG record."""
 
 import copy
 import logging
@@ -80,6 +82,14 @@ def refined_sides(d: Design):
     return ctx.points.codes, ctx.blocks.codes
 
 
+def assert_blocks_as_refined(ctx):
+    """The block classes taken from the point classes partition the blocks
+    as the triple-count refinement of the blocks does, so the search starts
+    from the same root state."""
+    assert ctx.blocks.rounds == 0
+    assert partition(ctx.blocks.codes) == partition(_refine(ctx.block_bits).codes)
+
+
 def assert_matches_oracle(d: Design):
     new = refined_sides(d)
     old = oracle_sides(d, {})
@@ -87,6 +97,7 @@ def assert_matches_oracle(d: Design):
     ctx = incidence(d)
     for masks in (ctx.point_in_blocks, ctx.block_bits):
         assert _refine(masks) == reference_refine(masks)
+    assert_blocks_as_refined(ctx)
 
 
 def relabeled_masks(masks, rng):
@@ -207,22 +218,43 @@ class TestPartitionOracle:
 
     def test_rounds_stop_at_the_stable_partition(self, fixture_designs):
         # one class after round 1 is stable; the other fixtures split in
-        # round 1 and round 2 splits nothing
+        # round 1 and round 2 splits nothing; the blocks take no round
         rounds = {}
         for name, d in fixture_designs.items():
             ctx = incidence(d)
             rounds[name] = (ctx.points.rounds, ctx.blocks.rounds)
         assert rounds == {
-            "c1": (1, 1), "c2": (2, 2), "c3": (2, 2), "c4": (2, 2),
-            "non_centered": (2, 2),
+            "c1": (1, 0), "c2": (2, 0), "c3": (2, 0), "c4": (2, 0),
+            "non_centered": (2, 0),
         }
-        assert incidence(hyperplane_complements(5)).points.rounds == 1
+        ctx = incidence(hyperplane_complements(5))
+        assert (ctx.points.rounds, ctx.blocks.rounds) == (1, 0)
 
     def test_sides_are_refined_on_first_use(self, fixture_designs):
         ctx = incidence(fixture_designs["c2"])
         assert "points" not in vars(ctx) and "blocks" not in vars(ctx)
         ctx.points
         assert "points" in vars(ctx) and "blocks" not in vars(ctx)
+
+    def test_reading_the_blocks_first_fills_the_points(self, fixture_designs):
+        ctx = incidence(fixture_designs["c2"])
+        blocks = ctx.blocks
+        assert "points" in vars(ctx) and "blocks" in vars(ctx)
+        fresh = incidence(fixture_designs["c2"])
+        assert (ctx.points, blocks) == (fresh.points, fresh.blocks)
+
+    # the key of the one equitable step; that its classes are the refined
+    # ones is asserted with the oracle above and in TestOneSignatureExit
+    def test_keys_count_the_points_in_each_point_class(self, fixture_designs):
+        ctx = incidence(fixture_designs["c4"])
+        points = ctx.points.codes
+        keys = [
+            tuple(sum(1 for x in range(15) if bits >> x & 1 and points[x] == c)
+                  for c in range(max(points) + 1))
+            for bits in ctx.block_bits
+        ]
+        assert ctx.blocks.tables == (tuple(sorted(set(keys))),)
+        assert [ctx.blocks.tables[0][code] for code in ctx.blocks.codes] == keys
 
 
 def sorted_counts(masks):
@@ -430,6 +462,7 @@ class TestOneSignatureExit:
         ctx = incidence(paley_design(q))
         for masks in (ctx.point_in_blocks, ctx.block_bits):
             assert _refine(masks) == reference_refine(masks)
+        assert_blocks_as_refined(ctx)
 
     def test_every_incidence_up_to_three_indices(self):
         # v = 1 has no pair and keeps the general path; v = 2 has one pair,
@@ -463,6 +496,27 @@ class TestOneSignatureExit:
 
 
 class TestContextOnTheDesign:
+    def test_triple_counts_are_taken_once_per_fresh_design(self, fixture_designs, monkeypatch):
+        # one pair-signature pass per fresh design, on its points: the blocks
+        # take their classes from the point classes
+        calls = []
+        signatures = _pair_signatures
+
+        def counting(masks):
+            calls.append(len(masks))
+            return signatures(masks)
+
+        monkeypatch.setattr("simplex_designs.search._pair_signatures", counting)
+        rng = random.Random(113)
+        for d in [*fixture_designs.values(), hyperplane_complements(5)]:
+            calls.clear()
+            d1 = Design(d.blocks)
+            assert find_isomorphism(d1, d1.relabeled(Permutation.random(d.v, rng))) is not None
+            assert calls == [d.v, d.v]
+            calls.clear()
+            automorphism_group(Design(d.blocks))
+            assert calls == [d.v]
+
     def test_each_side_is_refined_once_per_design(self, fixture_designs, monkeypatch):
         d1 = Design(fixture_designs["c2"].blocks)
         refined = []
@@ -477,9 +531,11 @@ class TestContextOnTheDesign:
         for _ in range(10):
             assert find_isomorphism(d1, d1.relabeled(Permutation.random(15, rng))) is not None
         ctx = d1._context
-        assert sum(masks is ctx.point_in_blocks or masks is ctx.block_bits for masks in refined) == 2
-        # and each relabeling both of its sides once
-        assert len(refined) == 2 + 10 * 2
+        # the points alone: the blocks take their classes from the points
+        assert sum(masks is ctx.point_in_blocks for masks in refined) == 1
+        assert not any(masks is ctx.block_bits for masks in refined)
+        # and each relabeling its points once
+        assert len(refined) == 1 + 10
 
     def test_the_cache_is_not_part_of_the_value(self, fixture_designs):
         d = Design(fixture_designs["c3"].blocks)
@@ -561,7 +617,7 @@ class TestIsomorphismLogging:
         witness, message = isomorphism_record(caplog, d, e)
         assert witness is not None
         assert message.startswith("find_isomorphism v=15 stage=search ")
-        assert "point_rounds=2/2 block_rounds=2/2 " in message
+        assert "point_rounds=2/2 block_rounds=0/0 " in message
         fields = dict(item.split("=") for item in message.split()[1:])
         assert int(fields["leaves"]) >= 1
         assert int(fields["propagations"]) >= 1
@@ -578,7 +634,7 @@ class TestIsomorphismLogging:
         # at the points still prints them as not compared
         d1 = Design(fixture_designs["c2"].blocks)
         witness, message = isomorphism_record(caplog, d1, relabeled(d1, 109))
-        assert witness is not None and " block_rounds=2/2 " in message
+        assert witness is not None and " block_rounds=0/0 " in message
         witness, message = isomorphism_record(caplog, d1, relabeled(fixture_designs["c1"], 127))
         assert witness is None
         assert message == (
@@ -591,7 +647,7 @@ class TestIsomorphismLogging:
         witness, message = isomorphism_record(caplog, d, relabeled(d, 79))
         assert witness is not None
         assert message.startswith(
-            "find_isomorphism v=31 stage=search point_rounds=1/1 block_rounds=1/1 "
+            "find_isomorphism v=31 stage=search point_rounds=1/1 block_rounds=0/0 "
         )
 
     def test_silent_at_info(self, fixture_designs, caplog):
