@@ -90,6 +90,7 @@ CLI_DIGESTS = {
     ("construct", "c3"): "150ffb8e7658b2530f5ff0ef18f40fc8fff9809eabb352d59689f6d987fe7e16",
     ("construct", "c4"): "a94dc1fd0dcdba8fc08ea68a91b0635d9e33b8bdde2d05363ee886c0d05d0054",
     ("construct", "non-centered"): "ba69709daa83c13a2c19fc943d0cceeae7ebd3af9bcb5162d596b35cfe6fa19f",
+    ("construct", "hyperplane-complement"): "da89668160f442e7f85a033a931bc4b5032cd473c4502265d53ea81b9847786c",
     ("census", "--delta-limit", "720"): "e6956e3bb20877297d1e7485bd71311dc9c78fe1360af210e5a0670569460b88",
     # the group orders, orbit counts and block systems of the five classes
     ("classify", "c1"): "378afb640bcf2689a61cca26f74a85a16bfc5ca1402e291debf402902d9b5bb7",
@@ -101,8 +102,28 @@ CLI_DIGESTS = {
     ("isomorphic", "c4", "non-centered"): "1cd31ca5ce763db96c4228b0ed1076e3595adc6da2d712edc723b0a3bb8c6436",
 }
 
+# the same commands rendered by --format text
+TEXT_DIGESTS = {
+    ("construct", "c1"): "75c0eaa6a0b0d474d1be12abbdaebdfb00f081cf2803c64edfe6b6f3d7dc197a",
+    ("construct", "c2"): "7bfa6de6aeaf04653ea4f5aba6f4f4362b7f4d407a950ae43217093e8cc272d1",
+    ("construct", "c3"): "9dce5b878b26957b82a4a8f86e0039a79e03f3e6fef990d61e0f00a7fddf17c4",
+    ("construct", "c4"): "3755fe9475b7f317ccf6592795e3112277c97b7a6af7b886f58cf138aaa8f01a",
+    ("construct", "non-centered"): "5373761c6c2f812c5cb4c17ed7fd23ec64a97e71e62376262517348681cef4ec",
+    ("construct", "hyperplane-complement"): "9abc5032d0be63e25164ceb56b8d046d505bdb9ef2a00b3b296cefd893b991ef",
+    ("census", "--delta-limit", "720"): "d5fede978f496816cf7681ce36a897f79bb6b1956cdb77581ce7cc09173e40d5",
+    ("classify", "c1"): "93523dfc54bc4286db5650a7a53ebf2cc3d3629b8ebe22cedbbef2a501efd25d",
+    ("classify", "c2"): "0c64a2e2ac9b10cac566cc6eeeba7d514ad3b293b96e2488ede045deaaec3450",
+    ("classify", "c3"): "82d27432105c4994ca10ce401dd6878b566141d010a59caad0468e2eb8ef8d0f",
+    ("classify", "c4"): "a66d8bcbc95f4b73342b828a2407fca5de0066bdc399ff85b6beab7d38acf24f",
+    ("classify", "non-centered"): "17cff5452f2cb2f2c4aab8964ee14687c5a42b3207bf9ebb8f133681146ccf9b",
+    ("isomorphic", "c1", "c3"): "a98ff14015e0222c03bfd567255b302c191d5ef653d36786fa9583b93562e965",
+    ("isomorphic", "c4", "non-centered"): "9095c1fd5e29071cc518742afd8404fe9e671eb4c215206fa121f431746e6e5c",
+}
+
 # the witness found from c2 onto its relabeling by Permutation.random(15, Random(33))
 RELABELED_C2_DIGEST = "d56766c1abf711b247464c37e37812cdcc7dced413dd27a9b098fa15fb06d0c3"
+# the same witness rendered by --format text
+RELABELED_C2_TEXT_DIGEST = "011c2bdd072c10a7ace1616f766787db2890082dd00bccbdee05b957348edbec"
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORTS))
@@ -121,6 +142,12 @@ def test_sorted_kv_cli_output_is_pinned(capsys, argv):
     assert digest(capsys.readouterr().out) == CLI_DIGESTS[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(TEXT_DIGESTS), ids=" ".join)
+def test_sorted_text_cli_output_is_pinned(capsys, argv):
+    assert main(["--sorted", "--format", "text", *argv]) == 0
+    assert digest(capsys.readouterr().out) == TEXT_DIGESTS[argv]
+
+
 def test_witness_onto_a_relabeling_is_pinned(capsys, fixture_designs, tmp_path):
     e = fixture_designs["c2"].relabeled(Permutation.random(15, random.Random(33)))
     path = tmp_path / "c2.relabeled.txt"
@@ -131,6 +158,17 @@ def test_witness_onto_a_relabeling_is_pinned(capsys, fixture_designs, tmp_path):
     last = max(i for i, line in enumerate(lines) if line.startswith("param."))
     assert lines[last + 1] == "isomorphic=true\n"
     assert digest("".join(lines[last + 1:])) == RELABELED_C2_DIGEST
+
+
+def test_text_witness_onto_a_relabeling_is_pinned(capsys, fixture_designs, tmp_path):
+    e = fixture_designs["c2"].relabeled(Permutation.random(15, random.Random(33)))
+    path = tmp_path / "c2.relabeled.txt"
+    path.write_text(render_incidence(e) + "\n")
+    assert main(["--sorted", "--format", "text", "isomorphic", "c2", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    # the parameters print the path, so the digest starts at the verdict
+    assert lines[4:5] == ["isomorphic: true\n"]
+    assert digest("".join(lines[4:])) == RELABELED_C2_TEXT_DIGEST
 
 
 def test_seeded_support_is_stable():
