@@ -72,6 +72,6 @@ from .geometry import (
     singular_span,
 )
 from .groups import PermGroup
-from .subsets import ElementSet, Permutation, apply, complement_in, intersection_size, symdiff
+from .subsets import ElementSet, Permutation, apply
 
 __version__ = "0.1.0"

@@ -70,12 +70,6 @@ class CollinearityGraph:
         graph.adjacency = adjacency
         return graph
 
-    def __len__(self) -> int:
-        return len(self.adjacency)
-
-    def degree(self, u: int) -> int:
-        return self.adjacency[u].bit_count()
-
 
 def build_graph(g: Geometry) -> CollinearityGraph:
     """Adjacency bitsets for the whole point roster, numbered as g.points.

@@ -122,9 +122,9 @@ class CenteredDecomposition:
     """The unique (X, Y, delta) splitting of a centered clique at O and Z.
 
     The plus half, the clique points whose O-part lies inside Z, is
-    xs[i] | ys[i] in ascending order; the minus half is xs[i] | (O - ys[i]),
-    and each of its members holds the element of O outside Z. The ElementSet
-    views are built from these bitmasks on each read.
+    {xs[i] | ys[i]}; the minus half is {xs[i] | (O - ys[i])}, and each of
+    its members holds the element of O outside Z. The ElementSet views of
+    xs and ys are built from these bitmasks on each read.
     """
 
     center: ElementSet
@@ -147,15 +147,6 @@ class CenteredDecomposition:
     @property
     def delta(self) -> dict[ElementSet, ElementSet]:
         return dict(zip(self.x_points, self.y_points))
-
-    @property
-    def plus_half(self) -> tuple[ElementSet, ...]:
-        return self._sets(x | y for x, y in zip(self.xs, self.ys))
-
-    @property
-    def minus_half(self) -> tuple[ElementSet, ...]:
-        o = self.center.bits
-        return self._sets(sorted(x | (o & ~y) for x, y in zip(self.xs, self.ys)))
 
     def fano_bijection(self) -> FanoBijection:
         src = FanoPlane.from_points(self.x_points)

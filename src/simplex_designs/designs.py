@@ -217,11 +217,6 @@ def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
 logger = logging.getLogger(__name__)
 
 
-def _rounds(ctx1: Incidence, ctx2: Incidence, side: str) -> str:
-    """Refinement rounds of one side in each context."""
-    return f"{getattr(ctx1, side).rounds}/{getattr(ctx2, side).rounds}"
-
-
 def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
     """A point permutation carrying the blocks of d1 onto those of d2."""
     if d1.v != d2.v:
@@ -229,13 +224,10 @@ def find_isomorphism(d1: Design, d2: Design) -> Permutation | None:
     ctx1, ctx2 = d1._context, d2._context
     stage, images, search = isomorphism_search(ctx1, ctx2)
     if logger.isEnabledFor(logging.DEBUG):
-        # a side the call did not compare prints "-", whatever an earlier
-        # call left refined on the designs
         logger.debug(
-            "find_isomorphism v=%d stage=%s point_rounds=%s block_rounds=%s"
+            "find_isomorphism v=%d stage=%s point_rounds=%d/%d"
             " leaves=%d propagations=%d cuts=%d",
-            d1.v, stage, _rounds(ctx1, ctx2, "points"),
-            "-/-" if stage == "points" else _rounds(ctx1, ctx2, "blocks"),
+            d1.v, stage, ctx1.points.rounds, ctx2.points.rounds,
             search.leaves, search.propagations, search.cuts,
         )
     if images is None:

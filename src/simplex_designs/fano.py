@@ -97,7 +97,11 @@ class FanoPlane:
 
     def position(self, p: ElementSet) -> int:
         """The index of p in .points; InvariantError unless p is a point of the plane."""
-        if p.bits in self.index and p.ground_size == self.support.ground_size:
+        if (
+            isinstance(p, ElementSet)
+            and p.bits in self.index
+            and p.ground_size == self.support.ground_size
+        ):
             return self.index[p.bits]
         raise InvariantError(f"{p} is not a point of the plane")
 

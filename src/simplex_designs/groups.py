@@ -229,7 +229,3 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, ())

@@ -12,8 +12,10 @@ before any per-pair work when every pair has the same signature, as then
 no class can split. The blocks take one equitable step from the point
 classes: a block's key counts its points in each point class, which an
 isomorphism keeps, as it maps each point class onto the class with the
-same code. So isomorphism_search rejects most non-isomorphic pairs on the
-point side, and a design's triple counts are refined once, on its points.
+same code, so the root lines the block codes of both sides up whenever an
+isomorphism exists. isomorphism_search rejects most non-isomorphic pairs
+on the point classes, and a design's triple counts are refined once, on its
+points.
 The classes carve the candidate sets, then a backtracking search assigns
 point images, narrowing the candidates of every point and every block of
 the bipartite incidence structure after each choice.
@@ -287,9 +289,10 @@ class Incidence:
     classes, with 0 rounds: a block's key is the number of its points in
     each point class, in point-code order, and its code the rank of that key
     among the distinct keys. Both are lazy, and reading ``blocks`` reads
-    ``points``. The codes of a side depend on the masks alone, so an
-    incidence is classified once and compared with any other;
-    ``Design._context`` keeps one per design.
+    ``points``; isomorphism_search compares the points, and the block codes
+    are read only by ``Search.root``. The codes of a side depend on the
+    masks alone, so an incidence is classified once and compared with any
+    other; ``Design._context`` keeps one per design.
     """
 
     def __init__(self, block_bits):
@@ -477,23 +480,20 @@ def _is_isomorphism(ctx1, ctx2, images) -> bool:
 
 
 def isomorphism_search(ctx1: Incidence, ctx2: Incidence):
-    """The stage that decided ("points", "blocks" or "search"), the 0-based
-    point images of the first isomorphism of ctx1 onto ctx2 or None, and
-    the search. The cheapest invariant first: the block classes are
-    derived only when the point classes agree, and the search runs only when
-    the blocks agree too.
+    """The stage that decided ("points" or "search"), the 0-based point
+    images of the first isomorphism of ctx1 onto ctx2 or None, and the
+    search. The point classes are compared first, and the search runs only
+    when they agree. The block classes need no stage of their own: they
+    are derived from the point classes, so when an isomorphism exists its
+    sides have the same block keys and the root lines their codes up, and
+    when none exists the search, which checks every leaf, finds none.
     """
     search = Search(ctx1, ctx2)
-    images = None
     if ctx1.points.profile != ctx2.points.profile:
-        stage = "points"
-    elif ctx1.blocks.profile != ctx2.blocks.profile:
-        stage = "blocks"
-    else:
-        stage = "search"
-        state = search.root()
-        images = None if state is None else search.first_hit(state)
-    return stage, images, search
+        return "points", None, search
+    state = search.root()
+    images = None if state is None else search.first_hit(state)
+    return "search", images, search
 
 
 def automorphism_search(ctx: Incidence):

@@ -22,10 +22,14 @@ class ElementSet:
     ground_size: int
 
     def __post_init__(self):
-        if not 1 <= self.ground_size <= MAX_GROUND_SIZE:
-            raise ValueError(f"ground size must be in 1..{MAX_GROUND_SIZE}")
-        if self.bits < 0 or self.bits >> self.ground_size:
-            raise ValueError("set has elements outside the ground set")
+        try:
+            if not 1 <= self.ground_size <= MAX_GROUND_SIZE:
+                raise ValueError(f"ground size must be in 1..{MAX_GROUND_SIZE}")
+            if self.bits < 0 or self.bits >> self.ground_size:
+                raise ValueError("set has elements outside the ground set")
+        except TypeError:
+            # a float or str field fails a comparison or the shift
+            raise ValueError("bits and ground size must be integers") from None
 
     @classmethod
     def of(cls, elements, ground_size: int) -> "ElementSet":
@@ -51,7 +55,11 @@ class ElementSet:
         return self.bits.bit_count()
 
     def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.ground_size and self.bits >> (element - 1) & 1 == 1
+        try:
+            return 1 <= element <= self.ground_size and self.bits >> (element - 1) & 1 == 1
+        except TypeError:
+            # not an int: a str or None fails the comparison, a float the shift
+            return False
 
     def __le__(self, other: "ElementSet") -> bool:
         _check_same_ground(self, other)
@@ -78,24 +86,6 @@ def _check_same_ground(a: ElementSet, b: ElementSet):
         raise GroundMismatchError(
             f"ground sizes differ: {a.ground_size} vs {b.ground_size}"
         )
-
-
-def symdiff(a: ElementSet, b: ElementSet) -> ElementSet:
-    """Elements in exactly one of a, b."""
-    return a ^ b
-
-
-def intersection_size(a: ElementSet, b: ElementSet) -> int:
-    _check_same_ground(a, b)
-    return (a.bits & b.bits).bit_count()
-
-
-def complement_in(a: ElementSet, universe: ElementSet) -> ElementSet:
-    """universe minus a; a must be contained in universe."""
-    _check_same_ground(a, universe)
-    if a.bits & ~universe.bits:
-        raise ValueError("set is not contained in the given universe")
-    return ElementSet(universe.bits & ~a.bits, a.ground_size)
 
 
 def subsets_of(support: ElementSet, size: int):

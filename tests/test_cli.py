@@ -488,7 +488,7 @@ for argv in runs:
         code = main(["--sorted", *argv])
     print(*argv, code, "numpy" in sys.modules)
 graph = build_graph(geometry_for_dimension(4))
-print("build_graph", len(graph), "numpy" in sys.modules)
+print("build_graph", len(graph.adjacency), "numpy" in sys.modules)
 first = next(enumerate_maximal_cliques(graph, containing=0, min_size=15))
 print("first clique", len(first), "numpy" in sys.modules)
 """
@@ -519,10 +519,10 @@ from simplex_designs.cli import main
 from simplex_designs.constructions import canonical_center, default_z
 from simplex_designs.fano import fano_planes_on, representative_of_index
 from simplex_designs.geometry import geometry_for_dimension
-from simplex_designs.subsets import ElementSet, complement_in
+from simplex_designs.subsets import ElementSet
 
 O = canonical_center()
-X = fano_planes_on(complement_in(O, ElementSet.full(15)))[0]
+X = fano_planes_on(ElementSet.full(15) ^ O)[0]
 Y = fano_planes_on(default_z(O))[0]
 c = product_clique(O, X, Y, representative_of_index(X, Y, 3))
 classify_clique(c)

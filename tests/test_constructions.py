@@ -112,7 +112,7 @@ class TestProduct:
             delta = representative_of_index(X, Y, idx)
             c = product_clique(O, X, Y, delta)
             dec = decompose(c, O, Z)
-            plus = {p.bits for p in dec.plus_half}
+            plus = {x | y for x, y in zip(dec.xs, dec.ys)}
             internal = [
                 line
                 for line in lines_inside(c)
@@ -275,8 +275,10 @@ class TestDecompose:
         c = product_clique(O, X, Y, delta)
         dec = decompose(c, O, Z)
         (spare,) = (O ^ Z).elements()
-        assert all(spare in p for p in dec.minus_half)
-        assert len(dec.plus_half) == len(dec.minus_half) == 7
+        plus = {x | y for x, y in zip(dec.xs, dec.ys)}
+        minus = {x | (O.bits & ~y) for x, y in zip(dec.xs, dec.ys)}
+        assert all(spare in ElementSet(m, 15) for m in minus)
+        assert len(plus) == len(minus) == 7
 
     def test_default_z_drops_largest_element(self, fixture_designs, g15):
         c = Clique.from_points(g15, fixture_designs["c1"].blocks)

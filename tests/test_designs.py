@@ -402,7 +402,7 @@ class TestOrbitCounts:
             )
 
     def test_trivial_group_orbit_counts(self, fixture_designs):
-        trivial = PermGroup.trivial(15)
+        trivial = PermGroup(15, ())
         d = fixture_designs["c1"]
         assert block_orbit_count(d, trivial) == 15
         assert flag_orbit_count(d, trivial) == 120

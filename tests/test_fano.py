@@ -319,6 +319,14 @@ class TestPlaneEnumeration:
         for f in planes[:5]:
             assert [f.position(p) for p in f.points] == list(range(7))
 
+    @pytest.mark.parametrize("p", [255, None, (1, 2, 4, 8)], ids=repr)
+    def test_position_of_a_non_set_is_an_invariant_error(self, planes, p):
+        f = planes[0]
+        with pytest.raises(InvariantError, match=" is not a point of the plane$"):
+            f.position(p)
+        with pytest.raises(InvariantError, match=" is not a point of the plane$"):
+            is_simplex(f, [p, *f.points[1:4]])
+
     def test_wrong_ground_size(self):
         with pytest.raises(InvariantError):
             fano_planes_on(ElementSet.full(6))

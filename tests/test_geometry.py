@@ -21,7 +21,7 @@ from simplex_designs.geometry import (
     line_through,
     singular_span,
 )
-from simplex_designs.subsets import ElementSet, complement_in
+from simplex_designs.subsets import ElementSet
 
 from conftest import fixture_text
 from simplex_designs import parse_incidence
@@ -115,7 +115,7 @@ class TestRoster:
         a, b = Clique.from_points(built, blocks), Clique.from_points(shared, blocks)
         assert a == b and hash(a) == hash(b)
         O = canonical_center()
-        X = fano_planes_on(complement_in(O, ElementSet.full(15)))[0]
+        X = fano_planes_on(ElementSet.full(15) ^ O)[0]
         Y = fano_planes_on(default_z(O))[0]
         d = FanoBijection(X, Y, (3, 1, 4, 0, 6, 5, 2))
         assert product_clique(O, X, Y, d, build_geometry(params)) == product_clique(O, X, Y, d)

@@ -155,7 +155,7 @@ class TestLazyElements:
         assert "identity" not in g.elements
 
     def test_trivial_group(self):
-        trivial = PermGroup.trivial(15)
+        trivial = PermGroup(15, ())
         assert list(trivial.elements) == [Permutation.identity(15)]
         assert Permutation.from_cycles(15, [(1, 2)]) not in trivial.elements
 
@@ -176,7 +176,7 @@ class TestPermGroup:
             PermGroup(degree, generators)
 
     @pytest.mark.parametrize(
-        "build, degree", [(lambda: PermGroup(-1, ()), -1), (lambda: PermGroup.trivial(-2), -2)]
+        "build, degree", [(lambda: PermGroup(-1, ()), -1), (lambda: PermGroup(-2, ()), -2)]
     )
     def test_negative_degree_fails_at_construction(self, build, degree):
         with pytest.raises(InvariantError, match=f"negative degree {degree}$"):
@@ -204,7 +204,7 @@ class TestPermGroup:
         with pytest.raises(TypeError):
             PermGroup(15, (), 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            PermGroup.trivial(15).generators = (Permutation.from_cycles(15, [(1, 2)]),)
+            PermGroup(15, ()).generators = (Permutation.from_cycles(15, [(1, 2)]),)
 
 
 def explicit_orbit_counts(d: Design, g: PermGroup) -> tuple[int, int]:
@@ -256,7 +256,7 @@ class TestGroupLayer:
         three_cycle = Permutation.from_cycles(7, [(1, 2, 3)])
         with pytest.raises(InvariantError, match="degree 7 in a group of degree 15"):
             PermGroup(15, (three_cycle,))
-        for g in (PermGroup(7, (three_cycle,)), PermGroup.trivial(7)):
+        for g in (PermGroup(7, (three_cycle,)), PermGroup(7, ())):
             for count in (block_orbit_count, flag_orbit_count):
                 with pytest.raises(InvariantError, match="does not act on 15 points"):
                     count(fixture_designs["c1"], g)
@@ -382,7 +382,7 @@ class TestPointBlockSystems:
         assert is_point_primitive(g)
 
     def test_trivial_group_gives_the_pair_partitions(self):
-        systems = point_block_systems(PermGroup.trivial(15))
+        systems = point_block_systems(PermGroup(15, ()))
         assert len(systems) == 105
         assert systems == sorted(
             systems, key=lambda s: (len(s), [sorted(b) for b in s])
@@ -423,7 +423,7 @@ class TestPointPrimitivity:
         assert "point_primitive=false" in capsys.readouterr().out.splitlines()
 
     def test_trivial_group_is_not_primitive(self):
-        assert not is_point_primitive(PermGroup.trivial(15))
+        assert not is_point_primitive(PermGroup(15, ()))
 
 
 class TestNoGlobalState:

@@ -607,7 +607,7 @@ class TestStagedIsomorphism:
             e = fixture_designs[b].relabeled(Permutation.random(15, rng))
             witness, message = isomorphism_record(caplog, fixture_designs[a], e)
             assert witness is None
-            assert " stage=points " in message and " block_rounds=-/- " in message
+            assert " stage=points " in message
 
 
 class TestIsomorphismLogging:
@@ -617,7 +617,7 @@ class TestIsomorphismLogging:
         witness, message = isomorphism_record(caplog, d, e)
         assert witness is not None
         assert message.startswith("find_isomorphism v=15 stage=search ")
-        assert "point_rounds=2/2 block_rounds=0/0 " in message
+        assert "point_rounds=2/2 " in message
         fields = dict(item.split("=") for item in message.split()[1:])
         assert int(fields["leaves"]) >= 1
         assert int(fields["propagations"]) >= 1
@@ -626,20 +626,20 @@ class TestIsomorphismLogging:
         assert witness is None
         assert message == (
             "find_isomorphism v=15 stage=points point_rounds=2/1"
-            " block_rounds=-/- leaves=0 propagations=0 cuts=0"
+            " leaves=0 propagations=0 cuts=0"
         )
 
     def test_rejected_record_ignores_earlier_calls(self, fixture_designs, caplog):
-        # the blocks of d1 stay refined after a search, and a call rejected
-        # at the points still prints them as not compared
+        # the classes of d1 stay on it after a search, and a call rejected
+        # at the points prints the work of that call alone
         d1 = Design(fixture_designs["c2"].blocks)
         witness, message = isomorphism_record(caplog, d1, relabeled(d1, 109))
-        assert witness is not None and " block_rounds=0/0 " in message
+        assert witness is not None and " stage=search " in message
         witness, message = isomorphism_record(caplog, d1, relabeled(fixture_designs["c1"], 127))
         assert witness is None
         assert message == (
             "find_isomorphism v=15 stage=points point_rounds=2/1"
-            " block_rounds=-/- leaves=0 propagations=0 cuts=0"
+            " leaves=0 propagations=0 cuts=0"
         )
 
     def test_v31_record(self, caplog):
@@ -647,7 +647,7 @@ class TestIsomorphismLogging:
         witness, message = isomorphism_record(caplog, d, relabeled(d, 79))
         assert witness is not None
         assert message.startswith(
-            "find_isomorphism v=31 stage=search point_rounds=1/1 block_rounds=0/0 "
+            "find_isomorphism v=31 stage=search point_rounds=1/1 "
         )
 
     def test_silent_at_info(self, fixture_designs, caplog):

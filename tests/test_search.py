@@ -121,7 +121,6 @@ def test_isomorphism_search_matches_find_isomorphism(name, caplog):
         assert the_record(caplog) == (
             f"find_isomorphism v={v} stage=search"
             f" point_rounds={ctx1.points.rounds}/{ctx2.points.rounds}"
-            f" block_rounds={ctx1.blocks.rounds}/{ctx2.blocks.rounds}"
             f" leaves={search.leaves} propagations={search.propagations} cuts={search.cuts}"
         )
 
@@ -131,7 +130,7 @@ def test_distinct_fixtures_stop_at_the_same_stage(a, b, caplog):
     stage, found, search = isomorphism_search(
         Incidence(fixture_masks(a)), Incidence(fixture_masks(b))
     )
-    assert found is None and stage in ("points", "blocks", "search")
+    assert found is None and stage in ("points", "search")
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
         assert find_isomorphism(as_design(fixture_masks(a)), as_design(fixture_masks(b))) is None

@@ -5,7 +5,9 @@ Every frozen value that takes a sequence turns it into a tuple when built:
 a list inside a frozen dataclass would compare unequal to the tuple-built
 value and could not be hashed. A value built from elements of the wrong
 kind raises InvariantError, not the bare Python error of the first
-attribute or operator that the elements lack.
+attribute or operator that the elements lack. ElementSet, the bitmask below
+every value, raises the ValueError of its range checks for fields that are
+not ints, and holds no element that is not an int.
 """
 
 import pytest
@@ -98,3 +100,14 @@ def test_an_index_degree_is_stored_as_an_int():
 
     group = PermGroup(Three(), ())
     assert type(group.degree) is int and group == PermGroup(3, ())
+
+
+@pytest.mark.parametrize("element", ["a", 2.0, None], ids=repr)
+def test_an_element_set_holds_no_element_that_is_not_an_int(element):
+    assert element not in ElementSet.of([1, 2], 4)
+
+
+@pytest.mark.parametrize("fields", [(1.5, 4), (1, 4.0), ("1", 4)], ids=repr)
+def test_an_element_set_of_fields_that_are_not_ints_raises_value_error(fields):
+    with pytest.raises(ValueError, match="^bits and ground size must be integers$"):
+        ElementSet(*fields)
