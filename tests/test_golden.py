@@ -1,4 +1,4 @@
-"""SHA-256 pins over the outputs of the Fano layer and of the CLI.
+"""SHA-256 pins over the outputs of the Fano layer, the group layer and the CLI.
 
 Each digest is taken over the repr of plain tuples and ints, with every set
 sorted first, so it changes only when an output does. The pins hold the
@@ -12,7 +12,14 @@ import random
 import pytest
 
 from simplex_designs.cli import main
-from simplex_designs.designs import render_incidence
+from simplex_designs.designs import (
+    automorphism_group,
+    block_orbit_count,
+    flag_orbit_count,
+    from_hadamard,
+    render_incidence,
+    to_hadamard,
+)
 from simplex_designs.fano import (
     INDEX_VALUES,
     automorphisms,
@@ -120,6 +127,34 @@ TEXT_DIGESTS = {
     ("isomorphic", "c4", "non-centered"): "9095c1fd5e29071cc518742afd8404fe9e671eb4c215206fa121f431746e6e5c",
 }
 
+# the seed of the Permutation.random(15, ...) that relabels each fixture
+DESIGN_SEEDS = {"c1": 391, "c2": 392, "c3": 393, "c4": 394, "non_centered": 395}
+
+# every group element in index order, both orbit counts and the Hadamard
+# round trip, of each fixture and then of its relabeling
+GROUP_DIGESTS = {
+    "c1": (
+        "e74eab905e533fb9888871e34dad647fd1f75c08d684d637286b6693956600af",
+        "66bf493979540753bd6d6374b7214df9c518625b4bc027dec84df57d78e09ed8",
+    ),
+    "c2": (
+        "fad0874b60017980b3445906b0230edd4e70e7ae9cec0aaee396c53433f370a9",
+        "349e03adfa8fd36dd4957323d3e57e7abcb7f86dd9e793e09c30628487963d7d",
+    ),
+    "c3": (
+        "d7ac0fd903d67a89764fd0d5c2a522b243cf12d2ef7f28d566c484475d34c561",
+        "5eb0444d3fefb1819163534ab8851aea838162745f873e4a8b38b265fead9100",
+    ),
+    "c4": (
+        "26c427044238794e93e163b0de3e2e99655f77b295c706398d23ac7f4f48cb4d",
+        "dabac56cfff41b8147840a651fc974958c9ad87756ec167d2934f11a04948568",
+    ),
+    "non_centered": (
+        "cf75284c691da07a397ec3608e63f376a34ed8eff9b2eb51094e834e8e2000ac",
+        "ed38b5abe749aa286326511bd385736ed730db36a0194d42e321022681c6be3f",
+    ),
+}
+
 # the witness found from c2 onto its relabeling by Permutation.random(15, Random(33))
 RELABELED_C2_DIGEST = "d56766c1abf711b247464c37e37812cdcc7dced413dd27a9b098fa15fb06d0c3"
 # the same witness rendered by --format text
@@ -169,6 +204,28 @@ def test_text_witness_onto_a_relabeling_is_pinned(capsys, fixture_designs, tmp_p
     # the parameters print the path, so the digest starts at the verdict
     assert lines[4:5] == ["isomorphic: true\n"]
     assert digest("".join(lines[4:])) == RELABELED_C2_TEXT_DIGEST
+
+
+def group_outputs(e):
+    """The elements of e's group, its orbit counts and e's Hadamard matrix."""
+    g = automorphism_group(e)
+    h = to_hadamard(e)
+    back = from_hadamard(h)
+    assert back == e
+    return (
+        tuple(p.images for p in g.elements),
+        block_orbit_count(e, g),
+        flag_orbit_count(e, g),
+        h.render("pm"),
+        tuple(b.bits for b in back.blocks),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_SEEDS))
+def test_group_and_hadamard_outputs_are_pinned(fixture_designs, name):
+    d = fixture_designs[name]
+    e = d.relabeled(Permutation.random(15, random.Random(DESIGN_SEEDS[name])))
+    assert (digest(group_outputs(d)), digest(group_outputs(e))) == GROUP_DIGESTS[name]
 
 
 def test_seeded_support_is_stable():
