@@ -15,7 +15,8 @@ bitmasks and check what it returns.
 
 import logging
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -107,7 +108,14 @@ _STYLES = {"01": {1: "0", -1: "1"}, "pm": {1: "+", -1: "-"}}
 
 @dataclass(frozen=True)
 class HadamardMatrix:
+    """A square +-1 matrix with orthogonal rows, its entries stored as ints.
+
+    ``masks`` holds each row as the bitmask of its -1 entries, bit j for
+    column j; like a cache, it takes no part in equality, hashing or repr.
+    """
+
     entries: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -115,25 +123,24 @@ class HadamardMatrix:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+            entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
         except TypeError:
+            # a row that is not iterable, or an entry that is not an integer
             raise InvariantError("entries must form a nonempty square +-1 matrix") from None
+        object.__setattr__(self, "entries", entries)
         n = self.order
-        if not n or any(len(row) != n or not set(row) <= {1, -1} for row in self.entries):
+        if not n or any(len(row) != n or not set(row) <= {1, -1} for row in entries):
             raise InvariantError("entries must form a nonempty square +-1 matrix")
-        # bit j of a row's mask marks a -1 in column j; two +-1 rows of
-        # order n are orthogonal exactly when they differ in n/2 places
-        masks = [
-            sum(1 << j for j, e in enumerate(row) if e == -1) for row in self.entries
-        ]
+        # two +-1 rows of order n are orthogonal exactly when they differ
+        # in n/2 places
+        masks = tuple(sum(1 << j for j, e in enumerate(row) if e == -1) for row in entries)
         for i, j in combinations(range(n), 2):
             if 2 * (masks[i] ^ masks[j]).bit_count() != n:
                 raise InvariantError(f"rows {i} and {j} are not orthogonal")
+        object.__setattr__(self, "masks", masks)
 
     def is_normalized(self) -> bool:
-        return all(e == 1 for e in self.entries[0]) and all(
-            row[0] == 1 for row in self.entries
-        )
+        return self.masks[0] == 0 and not any(m & 1 for m in self.masks)
 
     def render(self, style: str = "01") -> str:
         if style not in _STYLES:
@@ -147,10 +154,11 @@ class HadamardMatrix:
 def to_hadamard(d: Design) -> HadamardMatrix:
     """Normalized Hadamard matrix of order v+1 with -1 at incidences."""
     v = d.v
-    first = tuple([1] * (v + 1))
-    rows = [first]
+    powers = [1 << j for j in range(v)]
+    rows = [(1,) * (v + 1)]
     for b in d.blocks:
-        rows.append(tuple([1] + [-1 if j in b else 1 for j in range(1, v + 1)]))
+        bits = b.bits
+        rows.append((1, *[-1 if bits & p else 1 for p in powers]))
     return HadamardMatrix(tuple(rows))
 
 
@@ -160,12 +168,9 @@ def from_hadamard(h: HadamardMatrix) -> Design:
         raise InvariantError(f"order must be a multiple of 4 in 4..{MAX_GROUND_SIZE + 1}")
     if not h.is_normalized():
         raise InvariantError("matrix must be normalized")
+    # column j of the matrix is point j, so each mask sits one bit too high
     v = h.order - 1
-    blocks = [
-        ElementSet.of([j for j in range(1, v + 1) if row[j] == -1], v)
-        for row in h.entries[1:]
-    ]
-    return Design.from_blocks(blocks)
+    return Design.from_blocks(ElementSet(m >> 1, v) for m in h.masks[1:])
 
 
 # ---------------------------------------------------------------------------

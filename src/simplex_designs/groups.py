@@ -1,6 +1,9 @@
 """Permutation groups: orbits, Schreier-Sims and ``PermGroup``, which checks
-itself when built. The layer works on 0-based image tuples, composed as
-``Permutation.__mul__``, and ``as_permutation`` turns one into a Permutation.
+itself when built. The layer takes 0-based image tuples, and
+``as_permutation`` turns one into a Permutation. Schreier-Sims and its
+chain hold each permutation of degree n <= 256 as the ``bytes`` of its
+images: p then q, as ``Permutation.__mul__``, is ``p.translate(q +
+PAD[n:])``, and the inverse of w is ``bytes.maketrans(w, PAD[:n])[:n]``.
 """
 
 import math
@@ -9,7 +12,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import InvariantError
-from .subsets import Permutation, compose, invert
+from .subsets import Permutation
+
+PAD = bytes(range(256))
 
 
 def orbit_of(item: int, generators) -> set[int]:
@@ -49,17 +54,18 @@ def as_permutation(images) -> Permutation:
     return Permutation(tuple(i + 1 for i in images))
 
 
-def _sift(g: tuple[int, ...], base, transversals, level: int = 0):
+def _sift(g: bytes, base, transversals, level: int = 0):
     """Strip coset representatives off g from ``level`` down the chain.
 
     Returns the residue and the level where it dropped out, len(base) when
     it passed every level.
     """
+    pad = PAD[len(g):]
     while level < len(base):
         entry = transversals[level].get(g[base[level]])
         if entry is None:
             break
-        g = compose(g, entry[1])
+        g = g.translate(entry[1] + pad)
         level += 1
     return g, level
 
@@ -78,13 +84,16 @@ def _schreier_sims(generators, degree: int):
     to the identity. Every other one is sifted, so the chain is still
     verified in full. Its base is its own: each new base point is the
     lowest point moved by a residue that fixes the base so far. The
-    generators and the chain are 0-based image tuples. transversals[i]
-    maps each point of the orbit of base[i] under the stabilizer of
-    base[:i] to (u, u^-1), where u carries base[i] there.
+    generators are 0-based image tuples or bytes, degree at most 256, and
+    the chain is bytes. transversals[i] maps each point of the orbit of
+    base[i] under the stabilizer of base[:i] to (u, u^-1), where u carries
+    base[i] there. The strong generators are kept padded to the 256-byte
+    tables that ``translate`` takes.
     """
-    identity = tuple(range(degree))
+    identity, pad = PAD[:degree], PAD[degree:]
+    generators = [bytes(g) for g in generators]
     base: list[int] = []
-    strong: list[list[tuple[int, ...]]] = []
+    strong: list[list[bytes]] = []
     transversals: list[dict] = []
 
     def add_level(g):
@@ -102,8 +111,8 @@ def _schreier_sims(generators, degree: int):
             for s in strong[level]:
                 y = s[x]
                 if y not in table:
-                    w = compose(u, s)
-                    table[y] = (w, invert(w))
+                    w = u.translate(s)
+                    table[y] = (w, bytes.maketrans(w, identity)[:degree])
                     frontier.append(y)
         transversals[level] = table
 
@@ -112,7 +121,7 @@ def _schreier_sims(generators, degree: int):
             add_level(g)
     for level in range(len(base)):
         strong[level] = [
-            g for g in generators if all(g[b] == b for b in base[:level])
+            g + pad for g in generators if all(g[b] == b for b in base[:level])
         ]
         rebuild(level)
 
@@ -121,10 +130,11 @@ def _schreier_sims(generators, degree: int):
         table = transversals[level]
         for x, (u, _) in table.items():
             for s in strong[level]:
-                us, (rep, rep_inverse) = compose(u, s), table[s[x]]
+                us, (rep, rep_inverse) = u.translate(s), table[s[x]]
                 if us == rep:
                     continue
-                residue, drop = _sift(compose(us, rep_inverse), base, transversals, level + 1)
+                g = us.translate(rep_inverse + pad)
+                residue, drop = _sift(g, base, transversals, level + 1)
                 if residue != identity:
                     return residue, drop
         return None, level
@@ -138,7 +148,7 @@ def _schreier_sims(generators, degree: int):
         if drop == len(base):
             add_level(residue)
         for deeper in range(level + 1, drop + 1):
-            strong[deeper].append(residue)
+            strong[deeper].append(residue + pad)
             rebuild(deeper)
         level = drop
     return base, transversals
@@ -150,13 +160,13 @@ class _ChainElements(Sequence):
     Element i is h_{r-1} * ... * h_0, where h_j is the coset representative
     at level j picked by digit j of i in the mixed radix of the transversal
     sizes; element 0 is the identity. Membership sifts down the chain.
-    Nothing is stored beyond the chain itself, whose image tuples become
+    Nothing is stored beyond the chain itself, whose image bytes become
     ``Permutation``s only on the way out.
     """
 
     def __init__(self, degree: int, base, transversals):
         self._degree = degree
-        self._identity = tuple(range(degree))
+        self._identity, self._pad = PAD[:degree], PAD[degree:]
         self._base = tuple(base)
         self._transversals = tuple(transversals)
         self._reps = [[u for u, _ in table.values()] for table in transversals]
@@ -176,13 +186,13 @@ class _ChainElements(Sequence):
             picked.append(reps[digit])
         element = self._identity
         for u in reversed(picked):
-            element = compose(element, u)
+            element = element.translate(u + self._pad)
         return as_permutation(element)
 
     def __contains__(self, p) -> bool:
         if not isinstance(p, Permutation) or p.degree != self._degree:
             return False
-        residue, level = _sift(_images(p), self._base, self._transversals)
+        residue, level = _sift(bytes(_images(p)), self._base, self._transversals)
         return level == len(self._base) and residue == self._identity
 
 
@@ -191,12 +201,13 @@ class PermGroup:
     """The permutation group of the given degree that the generators generate.
 
     It checks itself when built: the degree must be an integer, stored as
-    an int, and not negative, and the generators an iterable of
-    Permutations of the group's degree. ``images`` holds the generators as
-    0-based image tuples, and ``elements`` is a lazy view of their
-    Schreier-Sims stabilizer chain: ``len`` is the order, and indexing or
-    membership costs one pass down the chain, so no element list is ever
-    built. Groups compare and hash by degree and generators.
+    an int, in 0..256, as Schreier-Sims holds each image in a byte, and the
+    generators an iterable of Permutations of the group's degree.
+    ``images`` holds the generators as 0-based image tuples, and
+    ``elements`` is a lazy view of their Schreier-Sims stabilizer chain:
+    ``len`` is the order, and indexing or membership costs one pass down
+    the chain, so no element list is ever built. Groups compare and hash by
+    degree and generators.
     """
 
     degree: int
@@ -215,6 +226,8 @@ class PermGroup:
             raise InvariantError(f"generators must be iterable, got {self.generators!r}") from None
         if n < 0:
             raise InvariantError(f"a group of negative degree {n}")
+        if n > len(PAD):
+            raise InvariantError(f"a group of degree {n}: images must fit in a byte")
         for i, p in enumerate(generators):
             if not isinstance(p, Permutation):
                 raise InvariantError(f"generator {i + 1} is not a Permutation: {p!r}")

@@ -204,13 +204,6 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*p)(q)
 
 
-def invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = [0] * len(p)
-    for i, j in enumerate(p):
-        inverse[j] = i
-    return tuple(inverse)
-
-
 def apply(p: Permutation, a: ElementSet) -> ElementSet:
     """Image of a set under a permutation of its ground set."""
     if p.degree != a.ground_size:

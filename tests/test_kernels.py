@@ -1,14 +1,20 @@
-"""The tuple and bitset kernels of the group layer against plain oracles.
+"""The tuple, bytes and bitset kernels of the group and search layers
+against plain oracles.
 
-compose takes itemgetter's fast path from degree 2 on, so degrees 0 and 1,
-where itemgetter returns a bare item or raises, are checked beside the
-widest ground sets. A _Fields row fills w bits, v + 1 rounded up to whole
-bytes, so w is v + 1 only for v = 7, 15, 23, 31, 63 and is 24 or 48 bits,
-not a power of two, for v = 19, 23 or 43. _Fields.move maps every row of a
-packed incidence at once; it must agree with map_bits row by row, also in
-the top field at v = 63. Search.branch_point counts every row with a
-byte-wise popcount; it must pick the row max((popcount, -x)) picks among
-the rows with two or more bits.
+compose, which the Fano class table works with, takes itemgetter's fast
+path from degree 2 on, so degrees 0 and 1, where itemgetter returns a bare
+item or raises, are checked beside the widest ground sets. Schreier-Sims
+holds a permutation as the bytes of its images: p then q is
+``p.translate(q + PAD[n:])`` and the inverse of w is
+``bytes.maketrans(w, PAD[:n])[:n]``, checked against the tuple oracle from
+degree 0 up to 256, the most a byte holds. A _Fields row fills w bits,
+v + 1 rounded up to whole bytes, so w is v + 1 only for v = 7, 15, 23, 31,
+63 and is 24 or 48 bits, not a power of two, for v = 19, 23 or 43.
+_Fields.move maps every row of a packed incidence at once; it must agree
+with map_bits row by row, also in the top field at v = 63.
+Search.branch_point counts every row with a byte-wise popcount; it must
+pick the row max((popcount, -x)) picks among the rows with two or more
+bits.
 """
 
 import random
@@ -16,8 +22,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from simplex_designs.errors import InvariantError
+from simplex_designs.groups import PAD, PermGroup, _schreier_sims
 from simplex_designs.search import Search, _Fields
-from simplex_designs.subsets import compose, map_bits
+from simplex_designs.subsets import Permutation, compose, map_bits
 
 WIDTHS = [3, 7, 11, 15, 19, 23, 31, 43, 59, 63]
 
@@ -36,6 +44,61 @@ def test_compose_matches_the_list_oracle(degree):
         got = compose(p, q)
         assert type(got) is tuple
         assert got == tuple([q[i] for i in p])
+
+
+BYTE_DEGREES = [0, 1, 2, 15, 31, 63, 127, 256]
+
+
+@pytest.mark.parametrize("degree", BYTE_DEGREES)
+def test_translate_composes_as_the_tuple_oracle(degree):
+    rng = random.Random(400 + degree)
+    for _ in range(20):
+        p, q = random_images(degree, rng), random_images(degree, rng)
+        assert bytes(p).translate(bytes(q) + PAD[degree:]) == bytes(compose(p, q))
+
+
+@pytest.mark.parametrize("degree", BYTE_DEGREES)
+def test_maketrans_inverts_as_the_tuple_oracle(degree):
+    rng = random.Random(500 + degree)
+    identity = tuple(range(degree))
+    for _ in range(20):
+        w = random_images(degree, rng)
+        inverse = tuple(bytes.maketrans(bytes(w), PAD[:degree])[:degree])
+        assert compose(w, inverse) == compose(inverse, w) == identity
+
+
+def test_a_group_of_degree_256_holds_its_top_point():
+    cycle = Permutation.from_cycles(256, [tuple(range(1, 256))])
+    group = PermGroup(256, [cycle])
+    assert group.order == 255
+    assert cycle in group.elements
+    assert all(p(256) == 256 for p in group.elements)
+    swap = Permutation.from_cycles(256, [(255, 256)])
+    assert swap not in group.elements
+    # the top point moves in a 256-cycle, and its group is cyclic of order 256
+    assert PermGroup(256, [cycle * swap]).order == 256
+
+
+@pytest.mark.parametrize("degree", [257, 300])
+def test_a_group_above_degree_256_is_refused(degree):
+    with pytest.raises(InvariantError, match=f"degree {degree}: images must fit in a byte$"):
+        PermGroup(degree, ())
+
+
+# one generator at degree 63, as two generate a group too large to close quickly
+@pytest.mark.parametrize("degree, count", [(1, 2), (2, 2), (15, 2), (31, 2), (63, 1)])
+def test_schreier_sims_takes_tuples_and_bytes_alike(degree, count):
+    rng = random.Random(600 + degree)
+    generators = [random_images(degree, rng) for _ in range(count)]
+    from_tuples = _schreier_sims(generators, degree)
+    assert _schreier_sims(list(map(bytes, generators)), degree) == from_tuples
+    base, transversals = from_tuples
+    identity = tuple(range(degree))
+    for b, table in zip(base, transversals):
+        for x, (u, u_inverse) in table.items():
+            assert type(u) is type(u_inverse) is bytes
+            assert len(u) == len(u_inverse) == degree
+            assert u[b] == x and compose(tuple(u), tuple(u_inverse)) == identity
 
 
 @pytest.mark.parametrize("v", [3, 7, 11, 15, 19, 31, 59, 63])

@@ -143,6 +143,7 @@ NOT_REACHED = {
     "subsets.Permutation.identity": "api",
     "subsets.Permutation.inverse": "api",
     "subsets.Permutation.random": "api",
+    "subsets.compose": "api",
     "subsets.subsets_of": "bench slice",
 }
 

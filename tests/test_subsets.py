@@ -10,7 +10,6 @@ from simplex_designs.subsets import (
     Permutation,
     apply,
     compose,
-    invert,
     map_bits,
     parse_set,
     set_bits,
@@ -238,7 +237,10 @@ class TestPermutation:
         p, q = Permutation(tuple(p_images)), Permutation(tuple(q_images))
         zero_based = [tuple(i - 1 for i in r.images) for r in (p, q, p * q, p.inverse())]
         assert compose(zero_based[0], zero_based[1]) == zero_based[2]
-        assert invert(zero_based[0]) == zero_based[3]
+        # the inverse's image tuple undoes p under compose, on both sides
+        identity = tuple(range(15))
+        assert compose(zero_based[0], zero_based[3]) == identity
+        assert compose(zero_based[3], zero_based[0]) == identity
 
 
 class TestBitIteration:

@@ -7,7 +7,9 @@ value and could not be hashed. A value built from elements of the wrong
 kind raises InvariantError, not the bare Python error of the first
 attribute or operator that the elements lack. ElementSet, the bitmask below
 every value, raises the ValueError of its range checks for fields that are
-not ints, and holds no element that is not an int.
+not ints, and holds no element that is not an int. A HadamardMatrix stores
+its entries as ints, as a Permutation does its images: a bool or other
+``__index__`` object becomes its int, and a float raises InvariantError.
 """
 
 import pytest
@@ -58,6 +60,51 @@ def test_hadamard_rows_become_tuples(fixture_designs):
     from_lists = HadamardMatrix([list(row) for row in h.entries])
     assert all(type(row) is tuple for row in from_lists.entries)
     assert from_lists.entries == h.entries
+
+
+def test_hadamard_entries_are_stored_as_ints():
+    class MinusOne:
+        def __index__(self):
+            return -1
+
+    h = HadamardMatrix([[1, 1], [True, MinusOne()]])
+    assert h.entries == ((1, 1), (1, -1))
+    assert {type(e) for row in h.entries for e in row} == {int}
+    assert h == HadamardMatrix(((1, 1), (1, -1)))
+    assert hash(h) == hash(HadamardMatrix(((1, 1), (1, -1))))
+
+
+@pytest.mark.parametrize(
+    "entries", [[[1.0, 1.0], [True, -1.0]], [[1, 1], [1, -1.0]], [[1, "1"], [1, -1]]], ids=repr
+)
+def test_hadamard_entries_that_are_not_integers_raise_invariant_error(entries):
+    with pytest.raises(InvariantError, match=r"^entries must form a nonempty square \+-1 matrix$"):
+        HadamardMatrix(entries)
+
+
+def test_hadamard_masks_mark_the_minus_ones_and_stay_out_of_equality(fixture_designs):
+    h = to_hadamard(fixture_designs["c3"])
+    assert h.masks == tuple(
+        sum(1 << j for j, e in enumerate(row) if e == -1) for row in h.entries
+    )
+    # the border of a normalized matrix holds no -1, so each mask is a block shifted up
+    assert h.masks[1:] == tuple(b.bits << 1 for b in fixture_designs["c3"].blocks)
+    assert "masks" not in repr(h)
+    assert h == HadamardMatrix(h.entries)
+
+
+@pytest.mark.parametrize("row, column", [(None, None), (5, None), (None, 3), (5, 3)])
+def test_is_normalized_reads_the_first_row_and_column(fixture_designs, row, column):
+    # negating a row or a column keeps the rows orthogonal
+    entries = [list(r) for r in to_hadamard(fixture_designs["c2"]).entries]
+    if row is not None:
+        entries[row] = [-e for e in entries[row]]
+    if column is not None:
+        for r in entries:
+            r[column] = -r[column]
+    h = HadamardMatrix(entries)
+    oracle = all(e == 1 for e in h.entries[0]) and all(r[0] == 1 for r in h.entries)
+    assert h.is_normalized() == oracle == (row is None and column is None)
 
 
 WRONG_KINDS = {
