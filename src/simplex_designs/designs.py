@@ -111,7 +111,8 @@ class HadamardMatrix:
     """A square +-1 matrix with orthogonal rows, its entries stored as ints.
 
     ``masks`` holds each row as the bitmask of its -1 entries, bit j for
-    column j; like a cache, it takes no part in equality, hashing or repr.
+    column j; it follows from the entries, so it takes no part in
+    equality, hashing or repr.
     """
 
     entries: tuple[tuple[int, ...], ...]

@@ -133,8 +133,8 @@ def _schreier_sims(generators, degree: int):
                 us, (rep, rep_inverse) = u.translate(s), table[s[x]]
                 if us == rep:
                     continue
-                g = us.translate(rep_inverse + pad)
-                residue, drop = _sift(g, base, transversals, level + 1)
+                schreier = us.translate(rep_inverse + pad)
+                residue, drop = _sift(schreier, base, transversals, level + 1)
                 if residue != identity:
                     return residue, drop
         return None, level
