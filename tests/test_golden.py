@@ -98,6 +98,12 @@ CLI_DIGESTS = {
     ("construct", "c4"): "a94dc1fd0dcdba8fc08ea68a91b0635d9e33b8bdde2d05363ee886c0d05d0054",
     ("construct", "non-centered"): "ba69709daa83c13a2c19fc943d0cceeae7ebd3af9bcb5162d596b35cfe6fa19f",
     ("construct", "hyperplane-complement"): "da89668160f442e7f85a033a931bc4b5032cd473c4502265d53ea81b9847786c",
+    ("construct", "c1", "--hadamard-style", "pm"): "4726be2ab7d51d09d5423aecb6b5223817abfda686ee55f4ef75e5690a48d604",
+    ("construct", "c2", "--hadamard-style", "pm"): "1c21f353d31775c2a1b31a79e86b49af14f9f3a4138f244dbfdca27af90f0cb9",
+    ("construct", "c3", "--hadamard-style", "pm"): "a437d78244dc3d815c689034bfa0f81a406e67ae832a25c40bbe1befb739eaa0",
+    ("construct", "c4", "--hadamard-style", "pm"): "917b47b7f282c2d17365a164ee548a9306eddaf3cce68a6ef4085fd063b4d622",
+    ("construct", "non-centered", "--hadamard-style", "pm"): "b7844f9708c26e309b9a608573f21d4addcd11c214570fbfa95bf8bae0cfe559",
+    ("construct", "hyperplane-complement", "--hadamard-style", "pm"): "6a23f7afff00617fce930dd2b48fe0eb2c94754a97657afe8f6e36dae294c7c6",
     ("census", "--delta-limit", "720"): "e6956e3bb20877297d1e7485bd71311dc9c78fe1360af210e5a0670569460b88",
     # the group orders, orbit counts and block systems of the five classes
     ("classify", "c1"): "378afb640bcf2689a61cca26f74a85a16bfc5ca1402e291debf402902d9b5bb7",
@@ -117,6 +123,12 @@ TEXT_DIGESTS = {
     ("construct", "c4"): "3755fe9475b7f317ccf6592795e3112277c97b7a6af7b886f58cf138aaa8f01a",
     ("construct", "non-centered"): "5373761c6c2f812c5cb4c17ed7fd23ec64a97e71e62376262517348681cef4ec",
     ("construct", "hyperplane-complement"): "9abc5032d0be63e25164ceb56b8d046d505bdb9ef2a00b3b296cefd893b991ef",
+    ("construct", "c1", "--hadamard-style", "pm"): "98abcdda07ae637c0a0ca85649c73c9642a5ee3b03c3a60de8a24451408b4a5d",
+    ("construct", "c2", "--hadamard-style", "pm"): "ffcac9a98893fb40f19ee51a265ab1d7c129ea4f47cfc4915ef26cf9ac1abd4b",
+    ("construct", "c3", "--hadamard-style", "pm"): "72d07c979266d25a5eecb7760b169c7a35908827d3409b3d7aece4c583aaf920",
+    ("construct", "c4", "--hadamard-style", "pm"): "94a423f749a354f3cda392b7017f2ab0c7512fb1975089d3519130eae88191c1",
+    ("construct", "non-centered", "--hadamard-style", "pm"): "78c0ce5b2f2051a787045746eeec3944e62ba8186f9c6289f8c237faca16eb6a",
+    ("construct", "hyperplane-complement", "--hadamard-style", "pm"): "98e3490d6e136a96e191a28c495d0da6dacd18fd9014a488f6e4a8f67468c9c4",
     ("census", "--delta-limit", "720"): "d5fede978f496816cf7681ce36a897f79bb6b1956cdb77581ce7cc09173e40d5",
     ("classify", "c1"): "93523dfc54bc4286db5650a7a53ebf2cc3d3629b8ebe22cedbbef2a501efd25d",
     ("classify", "c2"): "0c64a2e2ac9b10cac566cc6eeeba7d514ad3b293b96e2488ede045deaaec3450",
@@ -125,6 +137,13 @@ TEXT_DIGESTS = {
     ("classify", "non-centered"): "17cff5452f2cb2f2c4aab8964ee14687c5a42b3207bf9ebb8f133681146ccf9b",
     ("isomorphic", "c1", "c3"): "a98ff14015e0222c03bfd567255b302c191d5ef653d36786fa9583b93562e965",
     ("isomorphic", "c4", "non-centered"): "9095c1fd5e29071cc518742afd8404fe9e671eb4c215206fa121f431746e6e5c",
+}
+
+# the bytes of the incidence and Hadamard files that --out-dir writes for
+# every construct kind, in each --hadamard-style
+OUT_DIR_DIGESTS = {
+    "01": "ea5b126a81d3a365df9137b19a25bfc639d206bcb4ded1672c71aa2f8d843d2e",
+    "pm": "1a646e19c8e31e34287137a60e5f3440d955b11f2bdeb154056a8e5b1360cf74",
 }
 
 # the seed of the Permutation.random(15, ...) that relabels each fixture
@@ -181,6 +200,18 @@ def test_sorted_kv_cli_output_is_pinned(capsys, argv):
 def test_sorted_text_cli_output_is_pinned(capsys, argv):
     assert main(["--sorted", "--format", "text", *argv]) == 0
     assert digest(capsys.readouterr().out) == TEXT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("style", sorted(OUT_DIR_DIGESTS))
+def test_out_dir_files_are_pinned(capsys, tmp_path, style):
+    kinds = sorted({argv[1] for argv in CLI_DIGESTS if argv[0] == "construct"})
+    for kind in kinds:
+        argv = ["--out-dir", str(tmp_path), "construct", kind, "--hadamard-style", style]
+        assert main(argv) == 0
+    capsys.readouterr()
+    files = tuple(sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir()))
+    assert len(files) == 2 * len(kinds) == 12
+    assert digest(files) == OUT_DIR_DIGESTS[style]
 
 
 def test_witness_onto_a_relabeling_is_pinned(capsys, fixture_designs, tmp_path):
