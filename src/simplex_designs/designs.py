@@ -102,8 +102,33 @@ def clique_from_design(d: Design) -> Clique:
     return Clique.from_points(geometry_for_ground(d.v), d.blocks)
 
 
-# entry -> character of each rendering style of a Hadamard matrix
-_STYLES = {"01": {1: "0", -1: "1"}, "pm": {1: "+", -1: "-"}}
+# the characters of +1 and -1 in each rendering style; incidence text is "01"
+_STYLES = {"01": "01", "pm": "+-"}
+
+
+def _write_rows(masks, n: int, chars: str) -> str:
+    """One line of n characters per mask: character j is chars[bit j]."""
+    table = str.maketrans("01", chars)
+    return "\n".join(format(m, f"0{n}b")[::-1].translate(table) for m in masks)
+
+
+def _read_rows(lines: list[str], chars: str) -> list[int]:
+    """The mask of each line, bit j set where character j is chars[1]."""
+    # int() also takes signs, underscores, spaces and non-ASCII digits, so
+    # every line is checked to be len(lines) characters of chars first
+    n = len(lines)
+    for i, line in enumerate(lines):
+        if len(line) != n or set(line) - set(chars):
+            sep = "/".join(chars)
+            raise ParseError(f"row {i + 1} must be {n} characters of {sep}, got {line!r}")
+    table = str.maketrans(chars, "01")
+    return [int(line.translate(table)[::-1], 2) for line in lines]
+
+
+def _sign_rows(masks, n: int) -> tuple[tuple[int, ...], ...]:
+    """The +-1 row of n entries of each mask, -1 where bit j is set."""
+    powers = [1 << j for j in range(n)]
+    return tuple(tuple([-1 if m & p else 1 for p in powers]) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -146,21 +171,12 @@ class HadamardMatrix:
     def render(self, style: str = "01") -> str:
         if style not in _STYLES:
             raise InvariantError(f"unknown rendering style {style!r}")
-        table = _STYLES[style]
-        return "\n".join(
-            "".join(table[e] for e in row) for row in self.entries
-        )
+        return _write_rows(self.masks, self.order, _STYLES[style])
 
 
 def to_hadamard(d: Design) -> HadamardMatrix:
-    """Normalized Hadamard matrix of order v+1 with -1 at incidences."""
-    v = d.v
-    powers = [1 << j for j in range(v)]
-    rows = [(1,) * (v + 1)]
-    for b in d.blocks:
-        bits = b.bits
-        rows.append((1, *[-1 if bits & p else 1 for p in powers]))
-    return HadamardMatrix(tuple(rows))
+    """Normalized Hadamard matrix of order v+1 with -1 at incidences, point j in column j."""
+    return HadamardMatrix(_sign_rows([0, *[b.bits << 1 for b in d.blocks]], d.v + 1))
 
 
 def from_hadamard(h: HadamardMatrix) -> Design:
@@ -179,10 +195,7 @@ def from_hadamard(h: HadamardMatrix) -> Design:
 
 
 def render_incidence(d: Design) -> str:
-    v = d.v
-    return "\n".join(
-        "".join("1" if j in b else "0" for j in range(1, v + 1)) for b in d.blocks
-    )
+    return _write_rows([b.bits for b in d.blocks], d.v, "01")
 
 
 def parse_incidence(text: str) -> Design:
@@ -192,29 +205,16 @@ def parse_incidence(text: str) -> Design:
     v = len(lines)
     if v > MAX_GROUND_SIZE:
         raise ParseError(f"{v} rows: incidence matrices have at most {MAX_GROUND_SIZE}")
-    blocks = []
-    for i, line in enumerate(lines):
-        if len(line) != v or set(line) - {"0", "1"}:
-            raise ParseError(
-                f"row {i + 1} must be {v} characters of 0/1, got {line!r}"
-            )
-        blocks.append(ElementSet.of([j + 1 for j, ch in enumerate(line) if ch == "1"], v))
-    return Design(tuple(blocks))
+    return Design(tuple(ElementSet(m, v) for m in _read_rows(lines, "01")))
 
 
 def parse_hadamard(text: str, style: str = "01") -> HadamardMatrix:
     if style not in _STYLES:
         raise ParseError(f"unknown rendering style {style!r}")
-    table = {ch: e for e, ch in _STYLES[style].items()}
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("empty Hadamard matrix")
-    rows = []
-    for i, line in enumerate(lines):
-        if len(line) != len(lines) or set(line) - set(table):
-            raise ParseError(f"row {i + 1} is not a valid matrix row: {line!r}")
-        rows.append(tuple(table[ch] for ch in line))
-    return HadamardMatrix(tuple(rows))
+    return HadamardMatrix(_sign_rows(_read_rows(lines, _STYLES[style]), len(lines)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -282,6 +283,82 @@ class TestSerialization:
         rows = ["0" * 15] * 15
         with pytest.raises(InvariantError):
             parse_incidence("\n".join(rows))
+
+
+def entry_table_render(h, style):
+    """The per-entry rendering that the row-mask writer replaced, as its oracle."""
+    table = {"01": {1: "0", -1: "1"}, "pm": {1: "+", -1: "-"}}[style]
+    return "\n".join("".join(table[e] for e in row) for row in h.entries)
+
+
+def membership_render(d):
+    """The per-point incidence rendering that the row-mask writer replaced."""
+    return "\n".join(
+        "".join("1" if j in b else "0" for j in range(1, d.v + 1)) for b in d.blocks
+    )
+
+
+def round_trip_designs(fixture_designs):
+    """Each fixture, three seeded relabelings of it, and the designs of the
+    Sylvester matrices of orders 4 to 64."""
+    designs = []
+    for seed, name in enumerate(FIXTURE_NAMES, start=401):
+        rng = random.Random(seed)
+        d = fixture_designs[name]
+        designs += [d, *(d.relabeled(Permutation.random(15, rng)) for _ in range(3))]
+    sylvesters = [HadamardMatrix(sylvester(1 << k)) for k in range(2, 7)]
+    return designs + [from_hadamard(h) for h in sylvesters]
+
+
+# each text form of a design: its writer, its reader and its two characters
+TEXT_FORMS = {
+    "incidence": (render_incidence, parse_incidence, "01"),
+    "hadamard01": (lambda d: to_hadamard(d).render("01"), parse_hadamard, "01"),
+    "hadamardpm": (
+        lambda d: to_hadamard(d).render("pm"), partial(parse_hadamard, style="pm"), "+-"
+    ),
+}
+
+
+class TestRowMasks:
+    def test_incidence_text_round_trips_and_matches_the_oracle(self, fixture_designs):
+        for d in round_trip_designs(fixture_designs):
+            text = render_incidence(d)
+            assert text == membership_render(d)
+            assert parse_incidence(text) == d
+
+    @pytest.mark.parametrize("style", ["01", "pm"])
+    def test_hadamard_text_round_trips_and_matches_the_oracle(self, fixture_designs, style):
+        orders = set()
+        for d in round_trip_designs(fixture_designs):
+            h = to_hadamard(d)
+            orders.add(h.order)
+            assert h.entries == tuple(
+                (1, *[-1 if j in b else 1 for j in range(1, d.v + 1)])
+                for b in [ElementSet.empty(d.v), *d.blocks]
+            )
+            text = h.render(style)
+            assert text == entry_table_render(h, style)
+            assert parse_hadamard(text, style) == h
+            assert from_hadamard(parse_hadamard(text, style)) == d
+        assert orders == {4, 8, 16, 32, 64}
+
+    @pytest.mark.parametrize("style", sorted(TEXT_FORMS))
+    def test_parsers_reject_characters_that_int_reads(self, fixture_designs, style):
+        # int(..., 2) reads a sign, an underscore, spaces at either end and
+        # non-ASCII digits, so each must be refused before int() sees the row
+        render, parse, chars = TEXT_FORMS[style]
+        lines = render(fixture_designs["c2"]).splitlines()
+        n = len(lines)
+        bad_chars = [c for c in "+-01_ \u0661\uff11" if c not in chars]
+        assert len(bad_chars) == 6
+        for bad in bad_chars:
+            # the last character leads the reversed row that int() reads
+            for j in (0, n // 2, n - 1):
+                rows = list(lines)
+                rows[3] = rows[3][:j] + bad + rows[3][j + 1:]
+                with pytest.raises(ParseError, match=f"^row 4 must be {n} characters of "):
+                    parse("\n".join(rows))
 
 
 class TestMutationsRejected:

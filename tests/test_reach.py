@@ -134,6 +134,7 @@ NOT_REACHED = {
     "groups._ChainElements.__getitem__": "api",
     "search._Classes.rounds": "debug",
     "subsets.ElementSet.__and__": "api",
+    "subsets.ElementSet.__contains__": "api",
     "subsets.ElementSet.__or__": "api",
     "subsets.ElementSet.empty": "error",
     "subsets.ElementSet.full": "bench slice",
