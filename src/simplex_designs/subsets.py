@@ -34,7 +34,7 @@ class ElementSet:
     @classmethod
     def of(cls, elements, ground_size: int) -> "ElementSet":
         bits = 0
-        for e in elements:
+        for e in (_integer(x, "element") for x in elements):
             if not 1 <= e <= ground_size:
                 raise ValueError(f"element {e} outside 1..{ground_size}")
             bits |= 1 << (e - 1)
@@ -81,6 +81,14 @@ class ElementSet:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
 
 
+def _integer(x, what: str) -> int:
+    """x as an int through ``__index__`` (a bool becomes its int), or ValueError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _check_same_ground(a: ElementSet, b: ElementSet):
     if a.ground_size != b.ground_size:
         raise GroundMismatchError(
@@ -123,6 +131,7 @@ class Permutation:
     def from_mapping(cls, mapping: dict[int, int], n: int) -> "Permutation":
         images = list(range(1, n + 1))
         for src, dst in mapping.items():
+            src, dst = _integer(src, "point"), _integer(dst, "point")
             # a point below 1 would index images from the end
             for point in (src, dst):
                 if not 1 <= point <= n:
@@ -148,6 +157,9 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, element: int) -> int:
+        # a point below 1 would index images from the end
+        if not 1 <= element <= self.degree:
+            raise ValueError(f"point {element} outside 1..{self.degree}")
         return self.images[element - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -217,15 +229,20 @@ def apply(p: Permutation, a: ElementSet) -> ElementSet:
 def parse_set(text: str, ground_size: int) -> ElementSet:
     """Parse textual set notation such as ``{1,3,5}`` or ``1,3,5``.
 
-    A token that is not an integer, or an element outside 1..ground_size,
-    raises ParseError.
+    A token that is not ASCII decimal digits (spaces around it aside), or an
+    element outside 1..ground_size, raises ParseError: int() alone would also
+    take signs, underscores and non-ASCII digits.
     """
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
     if not body.strip():
         return ElementSet.empty(ground_size)
+    tokens = [tok.strip() for tok in body.split(",")]
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdecimal()):
+            raise ParseError(f"cannot parse set notation {text!r}: {tok!r} is not an element")
     try:
-        return ElementSet.of([int(tok) for tok in body.split(",")], ground_size)
+        return ElementSet.of(map(int, tokens), ground_size)
     except ValueError as exc:
         raise ParseError(f"cannot parse set notation {text!r}: {exc}") from exc

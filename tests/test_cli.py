@@ -343,7 +343,11 @@ class TestCensus:
             f"invariant violation: center {center} must have 8 elements, got {size}\n"
         )
 
-    @pytest.mark.parametrize("option,value", [("--center", "a,b"), ("--z", "{99}")])
+    @pytest.mark.parametrize("option,value", [
+        ("--center", "a,b"), ("--z", "{99}"),
+        # int() would read 1_0 as 10 and +3 as 3
+        ("--center", "{1_0,2,3,4,5,6,7,8}"), ("--z", "{+3,4,5,6,7,8,9}"),
+    ])
     def test_census_unparsable_set_is_a_parse_error(self, capsys, option, value):
         code, _, err = run_cli(capsys, "census", option, value)
         assert code == 2

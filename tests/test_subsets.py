@@ -57,10 +57,18 @@ class TestElementSet:
         with pytest.raises(ValueError):
             parse_set("{1,x}", 15)
 
-    @pytest.mark.parametrize("text", ["{1,x}", "a,b", "{16}", "0,3"])
+    @pytest.mark.parametrize("text", [
+        "{1,x}", "a,b", "{16}", "0,3",
+        # int() reads each of these tokens as an integer
+        "{1_0}", "{+3}", "{-3}", "{1 0}", "{1,,2}", "{\u0663}", "{\uff13}",
+    ])
     def test_parse_set_rejects_with_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_set(text, 15)
+
+    def test_parse_set_allows_spaces_around_tokens(self):
+        assert parse_set("{ 1 , 2 }", 15) == elem([1, 2])
+        assert parse_set(" 3,\t10 ", 15) == elem([3, 10])
 
 
 class TestSymdiff:
@@ -206,6 +214,14 @@ class TestPermutation:
         # a point below 1 once indexed the images from the end
         with pytest.raises(ValueError, match=rf"^point {point} outside 1\.\.3$"):
             build()
+
+    @pytest.mark.parametrize("point", [0, -1, 4])
+    def test_calling_on_a_point_outside_the_ground_raises(self, point):
+        # point 0 once read images[-1], the image of n
+        p = Permutation((2, 1, 3))
+        with pytest.raises(ValueError, match=rf"^point {point} outside 1\.\.3$"):
+            p(point)
+        assert [p(i) for i in (1, 2, 3)] == [2, 1, 3]
 
     @pytest.mark.parametrize(
         "images",

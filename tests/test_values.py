@@ -7,7 +7,10 @@ value and could not be hashed. A value built from elements of the wrong
 kind raises InvariantError, not the bare Python error of the first
 attribute or operator that the elements lack. ElementSet, the bitmask below
 every value, raises the ValueError of its range checks for fields that are
-not ints, and holds no element that is not an int. A HadamardMatrix stores
+not ints, and holds no element that is not an int; ElementSet.of,
+Permutation.from_mapping and Permutation.from_cycles read each element
+through ``__index__`` and raise ValueError for one that is not an integer,
+so a bool stays its int. A HadamardMatrix stores
 its entries as ints, as a Permutation does its images: a bool or other
 ``__index__`` object becomes its int, and a float raises InvariantError.
 """
@@ -21,7 +24,7 @@ from simplex_designs.errors import InvariantError
 from simplex_designs.fano import FanoPlane
 from simplex_designs.geometry import Line
 from simplex_designs.groups import PermGroup
-from simplex_designs.subsets import ElementSet
+from simplex_designs.subsets import ElementSet, Permutation
 
 TYPES = ["Design", "Clique", "HadamardMatrix", "Line", "CliqueClass"]
 
@@ -158,3 +161,36 @@ def test_an_element_set_holds_no_element_that_is_not_an_int(element):
 def test_an_element_set_of_fields_that_are_not_ints_raises_value_error(fields):
     with pytest.raises(ValueError, match="^bits and ground size must be integers$"):
         ElementSet(*fields)
+
+
+BUILDERS_OF_NON_INTEGERS = {
+    "set-of-a-float": (lambda: ElementSet.of([1.5], 3), "element 1.5 is not an integer"),
+    "set-of-a-string": (lambda: ElementSet.of(["1"], 3), "element '1' is not an integer"),
+    "mapping-from-a-float": (
+        lambda: Permutation.from_mapping({1.0: 2}, 3), "point 1.0 is not an integer"
+    ),
+    "mapping-onto-a-float": (
+        lambda: Permutation.from_mapping({1: 2.0}, 3), "point 2.0 is not an integer"
+    ),
+    "cycle-of-strings": (
+        lambda: Permutation.from_cycles(3, [("1", "2")]), "point '1' is not an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BUILDERS_OF_NON_INTEGERS)
+def test_builders_refuse_elements_that_are_not_integers(case):
+    build, message = BUILDERS_OF_NON_INTEGERS[case]
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_builders_read_bools_and_index_objects_as_ints():
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert ElementSet.of([True, Three()], 3) == ElementSet(0b101, 3)
+    assert Permutation.from_mapping({True: Three(), Three(): 1}, 3) == Permutation((3, 2, 1))
+    assert Permutation.from_cycles(3, [(True, 2)]) == Permutation((2, 1, 3))
