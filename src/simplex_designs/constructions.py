@@ -102,12 +102,19 @@ def product_clique(O: ElementSet, X, Y, delta, geometry: Geometry | None = None)
     return Clique._proved(g, _product_bits(o, xs, images))
 
 
-def _product_bits(o: int, xs, ys) -> tuple[int, ...]:
-    """Sorted members of the centered product: o, then x | y and x | (o & ~y) per pair."""
-    members = [o]
+def _product_members(o: int, xs, ys) -> list[int]:
+    """Members of the centered product in construction order: the plus half
+    x | y per pair, the center o, then the minus half x | (o & ~y) per pair."""
+    plus, rest = [], [o]
     for x, y in zip(xs, ys):
-        members += (x | y, x | (o & ~y))
-    return tuple(sorted(members))
+        plus.append(x | y)
+        rest.append(x | (o & ~y))
+    return plus + rest
+
+
+def _product_bits(o: int, xs, ys) -> tuple[int, ...]:
+    """Sorted members of the centered product."""
+    return tuple(sorted(_product_members(o, xs, ys)))
 
 
 def default_z(O: ElementSet) -> ElementSet:
@@ -515,6 +522,6 @@ def canonical_centered_blocks(index: int) -> tuple[ElementSet, ...]:
     images = representative_of_index(plane, plane, index).images
     # the second plane is the first shifted by 8, which keeps the point order
     image = {x: plane.bits[j] << 8 for x, j in zip(plane.bits, images)}
-    xs, o = [x.bits for x in blocks], canonical_center().bits
-    members = [x | image[x] for x in xs] + [o] + [x | (o & ~image[x]) for x in xs]
+    xs = [x.bits for x in blocks]
+    members = _product_members(canonical_center().bits, xs, [image[x] for x in xs])
     return tuple(ElementSet(b, 15) for b in members)
