@@ -114,11 +114,11 @@ def _write_rows(masks, n: int, chars: str) -> str:
 
 def _read_rows(lines: list[str], chars: str) -> list[int]:
     """The mask of each line, bit j set where character j is chars[1]."""
-    # int() also takes signs, underscores, spaces and non-ASCII digits, so
-    # every line is checked to be len(lines) characters of chars first
+    # int() also takes signs, underscores, spaces and non-ASCII digits, so each
+    # line must first be n characters of chars, which strip(chars) removes all of
     n = len(lines)
     for i, line in enumerate(lines):
-        if len(line) != n or set(line) - set(chars):
+        if len(line) != n or line.strip(chars):
             sep = "/".join(chars)
             raise ParseError(f"row {i + 1} must be {n} characters of {sep}, got {line!r}")
     table = str.maketrans(chars, "01")
@@ -128,7 +128,7 @@ def _read_rows(lines: list[str], chars: str) -> list[int]:
 def _sign_rows(masks, n: int) -> tuple[tuple[int, ...], ...]:
     """The +-1 row of n entries of each mask, -1 where bit j is set."""
     powers = [1 << j for j in range(n)]
-    return tuple(tuple([-1 if m & p else 1 for p in powers]) for m in masks)
+    return tuple([tuple([-1 if m & p else 1 for p in powers]) for m in masks])
 
 
 @dataclass(frozen=True)
